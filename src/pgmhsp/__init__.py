@@ -9,7 +9,6 @@ from .groups import (
     SemidirectGroup,
     VectorGroup,
     character_eval,
-    conjugate_matrix_sum,
     element_inv,
     element_mul,
     format_group_spec,

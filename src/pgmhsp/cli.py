@@ -125,7 +125,9 @@ def cmd_pgm_report(args) -> int:
     from . import pgm
 
     g = _group_from_args(args)
-    report = pgm.pgm_report(args.k, g, dim_cap(args.dim_cap), enum_cap(args.enum_cap))
+    report = pgm.pgm_report(
+        args.k, g, dim_cap(args.dim_cap), enum_cap(args.enum_cap), pop_cap(args.pop_cap)
+    )
     doc = {
         "group": report.group_spec,
         "k": report.k,
@@ -292,7 +294,15 @@ def _run_hsp_pgm(args) -> int:
     if args.seed is None:
         raise UsageError("--algo pgm requires --seed")
     g, f = _load_fixture(args.fixture)
-    result = solve_hsp(f, g, args.k, trials=args.trials, seed=args.seed)
+    result = solve_hsp(
+        f,
+        g,
+        args.k,
+        trials=args.trials,
+        seed=args.seed,
+        enumeration_cap=enum_cap(args.enum_cap),
+        population_cap=pop_cap(args.pop_cap),
+    )
     transcript_lines = []
     if result.pgm_run is not None:
         run_a = result.pgm_run.group.a_group  # samples live in the quotient
@@ -392,8 +402,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
+    except (CapExceeded, MemoryError) as exc:
+        print(f"cap exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

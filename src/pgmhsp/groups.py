@@ -426,18 +426,6 @@ def matrix_sum(b: int, g: SemidirectGroup):
     return total
 
 
-def conjugate_matrix_sum(b: int, g: SemidirectGroup):
-    """Representation of the conjugate sum acting on character labels.
-
-    Under the storage convention this coincides with ``matrix_sum`` for
-    both supported families; it is the object satisfying
-    chi_x(phi_sum(b, d)) = chi_{conj_apply(b, x)}(d).
-    """
-    if not isinstance(g.a_group, (CyclicGroup, VectorGroup)):
-        raise TypeError(f"unsupported abelian component {g.a_group!r}")
-    return matrix_sum(b, g)
-
-
 @lru_cache(maxsize=None)
 def msum_table(g: SemidirectGroup) -> tuple:
     """M^(b) for b = 0..p-1, cached per group."""

@@ -16,17 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .caps import CapExceeded, enum_cap
-from .groups import SemidirectGroup
-from .msum import EtaStats, eta_statistics
+from .groups import CyclicGroup, SemidirectGroup
+from .msum import EtaStats, eta_chunks, eta_rows, eta_statistics, image_table
 from .states import (
-    BlockDecomposition,
-    _block_state_vector,
-    _phase_roots,
     a_tuple_from_index,
-    block_decomposition,
+    block_images,
+    characters,
     check_dim,
     qft_matrix,
+    support_blocks,
 )
 
 PSD_TOL = 1e-9
@@ -71,25 +69,16 @@ def build_pgm(
     cap: int | None = None,
     enumeration_cap: int | None = None,
 ) -> POVM:
-    """PGM elements from the explicit character formula on each block."""
+    """PGM elements from the explicit character formula on each block:
+    <b|e^x_j> = chi_w(j) / sqrt(|A| eta^x_w) with w the image of b."""
     check_dim(g, k, cap)
-    dec = block_decomposition(g, k, enumeration_cap)
     a = g.a_group
-    roots = _phase_roots(a.char_denominator)
-    pk = g.p**k
-    elems = list(a.elements())
-    vectors = []
-    matrices = []
-    for xi in range(a.order**k):
-        vecs = np.zeros((a.order, pk), dtype=complex)
-        for ji, j in enumerate(elems):
-            for w, b_idx, eta in dec.blocks[xi]:
-                vecs[ji, list(b_idx)] = roots[a.char_index(w, j)] / math.sqrt(
-                    a.order * eta
-                )
-        vectors.append(vecs)
-        matrices.append(np.einsum("ja,jb->jab", vecs, vecs.conj()))
-    return POVM(g, k, tuple(matrices), tuple(vectors))
+    images = block_images(g, k, enumeration_cap)
+    eta = np.take_along_axis(eta_rows(images, a.order), images, axis=1)
+    norms = np.sqrt(a.order * eta)
+    vectors = np.stack([characters(a, j)[images] / norms for j in a.elements()], axis=1)
+    matrices = tuple(np.einsum("ja,jb->jab", vecs, vecs.conj()) for vecs in vectors)
+    return POVM(g, k, matrices, tuple(vectors))
 
 
 def pgm_from_inverse_sqrt(
@@ -121,25 +110,17 @@ def perturb_with_uniform(povm: POVM, eps: float) -> POVM:
     Keeps completeness but destroys optimality; used as the negative
     control for the optimality check.
     """
-    dec = block_decomposition(povm.group, povm.k)
+    blocks = support_blocks(povm.group, povm.k)
     a = povm.group.a_group
-    pk = povm.group.p**povm.k
-    matrices = []
-    for xi, stack in enumerate(povm.block_matrices):
-        proj = np.zeros((pk, pk), dtype=complex)
-        for _w, b_idx, eta in dec.blocks[xi]:
-            ix = np.asarray(b_idx)
-            proj[np.ix_(ix, ix)] += 1.0 / eta
-        matrices.append((1 - eps) * stack + (eps / a.order) * proj[None, :, :])
-    return POVM(povm.group, povm.k, tuple(matrices), None)
+    matrices = tuple(
+        (1 - eps) * stack + (eps / a.order) * proj[None, :, :]
+        for stack, proj in zip(povm.block_matrices, blocks)
+    )
+    return POVM(povm.group, povm.k, matrices, None)
 
 
 # ---------------------------------------------------------------------------
 # Success probability
-
-
-def _eta_table(dec: BlockDecomposition, xi: int) -> list[int]:
-    return [eta for _w, _b, eta in dec.blocks[xi]]
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -163,22 +144,18 @@ def success_probability_formula(
     Exact Fraction when every block sum squares to a rational (the etas
     of each block share one squarefree part), float otherwise.
     """
-    a = g.a_group
-    if g.p**k > enum_cap(enumeration_cap):
-        raise CapExceeded(f"p^k = {g.p**k} exceeds enumeration cap")
-    dec = block_decomposition(g, k, enumeration_cap)
     exact_total = Fraction(0)
     float_total = 0.0
     all_exact = True
-    for xi in range(a.order**k):
-        etas = _eta_table(dec, xi)
-        parts = [_squarefree_split(eta) for eta in etas]
-        if len({s for _c, s in parts}) <= 1:
-            s = parts[0][1] if parts else 1
-            exact_total += Fraction(sum(c for c, _s in parts)) ** 2 * s
-        else:
-            all_exact = False
-        float_total += sum(math.sqrt(eta) for eta in etas) ** 2
+    for chunk in eta_chunks(g, k, enumeration_cap):
+        for row in chunk:
+            etas = row[row > 0].tolist()
+            parts = [_squarefree_split(eta) for eta in etas]
+            if len({s for _c, s in parts}) <= 1:
+                exact_total += Fraction(sum(c for c, _s in parts)) ** 2 * parts[0][1]
+            else:
+                all_exact = False
+            float_total += sum(math.sqrt(eta) for eta in etas) ** 2
     scale = Fraction(g.p, g.order ** (k + 1))
     if all_exact:
         return scale * exact_total
@@ -211,23 +188,20 @@ def outcome_distribution(
 ) -> np.ndarray:
     """Exact outcome probabilities tr(E_j rho_d^(x)k) over j in A-index order.
 
-    Blockwise: Pr(j) = (1/(|G|^k |A|)) sum_x |sum_w chi_w(d - j) sqrt(eta)|^2.
+    Blockwise: Pr(j) = (1/(|G|^k |A|)) sum_x |sum_w chi_w(d - j) sqrt(eta)|^2,
+    the squared Fourier transform over A of each row sqrt(eta^x_.): a
+    length-N FFT for Z_N, a (p,)*r FFT for Z_p^r.
     """
     a = g.a_group
-    dec = block_decomposition(g, k, enumeration_cap)
-    roots = _phase_roots(a.char_denominator)
     d = a.reduce(d)
-    elems = list(a.elements())
-    probs = np.zeros(a.order)
-    for xi in range(a.order**k):
-        block = dec.blocks[xi]
-        for ji, j in enumerate(elems):
-            c = a.add(d, a.neg(j))
-            amp = sum(
-                roots[a.char_index(w, c)] * math.sqrt(eta) for w, _b, eta in block
-            )
-            probs[ji] += abs(amp) ** 2
-    return probs / (g.order**k * a.order)
+    shape = (a.order,) if isinstance(a, CyclicGroup) else (g.p,) * a.r
+    axes = tuple(range(1, len(shape) + 1))
+    power = np.zeros(shape)
+    for eta in eta_chunks(g, k, enumeration_cap):
+        amps = np.fft.fftn(np.sqrt(eta).reshape(-1, *shape), axes=axes)
+        power += (amps.real**2 + amps.imag**2).sum(axis=0)
+    shifts = [a.index(a.add(d, a.neg(j))) for j in a.elements()]
+    return power.ravel()[shifts] / (g.order**k * a.order)
 
 
 def trivial_state_outcome_distribution(
@@ -238,8 +212,7 @@ def trivial_state_outcome_distribution(
     """Outcome probabilities for the maximally mixed (trivial-subgroup)
     input, plus the leftover mass outside the ensemble support."""
     a = g.a_group
-    dec = block_decomposition(g, k, enumeration_cap)
-    support = sum(dec.support_dim(xi) for xi in range(a.order**k))
+    support = sum(int(np.count_nonzero(eta)) for eta in eta_chunks(g, k, enumeration_cap))
     dim = g.order**k
     per_outcome = support / (dim * a.order)
     probs = np.full(a.order, per_outcome)
@@ -371,6 +344,13 @@ class NeumarkBlock:
     completion_columns: tuple[int, ...]
 
 
+def _images_of(x: tuple, g: SemidirectGroup, enumeration_cap: int | None) -> np.ndarray:
+    """Image-table row of one x-tuple: the A-index of the image of every b."""
+    a = g.a_group
+    xs = np.array([[a.index(a.reduce(xj)) for xj in x]], dtype=np.int64)
+    return image_table(g, xs, enumeration_cap)[0]
+
+
 def build_neumark(
     x: tuple,
     k: int,
@@ -379,20 +359,14 @@ def build_neumark(
 ) -> NeumarkBlock:
     a = g.a_group
     x = tuple(a.reduce(xj) for xj in x)
-    from .states import a_tuple_index
-
-    xi = a_tuple_index(a, x)
-    dec = block_decomposition(g, k, enumeration_cap)
+    images = _images_of(x, g, enumeration_cap)
+    eta = np.bincount(images, minlength=a.order)
     pk = g.p**k
     dim = max(a.order, pk)
     u = np.zeros((dim, dim), dtype=complex)
-    defined = []
-    by_w_index = {a.index(w): (b_idx, eta) for w, b_idx, eta in dec.blocks[xi]}
-    for wi in sorted(by_w_index):
-        b_idx, eta = by_w_index[wi]
-        u[list(b_idx), wi] = 1.0 / math.sqrt(eta)
-        defined.append(wi)
-    completions = [col for col in range(dim) if col not in by_w_index]
+    u[np.arange(pk), images] = 1.0 / np.sqrt(eta[images])
+    defined = np.flatnonzero(eta).tolist()
+    completions = [col for col in range(dim) if col >= a.order or not eta[col]]
     basis_cursor = 0
     for col in completions:
         while True:
@@ -426,12 +400,11 @@ def quantum_sample_vector(
     """The uniform solution superposition |S^x_w> (zero vector when there
     are no solutions) with the label-and-measure postselection rate 1/eta."""
     a = g.a_group
-    from .states import a_tuple_index
-
-    xi = a_tuple_index(a, tuple(a.reduce(xj) for xj in x))
-    dec = block_decomposition(g, k, enumeration_cap)
-    vec = dec.solution_vector(xi, a.reduce(w))
-    eta = sum(e for wv, _b, e in dec.blocks[xi] if wv == a.reduce(w))
+    hits = _images_of(x, g, enumeration_cap) == a.index(a.reduce(w))
+    eta = int(np.count_nonzero(hits))
+    vec = np.zeros(g.p**k, dtype=complex)
+    if eta:
+        vec[hits] = 1.0 / np.sqrt(eta)
     prob = 1.0 / eta if eta else 0.0
     return QuantumSample(vec, eta, prob)
 
@@ -451,8 +424,8 @@ def simulate_neumark_outcomes(
     """
     check_dim(g, k, cap)
     a = g.a_group
-    dec = block_decomposition(g, k, enumeration_cap)
-    d = a.reduce(d)
+    images = block_images(g, k, enumeration_cap)
+    chi_d = characters(a, a.reduce(d))
     pk = g.p**k
     f_bar = qft_matrix(a).conj()
     probs = np.zeros(a.order)
@@ -460,7 +433,7 @@ def simulate_neumark_outcomes(
     for xi in range(a.order**k):
         x = a_tuple_from_index(a, xi, k)
         block = build_neumark(x, k, g, enumeration_cap)
-        u = _block_state_vector(dec, xi, d) / math.sqrt(pk)
+        u = chi_d[images[xi]] / math.sqrt(pk)
         embedded = np.zeros(block.unitary.shape[0], dtype=complex)
         embedded[:pk] = u
         coeffs = block.unitary.conj().T @ embedded
@@ -496,13 +469,15 @@ def pgm_report(
     g: SemidirectGroup,
     cap: int | None = None,
     enumeration_cap: int | None = None,
+    population_cap: int | None = None,
 ) -> PGMReport:
     from .groups import format_group_spec
 
     formula = success_probability_formula(k, g, enumeration_cap)
     exact = formula if isinstance(formula, Fraction) else None
     trace = success_probability_trace(k, g, g.a_group.zero, cap, enumeration_cap)
-    bracket = best_certified_lower_bound(k, g)
+    stats = eta_statistics(g, k, cap=population_cap, enumeration_cap=enumeration_cap)
+    bracket = best_certified_lower_bound(k, g, stats)
     optimality = verify_optimality(k, g, None, cap, enumeration_cap)
     return PGMReport(
         format_group_spec(g), k, float(formula), exact, trace, bracket, optimality

@@ -32,6 +32,7 @@ from .groups import (
     semidirect_zpr,
     subgroup_order,
 )
+from .msum import eta_statistics
 from .pgm import best_certified_lower_bound, outcome_distribution, trivial_state_outcome_distribution
 
 
@@ -352,9 +353,15 @@ class PGMRunResult:
     seed: int | None = None
 
 
-def default_trial_budget(k: int, g: SemidirectGroup) -> int:
+def default_trial_budget(
+    k: int,
+    g: SemidirectGroup,
+    enumeration_cap: int | None = None,
+    population_cap: int | None = None,
+) -> int:
     """ceil(40 / certified-lower-bound) trials."""
-    bracket = best_certified_lower_bound(k, g)
+    stats = eta_statistics(g, k, cap=population_cap, enumeration_cap=enumeration_cap)
+    bracket = best_certified_lower_bound(k, g, stats)
     return math.ceil(40 / bracket.lower)
 
 
@@ -364,6 +371,8 @@ def run_pgm_hsp(
     k: int,
     trials: int | None = None,
     seed: int = 0,
+    enumeration_cap: int | None = None,
+    population_cap: int | None = None,
 ) -> PGMRunResult:
     """Measurement-driven search for the order-p hidden subgroup.
 
@@ -373,16 +382,16 @@ def run_pgm_hsp(
     PCG64 generator; every candidate is verified with two real queries.
     """
     if trials is None:
-        trials = default_trial_budget(k, g)
+        trials = default_trial_budget(k, g, enumeration_cap, population_cap)
     a_group = g.a_group
     elems = list(a_group.elements())
     if f.hidden_d is not None:
         if subgroup_order(f.hidden_d, g) != g.p:
             raise ValueError("fixture's planted subgroup does not have order p")
-        probs = outcome_distribution(k, g, f.hidden_d)
+        probs = outcome_distribution(k, g, f.hidden_d, enumeration_cap)
         fail_mass = 0.0
     else:
-        probs, fail_mass = trivial_state_outcome_distribution(k, g)
+        probs, fail_mass = trivial_state_outcome_distribution(k, g, enumeration_cap)
     cdf = np.cumsum(np.append(probs, fail_mass))
     rng = np.random.default_rng(seed)
     result = PGMRunResult(SubgroupDescription((), 1), group=g, seed=seed)
@@ -420,6 +429,8 @@ def solve_hsp(
     k: int,
     trials: int | None = None,
     seed: int = 0,
+    enumeration_cap: int | None = None,
+    population_cap: int | None = None,
 ) -> HSPResult:
     """Full pipeline: reduction, PGM stage on the quotient, and assembly
     of the answer inside the original group."""
@@ -434,7 +445,9 @@ def solve_hsp(
         gens = h1.generators + ((g.element(g.a_group.zero, 1),) if found else ())
         order = h1.order * (g.p if found else 1)
         return HSPResult(SubgroupDescription(gens, order), False, None, f.queries)
-    run = run_pgm_hsp(reduced.f2, reduced.group2, k, trials, seed)
+    run = run_pgm_hsp(
+        reduced.f2, reduced.group2, k, trials, seed, enumeration_cap, population_cap
+    )
     if run.answer.is_trivial:
         answer = SubgroupDescription(h1.generators, h1.order)
     else:

@@ -14,7 +14,6 @@ F[x, a] = chi_x(a) / sqrt(|A|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +25,7 @@ from .groups import (
     phi_sum,
     subgroup_order,
 )
-from .msum import solve_all_w
+from .msum import eta_rows, image_table, x_tuples
 
 
 def state_dim(g: SemidirectGroup, k: int) -> int:
@@ -69,8 +68,10 @@ def _phase_roots(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def character_value(a_group: AbelianGroup, x, y) -> complex:
-    return complex(_phase_roots(a_group.char_denominator)[a_group.char_index(x, y)])
+def characters(a_group: AbelianGroup, d) -> np.ndarray:
+    """chi_w(d) for every w in A-index order."""
+    t = [a_group.char_index(w, d) for w in a_group.elements()]
+    return _phase_roots(a_group.char_denominator)[t]
 
 
 def qft_matrix(a_group: AbelianGroup) -> np.ndarray:
@@ -129,66 +130,36 @@ def coset_mixture_density(d, g: SemidirectGroup) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Block decomposition of the k-copy Fourier-side states
+# The k-copy Fourier-side states, block by block over x in A^k
+#
+# The x-block of every operator below is read off the image table of the
+# matrix sum problem (msum.image_table): b and b' lie in the same solution
+# set S^x_w exactly when their images agree.
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Per-x solution structure of the matrix sum problem.
-
-    ``blocks[xi]`` lists (w, b_indices, eta) for every w with eta > 0,
-    ordered by the index of w; b_indices are idx_b positions inside the
-    p^k-dimensional x-block.
-    """
-
-    group: SemidirectGroup
-    k: int
-    blocks: tuple
-
-    @property
-    def a_order(self) -> int:
-        return self.group.a_group.order
-
-    def solution_vector(self, xi: int, w) -> np.ndarray:
-        """Normalized uniform superposition |S^x_w> (zero vector if eta = 0)."""
-        vec = np.zeros(self.group.p**self.k, dtype=complex)
-        for wv, b_idx, eta in self.blocks[xi]:
-            if wv == w:
-                vec[list(b_idx)] = 1.0 / np.sqrt(eta)
-        return vec
-
-    def support_dim(self, xi: int) -> int:
-        return len(self.blocks[xi])
-
-
-@lru_cache(maxsize=None)
-def block_decomposition(
+def block_images(
     g: SemidirectGroup, k: int, enumeration_cap: int | None = None
-) -> BlockDecomposition:
-    a = g.a_group
-    p = g.p
-    blocks = []
-    for xi in range(a.order**k):
-        x = a_tuple_from_index(a, xi, k)
-        buckets = solve_all_w(g, x, enumeration_cap)
-        entries = []
-        for w in sorted(buckets, key=a.index):
-            sols = buckets[w]
-            b_idx = tuple(b_tuple_index(p, b) for b in sols)
-            entries.append((w, b_idx, len(sols)))
-        blocks.append(tuple(entries))
-    return BlockDecomposition(g, k, tuple(blocks))
+) -> np.ndarray:
+    """Image table of every x in idx_A order, shape (|A|^k, p^k)."""
+    return image_table(g, x_tuples(g.a_group.order, k), enumeration_cap)
 
 
-def _block_state_vector(dec: BlockDecomposition, xi: int, d) -> np.ndarray:
-    """Unnormalized x-block vector sum_b chi_{conj(b,x)}(d) |b> (norm^2 = p^k)."""
-    g = dec.group
-    a = g.a_group
-    roots = _phase_roots(a.char_denominator)
-    vec = np.zeros(g.p**dec.k, dtype=complex)
-    for w, b_idx, _eta in dec.blocks[xi]:
-        vec[list(b_idx)] = roots[a.char_index(w, d)]
-    return vec
+def block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """Dense matrix with the (|A|^k, p^k, p^k) x-blocks on its diagonal."""
+    nx, pk, _ = blocks.shape
+    out = np.zeros((nx, pk, nx, pk), dtype=complex)
+    out[np.arange(nx), :, np.arange(nx), :] = blocks
+    return out.reshape(nx * pk, nx * pk)
+
+
+def support_blocks(
+    g: SemidirectGroup, k: int, enumeration_cap: int | None = None
+) -> np.ndarray:
+    """x-blocks of the projector onto {|x, S^x_w>}: 1/eta^x_w where b, b' share w."""
+    images = block_images(g, k, enumeration_cap)
+    eta = np.take_along_axis(eta_rows(images, g.a_group.order), images, axis=1)
+    same = images[:, :, None] == images[:, None, :]
+    return np.where(same, 1.0 / eta[:, :, None], 0.0)
 
 
 def hidden_subgroup_state(
@@ -197,25 +168,19 @@ def hidden_subgroup_state(
     g: SemidirectGroup,
     cap: int | None = None,
     enumeration_cap: int | None = None,
-) -> tuple[np.ndarray, BlockDecomposition]:
-    """k-copy Fourier-side state for the label d, with its block data.
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-copy Fourier-side state for the label d, with the image table.
 
-    Built blockwise from the solution sets of the matrix sum problem; for
-    labels d whose subgroup order differs from p this still returns the
-    formula-defined (valid) density matrix.
+    The x-block is the outer product of the vector with entries
+    chi_{w(x, b)}(d), w(x, b) the image of b; for labels d whose subgroup
+    order differs from p this still returns the formula-defined (valid)
+    density matrix.
     """
-    dim = check_dim(g, k, cap)
-    dec = block_decomposition(g, k, enumeration_cap)
-    a = g.a_group
-    d = a.reduce(d)
-    pk = g.p**k
-    rho = np.zeros((dim, dim), dtype=complex)
+    check_dim(g, k, cap)
+    images = block_images(g, k, enumeration_cap)
+    u = characters(g.a_group, g.a_group.reduce(d))[images]
     scale = 1.0 / g.order**k
-    for xi in range(a.order**k):
-        u = _block_state_vector(dec, xi, d)
-        lo = xi * pk
-        rho[lo : lo + pk, lo : lo + pk] = scale * np.outer(u, u.conj())
-    return rho, dec
+    return block_diagonal(scale * (u[:, :, None] * u.conj()[:, None, :])), images
 
 
 def ensemble_sigma(
@@ -225,18 +190,10 @@ def ensemble_sigma(
     enumeration_cap: int | None = None,
 ) -> np.ndarray:
     """Sigma = sum_{j in A} rho_j^(x)k, diagonal in the (x, S^x_w) basis."""
-    dim = check_dim(g, k, cap)
-    dec = block_decomposition(g, k, enumeration_cap)
-    a = g.a_group
-    pk = g.p**k
-    sigma = np.zeros((dim, dim), dtype=complex)
-    scale = a.order / g.order**k
-    for xi in range(a.order**k):
-        lo = xi * pk
-        for _w, b_idx, _eta in dec.blocks[xi]:
-            ix = np.asarray(b_idx)
-            sigma[np.ix_(lo + ix, lo + ix)] += scale
-    return sigma
+    check_dim(g, k, cap)
+    images = block_images(g, k, enumeration_cap)
+    same = images[:, :, None] == images[:, None, :]
+    return block_diagonal(np.where(same, g.a_group.order / g.order**k, 0.0))
 
 
 def support_projector(
@@ -246,17 +203,8 @@ def support_projector(
     enumeration_cap: int | None = None,
 ) -> np.ndarray:
     """Projector onto the span of {|x, S^x_w> : eta^x_w > 0}."""
-    dim = check_dim(g, k, cap)
-    dec = block_decomposition(g, k, enumeration_cap)
-    a = g.a_group
-    pk = g.p**k
-    proj = np.zeros((dim, dim), dtype=complex)
-    for xi in range(a.order**k):
-        lo = xi * pk
-        for _w, b_idx, eta in dec.blocks[xi]:
-            ix = np.asarray(b_idx)
-            proj[np.ix_(lo + ix, lo + ix)] += 1.0 / eta
-    return proj
+    check_dim(g, k, cap)
+    return block_diagonal(support_blocks(g, k, enumeration_cap))
 
 
 def matrix_to_json_pairs(mat: np.ndarray) -> list:

@@ -89,6 +89,48 @@ def test_pgm_report_dim_cap():
     assert proc.returncode == 3
 
 
+def test_pgm_report_population_cap():
+    proc = run_cli(
+        ["pgm-report", "--group", "zn N=7 p=3 mu=2", "--k", "1", "--pop-cap", "10"]
+    )
+    assert proc.returncode == 3
+    assert "cap exceeded" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "fixture_doc,extra",
+    [
+        # the default trial budget counts the eta histogram: |A|^2 = 49 > 10
+        ({"group": "zn N=7 p=3 mu=2", "hidden": "trivial"}, ["--k", "1", "--pop-cap", "10"]),
+        # the outcome distribution enumerates p^k = 9 > 1 values of b
+        (
+            {"group": "zpr p=3 jordan=2", "hidden": {"d": [1, 1]}},
+            ["--k", "2", "--trials", "5", "--enum-cap", "1"],
+        ),
+    ],
+    ids=["pop-cap", "enum-cap"],
+)
+def test_run_hsp_pgm_caps(tmp_path, fixture_doc, extra):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(fixture_doc))
+    proc = run_cli(
+        ["run-hsp", "--algo", "pgm", "--fixture", str(fixture), "--seed", "1", *extra]
+    )
+    assert proc.returncode == 3
+    assert "cap exceeded" in proc.stderr
+
+
+def test_memory_error_exits_as_cap_exceeded(monkeypatch, capsys):
+    from pgmhsp import msum
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(msum, "eta_statistics", out_of_memory)
+    assert main(["eta-stats", "--group", "zn N=7 p=3 mu=2"]) == 3
+    assert "cap exceeded: out of memory" in capsys.readouterr().err
+
+
 def test_eta_stats_exhaustive(tmp_path):
     out = tmp_path / "hist.csv"
     proc = run_cli(
@@ -237,6 +279,7 @@ def test_main_entrypoint_in_process(capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["pr_formula_exact"] == "19/49"
     assert main(["pgm-report", "--group", "nonsense"]) == 2
+    assert main(["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "0"]) == 2
     assert main(["bogus-command"]) == 2
 
 

@@ -9,7 +9,6 @@ from pgmhsp.groups import (
     PhaseValue,
     VectorGroup,
     character_eval,
-    conjugate_matrix_sum,
     element_inv,
     element_mul,
     element_pow,
@@ -215,12 +214,6 @@ def test_matrix_sum_doubling_identity(g):
 
             factor = mat_add(mat_identity(a_group.r), mat_pow(g.mu, b, g.p), g.p)
             assert lhs == mat_mul(factor, matrix_sum(b, g), g.p)
-
-
-def test_conjugate_matrix_sum():
-    for b in range(3):
-        assert conjugate_matrix_sum(b, Z7) == matrix_sum(b, Z7)
-    assert conjugate_matrix_sum(0, HEIS3) == ((0, 0), (0, 0))
 
 
 @pytest.mark.parametrize(

@@ -3,17 +3,26 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from pgmhsp import msum
 from pgmhsp.caps import CapExceeded
-from pgmhsp.groups import heisenberg_group, semidirect_jordan, semidirect_zn
+from pgmhsp.groups import (
+    heisenberg_group,
+    parse_group_spec,
+    semidirect_jordan,
+    semidirect_zn,
+)
 from pgmhsp.msum import (
     EtaStats,
     MSumInstance,
     SolutionSet,
     discrete_log_bsgs,
+    eta_rows,
     eta_statistics,
     heisenberg_eta_distribution,
+    image_table,
     instance_residual,
     legendre_symbol,
     solve_all_w,
@@ -23,7 +32,9 @@ from pgmhsp.msum import (
     solve_jordan,
     solve_metacyclic_dlog,
     sqrt_mod_p,
+    x_tuples,
 )
+from pgmhsp.states import b_tuple_index
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)
@@ -260,6 +271,8 @@ def test_eta_statistics_sampled():
     assert sum(stats.counts.values()) == 500
     again = eta_statistics(HEIS3, 2, mode="sampled", samples=500, seed=42)
     assert again.counts == stats.counts
+    # the value the per-sample loop gave before sampling was batched
+    assert stats.counts == {0: 142, 1: 269, 2: 40, 3: 49}
     with pytest.raises(ValueError):
         eta_statistics(HEIS3, 2, mode="sampled", samples=500)
     with pytest.raises(ValueError):
@@ -295,3 +308,48 @@ def test_eta_statistics_large_jordan_exhaustive():
     assert stats.mean == 1
     assert stats.variance == 1 - Fraction(1, 125)
     assert stats.probability_of(1) + stats.probability_of(2) >= Fraction(1, 4)
+
+
+TABLE_GROUPS = [
+    "zn N=7 p=3 mu=2",
+    "zn N=9 p=3 mu=4",
+    "zpr p=3 jordan=2",
+    "zpr p=3 jordan=3",
+    "zpr p=3 r=2 mu=1,0;1,1",  # not in Jordan form
+]
+# (spec, k) where the pure-Python oracle enumerates at most 20000 (x, b) pairs
+TABLE_CASES = [
+    (spec, k)
+    for spec in TABLE_GROUPS
+    for k in (1, 2, 3)
+    if (parse_group_spec(spec).order) ** k <= 20_000
+]
+
+
+def check_table_against_enumeration(g, k):
+    a = g.a_group
+    xs = x_tuples(a.order, k)
+    images = image_table(g, xs)
+    eta = eta_rows(images, a.order)
+    for xi, row in enumerate(xs.tolist()):
+        buckets = solve_all_w(g, tuple(a.element(c) for c in row))
+        assert eta[xi].tolist() == [len(buckets.get(w, ())) for w in a.elements()]
+        for w, sols in buckets.items():
+            positions = np.flatnonzero(images[xi] == a.index(w)).tolist()
+            assert positions == sorted(b_tuple_index(g.p, b) for b in sols)
+
+
+@pytest.mark.parametrize("spec,k", TABLE_CASES)
+def test_image_table_matches_enumeration(spec, k):
+    check_table_against_enumeration(parse_group_spec(spec), k)
+
+
+def test_image_table_decodes_digits_in_groups(monkeypatch):
+    # a small lookup table forces the decode to split the r digits
+    monkeypatch.setattr(msum, "_LUT_BITS", 4)
+    msum._coding.cache_clear()
+    try:
+        check_table_against_enumeration(parse_group_spec("zpr p=3 jordan=3"), 2)
+        check_table_against_enumeration(parse_group_spec("zpr p=2 jordan=2,2,1"), 2)
+    finally:
+        msum._coding.cache_clear()

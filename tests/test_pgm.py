@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pgmhsp.groups import heisenberg_group, semidirect_zn
-from pgmhsp.msum import eta_statistics
+from pgmhsp.msum import eta_rows, eta_statistics
 from pgmhsp.pgm import (
     PSD_TOL,
     UNITARITY_TOL,
@@ -26,6 +26,7 @@ from pgmhsp.pgm import (
 )
 from pgmhsp.states import (
     a_tuple_from_index,
+    block_images,
     hidden_subgroup_state,
     support_projector,
 )
@@ -200,15 +201,9 @@ def test_neumark_unitarity_and_columns():
 
 def test_neumark_permutation_when_all_eta_one():
     # find an x whose 9 solutions hit 9 distinct w values
-    from pgmhsp.states import block_decomposition
-
-    dec = block_decomposition(HEIS3, 2)
+    eta = eta_rows(block_images(HEIS3, 2), 9)
     a = HEIS3.a_group
-    xi = next(
-        i
-        for i in range(81)
-        if len(dec.blocks[i]) == 9 and all(eta == 1 for _w, _b, eta in dec.blocks[i])
-    )
+    xi = next(i for i in range(81) if eta[i].max() == 1)
     block = build_neumark(a_tuple_from_index(a, xi, 2), 2, HEIS3)
     u = block.unitary
     assert np.allclose(np.abs(u) * (np.abs(u) > 1e-12), np.abs(u))
@@ -287,15 +282,15 @@ def test_mixed_order_group_povm():
 
 
 def test_neumark_upper_left_block_is_solution_isometry():
-    from pgmhsp.states import block_decomposition
-
-    dec = block_decomposition(HEIS3, 2)
     a = HEIS3.a_group
     for xi in (3, 40):
         x = a_tuple_from_index(a, xi, 2)
         block = build_neumark(x, 2, HEIS3)
-        for w, _b_idx, _eta in dec.blocks[xi]:
+        for w in a.elements():
+            sample = quantum_sample_vector(x, w, 2, HEIS3)
+            if not sample.eta:
+                continue
             wi = a.index(w)
             col = block.unitary[:9, wi]
-            assert np.abs(col - dec.solution_vector(xi, w)).max() < 1e-12
+            assert np.abs(col - sample.vector).max() < 1e-12
             assert wi in block.defined_columns

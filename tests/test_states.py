@@ -8,11 +8,13 @@ from pgmhsp.groups import (
     heisenberg_group,
     semidirect_zn,
 )
+from pgmhsp.msum import eta_rows
+from pgmhsp.pgm import quantum_sample_vector
 from pgmhsp.states import (
     a_tuple_from_index,
     a_tuple_index,
     b_tuple_index,
-    block_decomposition,
+    block_images,
     coset_mixture_density,
     coset_state,
     ensemble_sigma,
@@ -119,13 +121,14 @@ def test_fourier_consistency(g):
 
 def test_hidden_subgroup_state_validity():
     for g, k, d in [(Z7, 1, 1), (HEIS3, 1, (1, 2)), (HEIS3, 2, (1, 1))]:
-        rho, dec = hidden_subgroup_state(d, k, g)
+        rho, images = hidden_subgroup_state(d, k, g)
         assert abs(np.trace(rho) - 1) < 1e-12
         assert np.abs(rho - rho.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-9
-        # block decomposition partitions p^k solutions per x
-        for xi in range(g.a_group.order**k):
-            assert sum(eta for _w, _b, eta in dec.blocks[xi]) == g.p**k
+        # the solution sets of each x partition its p^k b values
+        a_order = g.a_group.order
+        assert images.shape == (a_order**k, g.p**k)
+        assert (eta_rows(images, a_order).sum(axis=1) == g.p**k).all()
 
 
 def test_non_order_p_label_still_valid_state():
@@ -164,8 +167,8 @@ def test_ensemble_sigma():
         # support projector matches the span of the block vectors
         proj = support_projector(k, g)
         rank = int(round(np.trace(proj).real))
-        dec = block_decomposition(g, k)
-        assert rank == sum(dec.support_dim(xi) for xi in range(g.a_group.order**k))
+        eta = eta_rows(block_images(g, k), g.a_group.order)
+        assert rank == np.count_nonzero(eta)
         vals = np.linalg.eigvalsh(proj)
         assert np.allclose(np.sort(vals)[-rank:], 1, atol=1e-10)
 
@@ -204,11 +207,12 @@ def test_matrix_json_pairs_roundtrip():
 
 
 def test_solution_vectors_orthonormal_within_block():
-    dec = block_decomposition(HEIS3, 2)
+    a = HEIS3.a_group
     for xi in (0, 5, 44):
-        vectors = [
-            dec.solution_vector(xi, w) for w, _b, _eta in dec.blocks[xi]
-        ]
+        x = a_tuple_from_index(a, xi, 2)
+        samples = [quantum_sample_vector(x, w, 2, HEIS3) for w in a.elements()]
+        vectors = [s.vector for s in samples if s.eta]
+        assert sum(s.eta for s in samples) == 9
         for i, u in enumerate(vectors):
             for j, v in enumerate(vectors):
                 ip = np.vdot(u, v)
