@@ -56,9 +56,8 @@ from .pipeline import (
 )
 from .states import (
     coset_state,
-    ensemble_sigma,
     fourier_coset_state,
-    hidden_subgroup_state,
+    state_vectors,
 )
 from .metacyclic import (
     estimate_success_rate,

@@ -395,13 +395,6 @@ def element_inv(x: GroupElement, g: SemidirectGroup) -> GroupElement:
     )
 
 
-def element_pow(x: GroupElement, e: int, g: SemidirectGroup) -> GroupElement:
-    result = g.identity
-    for _ in range(e):
-        result = element_mul(result, x, g)
-    return result
-
-
 def matrix_sum(b: int, g: SemidirectGroup):
     """The literal sum M^(b) = sum_{i<b} mu^i of the stored datum.
 
@@ -426,7 +419,7 @@ def matrix_sum(b: int, g: SemidirectGroup):
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def msum_table(g: SemidirectGroup) -> tuple:
     """M^(b) for b = 0..p-1, cached per group."""
     return tuple(matrix_sum(b, g) for b in range(g.p))

@@ -47,6 +47,19 @@ def repeated_squaring_msum(b: int, mu: int, n: int) -> int:
     return value
 
 
+def _ancilla_values(x: int, p: int, mu: int, n: int) -> list[int]:
+    """x*M^(b) for b = 0..p-1, each checked to erase: the discrete-log round
+    trip mu^b = 1 + (mu - 1) x^(-1) x*M^(b) must recover b."""
+    values = []
+    for b in range(p):
+        value = (x * repeated_squaring_msum(b, mu, n)) % n
+        power = (1 + (mu - 1) * value * pow(x, -1, n)) % n
+        if discrete_log_bsgs(mu, power, p, n) != b:
+            raise AssertionError(f"erasure round trip failed at b={b}")
+        values.append(value)
+    return values
+
+
 def _qft(n: int) -> np.ndarray:
     idx = np.arange(n)
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
@@ -114,22 +127,13 @@ def run_stripped_algorithm(
 
     # Drop the measured register; compute |b, x M^(b)> on (b, ancilla).
     b_state = collapsed.reshape(n, p)[x]
+    # Then erase b, which the ancilla determines (checked by _ancilla_values).
     joint = np.zeros(p * n, dtype=complex)
-    values = []
-    for b in range(p):
-        value = (x * repeated_squaring_msum(b, mu, n)) % n
-        values.append(value)
-        joint[b * n + value] = b_state[b]
-    t.steps["post_compute"] = joint
-
-    # Erase b: recover it from the ancilla through mu^b = 1 + (mu-1) M^(b).
     erased = np.zeros(n, dtype=complex)
-    for b, value in enumerate(values):
-        power = (1 + (mu - 1) * value * pow(x, -1, n)) % n
-        recovered = discrete_log_bsgs(mu, power, p, n)
-        if recovered != b:
-            raise AssertionError(f"erasure round trip failed at b={b}")
-        erased[value] = joint[b * n + value]
+    for b, value in enumerate(_ancilla_values(x, p, mu, n)):
+        joint[b * n + value] = b_state[b]
+        erased[value] = b_state[b]
+    t.steps["post_compute"] = joint
     t.steps["post_erasure"] = erased
 
     # Inverse Fourier transform and observe.
@@ -165,24 +169,31 @@ def perfect_state_overlap(n: int, p: int, mu: int, d: int, x: int) -> float:
 def exact_success_rate(n: int, p: int, mu: int) -> Fraction:
     """Full-branch aggregation over ell, measured x, and the outcome.
 
-    Each accepted branch succeeds with probability exactly p/N (the
-    integer phase exponents at outcome d all vanish); rejected branches
-    contribute zero.  Aggregates to phi(N) * p / N^2.
+    For every hidden d, sums Pr(x | ell) |final[d]|^2 over uniform ell and
+    unit x, with final the amplitudes after erasure and the inverse
+    Fourier transform; rejected x contribute zero.  Each sum must equal
+    the closed form phi(N) * p / N^2 to 1e-12, which is returned exactly.
     """
     g = _validate(n, p, mu)
-    table = msum_table(g)
-    total = Fraction(0)
-    branch_weight = Fraction(1, n * n)  # uniform ell times uniform measured x
-    for ell in range(n):
-        for x in range(n):
-            if math.gcd(x, n) != 1:
-                continue
-            # Amplitude at outcome d carries exponents x*M^(b)*(d-d) = 0.
-            exponents = {(x * table[b] * 0) % n for b in range(p)}
-            if exponents != {0}:
-                raise AssertionError("phase cancellation failed at outcome d")
-            total += branch_weight * Fraction(p, n)
-    return total
+    bound = success_bound(n, p)
+    table = np.array(msum_table(g))
+    f_n = _qft(n)
+    units = np.array([x for x in range(n) if math.gcd(x, n) == 1])
+    values = np.array([_ancilla_values(int(x), p, mu, n) for x in units])
+    ells = np.arange(n)[:, None, None]
+    for d in range(n):
+        # psi[ell, x, b]: the Fourier-transformed coset state (ell, d) at (x, b).
+        psi = f_n[units[None, :, None], (ells + table * d) % n] / math.sqrt(p)
+        pr_x = (np.abs(psi) ** 2).sum(axis=2)
+        # The collapsed b register, erased onto the ancilla values and
+        # inverse Fourier transformed, read at the outcome d.
+        final_d = (f_n.conj()[values, d] * psi).sum(axis=2) / np.sqrt(pr_x)
+        rate = float((pr_x * np.abs(final_d) ** 2).sum()) / n
+        if abs(rate - float(bound)) > 1e-12:
+            raise AssertionError(
+                f"aggregated success rate {rate!r} at d={d} differs from {bound}"
+            )
+    return bound
 
 
 def success_bound(n: int, p: int) -> Fraction:

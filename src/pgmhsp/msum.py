@@ -24,7 +24,6 @@ from .groups import (
     CyclicGroup,
     SemidirectGroup,
     VectorGroup,
-    conj_apply,
     is_heisenberg,
     msum_table,
 )
@@ -62,15 +61,6 @@ class SolutionSet:
     @property
     def eta(self) -> int:
         return len(self.solutions)
-
-
-def instance_residual(inst: MSumInstance, b: tuple[int, ...]):
-    """sum_j conj_apply(b_j, x_j) for a candidate b (soundness re-check)."""
-    a = inst.group.a_group
-    total = a.zero
-    for bj, xj in zip(b, inst.x):
-        total = a.add(total, conj_apply(bj, xj, inst.group))
-    return total
 
 
 def _component_tables(inst: MSumInstance) -> list[list]:
@@ -196,7 +186,7 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if s == 1 else -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _residue_table(p: int) -> dict[int, int]:
     table: dict[int, int] = {}
     for x in range(p):
@@ -513,25 +503,3 @@ def eta_statistics(
         tally = {int(eta): int(c) for eta, c in enumerate(hist) if c}
         return EtaStats(tally, samples, "sampled", seed)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def heisenberg_eta_distribution(p: int) -> dict[int, Fraction]:
-    """Exhaustive eta distribution over Heisenberg k=2 instances with
-    y1, y2, y1+y2 all nonzero, counted from the eta table."""
-    from .groups import heisenberg_group
-
-    g = heisenberg_group(p)
-    a = g.a_group
-    xs = np.array(
-        [
-            (a.index((x1, y1)), a.index((x2, y2)))
-            for y1 in range(1, p)
-            for y2 in range(1, p)
-            if (y1 + y2) % p
-            for x1 in range(p)
-            for x2 in range(p)
-        ]
-    )
-    hist = np.bincount(eta_rows(image_table(g, xs), a.order).ravel())
-    total = int(hist.sum())
-    return {int(i): Fraction(int(c), total) for i, c in enumerate(hist) if c}

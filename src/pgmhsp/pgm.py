@@ -24,7 +24,7 @@ from .states import (
     characters,
     check_dim,
     qft_matrix,
-    support_blocks,
+    state_vectors,
 )
 
 PSD_TOL = 1e-9
@@ -36,31 +36,19 @@ OPTIMALITY_TOL = 1e-8
 class POVM:
     """Block-diagonal POVM over outcomes j in A.
 
-    ``block_matrices[xi]`` stacks the x-block of every element, shape
-    (|A|, p^k, p^k).  For the PGM proper, ``block_vectors[xi]`` holds the
-    rank-one vectors |e^x_j> as rows (None after perturbation).
+    ``block_matrices[xi, ji]`` is the x-block of E_j, a stack of shape
+    (|A|^k, |A|, p^k, p^k).  For the PGM proper, ``block_vectors[xi]``
+    holds the rank-one vectors |e^x_j> as rows (None after perturbation).
     """
 
     group: SemidirectGroup
     k: int
-    block_matrices: tuple[np.ndarray, ...]
-    block_vectors: tuple[np.ndarray, ...] | None = None
+    block_matrices: np.ndarray
+    block_vectors: np.ndarray | None = None
 
     @property
     def outcomes(self) -> int:
         return self.group.a_group.order
-
-    def dense_element(self, j) -> np.ndarray:
-        """Assemble E_j as a dense |G|^k x |G|^k matrix."""
-        g = self.group
-        ji = g.a_group.index(g.a_group.reduce(j))
-        pk = g.p**self.k
-        dim = g.order**self.k
-        out = np.zeros((dim, dim), dtype=complex)
-        for xi, stack in enumerate(self.block_matrices):
-            lo = xi * pk
-            out[lo : lo + pk, lo : lo + pk] = stack[ji]
-        return out
 
 
 def build_pgm(
@@ -77,46 +65,8 @@ def build_pgm(
     eta = np.take_along_axis(eta_rows(images, a.order), images, axis=1)
     norms = np.sqrt(a.order * eta)
     vectors = np.stack([characters(a, j)[images] / norms for j in a.elements()], axis=1)
-    matrices = tuple(np.einsum("ja,jb->jab", vecs, vecs.conj()) for vecs in vectors)
-    return POVM(g, k, matrices, tuple(vectors))
-
-
-def pgm_from_inverse_sqrt(
-    k: int,
-    g: SemidirectGroup,
-    cap: int | None = None,
-    enumeration_cap: int | None = None,
-) -> list[np.ndarray]:
-    """Independent route: E_j = Sigma^(-1/2) rho_j Sigma^(-1/2) with the
-    inverse square root taken over the support via eigendecomposition."""
-    from .states import ensemble_sigma, hidden_subgroup_state
-
-    sigma = ensemble_sigma(k, g, cap, enumeration_cap)
-    vals, vecs = np.linalg.eigh(sigma)
-    inv_sqrt = np.zeros_like(vals)
-    nonzero = vals > 1e-12
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(vals[nonzero])
-    s_inv = (vecs * inv_sqrt) @ vecs.conj().T
-    out = []
-    for j in g.a_group.elements():
-        rho, _ = hidden_subgroup_state(j, k, g, cap, enumeration_cap)
-        out.append(s_inv @ rho @ s_inv)
-    return out
-
-
-def perturb_with_uniform(povm: POVM, eps: float) -> POVM:
-    """Mix every element with the uniform POVM on the ensemble support.
-
-    Keeps completeness but destroys optimality; used as the negative
-    control for the optimality check.
-    """
-    blocks = support_blocks(povm.group, povm.k)
-    a = povm.group.a_group
-    matrices = tuple(
-        (1 - eps) * stack + (eps / a.order) * proj[None, :, :]
-        for stack, proj in zip(povm.block_matrices, blocks)
-    )
-    return POVM(povm.group, povm.k, matrices, None)
+    matrices = np.einsum("xja,xjb->xjab", vectors, vectors.conj())
+    return POVM(g, k, matrices, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +119,12 @@ def success_probability_trace(
     cap: int | None = None,
     enumeration_cap: int | None = None,
 ) -> float:
-    """tr(E_d rho_d^(x)k) through dense matrices."""
-    from .states import hidden_subgroup_state
-
+    """tr(E_d rho_d^(x)k) = sum_x <v_d^x|E_d^x|v_d^x>, block by block."""
     povm = build_pgm(k, g, cap, enumeration_cap)
-    rho, _ = hidden_subgroup_state(d, k, g, cap, enumeration_cap)
-    value = np.trace(povm.dense_element(d) @ rho)
+    a = g.a_group
+    v = state_vectors(g, d, block_images(g, k, enumeration_cap))
+    e_d = povm.block_matrices[:, a.index(a.reduce(d))]
+    value = np.einsum("xa,xab,xb->", v.conj(), e_d, v)
     if abs(value.imag) > 1e-10:
         raise AssertionError(f"trace has non-negligible imaginary part {value.imag}")
     return float(value.real)
@@ -301,26 +251,24 @@ def verify_optimality(
     enumeration_cap: int | None = None,
 ) -> OptimalityReport:
     """Check the two optimality conditions for the state ensemble:
-    sum_i sigma_i E_i is Hermitian (equals sum_i E_i sigma_i) and
-    dominates every sigma_j."""
-    from .states import hidden_subgroup_state
+    T = sum_j sigma_j E_j is Hermitian (equals sum_j E_j sigma_j) and
+    dominates every sigma_j.
 
+    Every operator is block diagonal over x, so both conditions are
+    checked on the stacked p^k x p^k x-blocks, with one batched eigvalsh
+    over the blocks T^x - sigma_j^x of every (x, j).
+    """
     check_dim(g, k, cap)
     if povm is None:
         povm = build_pgm(k, g, cap, enumeration_cap)
-    a = g.a_group
-    sigmas = [
-        hidden_subgroup_state(j, k, g, cap, enumeration_cap)[0]
-        for j in a.elements()
-    ]
-    t = np.zeros_like(sigmas[0])
-    for j, sigma_j in zip(a.elements(), sigmas):
-        t += sigma_j @ povm.dense_element(j)
-    commutator_residual = float(np.abs(t - t.conj().T).max())
-    t_h = (t + t.conj().T) / 2
-    margin = math.inf
-    for sigma_j in sigmas:
-        margin = min(margin, float(np.linalg.eigvalsh(t_h - sigma_j).min()))
+    images = block_images(g, k, enumeration_cap)
+    v = np.stack([state_vectors(g, j, images) for j in g.a_group.elements()], axis=1)
+    sigma = np.einsum("xja,xjb->xjab", v, v.conj())
+    t = np.einsum("xjab,xjbc->xac", sigma, povm.block_matrices)
+    t_dag = t.conj().transpose(0, 2, 1)
+    commutator_residual = float(np.abs(t - t_dag).max())
+    np.subtract(((t + t_dag) / 2)[:, None], sigma, out=sigma)
+    margin = float(np.linalg.eigvalsh(sigma).min())
     return OptimalityReport(commutator_residual, margin)
 
 

@@ -1,4 +1,4 @@
-"""Coset states, Fourier-side hidden subgroup states, and the ensemble sum.
+"""Coset states and the Fourier-side hidden subgroup states.
 
 Basis convention (fixed for bit-exact reproducibility): the k-copy space
 is C^(|A|^k) (x) C^(p^k) with full index
@@ -14,6 +14,7 @@ F[x, a] = chi_x(a) / sqrt(|A|).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +26,7 @@ from .groups import (
     phi_sum,
     subgroup_order,
 )
-from .msum import eta_rows, image_table, x_tuples
+from .msum import image_table, x_tuples
 
 
 def state_dim(g: SemidirectGroup, k: int) -> int:
@@ -63,7 +64,7 @@ def b_tuple_index(p: int, b: tuple[int, ...]) -> int:
     return i
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _phase_roots(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
@@ -118,17 +119,6 @@ def fourier_coset_state(x, d, g: SemidirectGroup) -> np.ndarray:
     return vec / np.sqrt(g.p)
 
 
-def coset_mixture_density(d, g: SemidirectGroup) -> np.ndarray:
-    """rho_d = (1/|A|) sum_ell |psi_{ell,d}><psi_{ell,d}| (direct assembly)."""
-    a = g.a_group
-    dim = a.order * g.p
-    rho = np.zeros((dim, dim), dtype=complex)
-    for ell in a.elements():
-        psi = coset_state(ell, d, g)
-        rho += np.outer(psi, psi.conj())
-    return rho / a.order
-
-
 # ---------------------------------------------------------------------------
 # The k-copy Fourier-side states, block by block over x in A^k
 #
@@ -144,95 +134,11 @@ def block_images(
     return image_table(g, x_tuples(g.a_group.order, k), enumeration_cap)
 
 
-def block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """Dense matrix with the (|A|^k, p^k, p^k) x-blocks on its diagonal."""
-    nx, pk, _ = blocks.shape
-    out = np.zeros((nx, pk, nx, pk), dtype=complex)
-    out[np.arange(nx), :, np.arange(nx), :] = blocks
-    return out.reshape(nx * pk, nx * pk)
+def state_vectors(g: SemidirectGroup, d, images: np.ndarray) -> np.ndarray:
+    """v_d[x, b] = chi_{w(x, b)}(d) / sqrt(|G|^k) for the image table of every x.
 
-
-def support_blocks(
-    g: SemidirectGroup, k: int, enumeration_cap: int | None = None
-) -> np.ndarray:
-    """x-blocks of the projector onto {|x, S^x_w>}: 1/eta^x_w where b, b' share w."""
-    images = block_images(g, k, enumeration_cap)
-    eta = np.take_along_axis(eta_rows(images, g.a_group.order), images, axis=1)
-    same = images[:, :, None] == images[:, None, :]
-    return np.where(same, 1.0 / eta[:, :, None], 0.0)
-
-
-def hidden_subgroup_state(
-    d,
-    k: int,
-    g: SemidirectGroup,
-    cap: int | None = None,
-    enumeration_cap: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """k-copy Fourier-side state for the label d, with the image table.
-
-    The x-block is the outer product of the vector with entries
-    chi_{w(x, b)}(d), w(x, b) the image of b; for labels d whose subgroup
-    order differs from p this still returns the formula-defined (valid)
-    density matrix.
+    The x-block of the k-copy state rho_d^(x)k is the rank-one
+    |v_d^x><v_d^x|; for labels d whose subgroup order differs from p this
+    is still the formula-defined (valid) state.
     """
-    check_dim(g, k, cap)
-    images = block_images(g, k, enumeration_cap)
-    u = characters(g.a_group, g.a_group.reduce(d))[images]
-    scale = 1.0 / g.order**k
-    return block_diagonal(scale * (u[:, :, None] * u.conj()[:, None, :])), images
-
-
-def ensemble_sigma(
-    k: int,
-    g: SemidirectGroup,
-    cap: int | None = None,
-    enumeration_cap: int | None = None,
-) -> np.ndarray:
-    """Sigma = sum_{j in A} rho_j^(x)k, diagonal in the (x, S^x_w) basis."""
-    check_dim(g, k, cap)
-    images = block_images(g, k, enumeration_cap)
-    same = images[:, :, None] == images[:, None, :]
-    return block_diagonal(np.where(same, g.a_group.order / g.order**k, 0.0))
-
-
-def support_projector(
-    k: int,
-    g: SemidirectGroup,
-    cap: int | None = None,
-    enumeration_cap: int | None = None,
-) -> np.ndarray:
-    """Projector onto the span of {|x, S^x_w> : eta^x_w > 0}."""
-    check_dim(g, k, cap)
-    return block_diagonal(support_blocks(g, k, enumeration_cap))
-
-
-def matrix_to_json_pairs(mat: np.ndarray) -> list:
-    """Complex matrix as nested [re, im] pairs in the documented basis
-    order, for cross-checking against independent implementations."""
-    return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(mat)]
-
-
-def matrix_from_json_pairs(data) -> np.ndarray:
-    rows = [[complex(re, im) for re, im in row] for row in data]
-    return np.array(rows, dtype=complex)
-
-
-def tensor_power_grouped(mat: np.ndarray, k: int, dim_a: int, dim_b: int) -> np.ndarray:
-    """k-fold tensor power of a (dim_a * dim_b)-dim operator, reindexed to
-    the grouped (A^k major, Z_p^k minor) convention."""
-    if k == 1:
-        return mat.copy()
-    d = dim_a * dim_b
-    if mat.shape != (d, d):
-        raise ValueError(f"expected {d}x{d} matrix, got {mat.shape}")
-    full = dim_a**k * dim_b**k
-    idx = np.arange(full)
-    ai, bi = np.divmod(idx, dim_b**k)
-    out = np.ones((full, full), dtype=complex)
-    for j in range(k):
-        xj = (ai // dim_a**j) % dim_a
-        bj = (bi // dim_b**j) % dim_b
-        s = xj * dim_b + bj
-        out *= mat[s[:, None], s[None, :]]
-    return out
+    return characters(g.a_group, g.a_group.reduce(d))[images] / math.sqrt(images.size)

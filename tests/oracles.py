@@ -1,0 +1,226 @@
+"""Dense and direct reference constructions the tests compare against.
+
+The library verifies the PGM block by block over x in A^k.  These helpers
+build the same operators as dense |G|^k x |G|^k matrices, or recompute a
+quantity by a route the library does not take, so that every block
+result has an independent check at small dimensions.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from pgmhsp.groups import SemidirectGroup, conj_apply, element_mul, heisenberg_group
+from pgmhsp.msum import MSumInstance, eta_rows, image_table
+from pgmhsp.pgm import POVM, OptimalityReport, build_pgm
+from pgmhsp.states import block_images, characters, check_dim, coset_state
+
+# ---------------------------------------------------------------------------
+# Groups and the matrix sum problem
+
+
+def element_pow(x, e: int, g: SemidirectGroup):
+    """x^e by repeated multiplication."""
+    result = g.identity
+    for _ in range(e):
+        result = element_mul(result, x, g)
+    return result
+
+
+def instance_residual(inst: MSumInstance, b: tuple[int, ...]):
+    """sum_j conj_apply(b_j, x_j) for a candidate b (soundness re-check)."""
+    a = inst.group.a_group
+    total = a.zero
+    for bj, xj in zip(b, inst.x):
+        total = a.add(total, conj_apply(bj, xj, inst.group))
+    return total
+
+
+def heisenberg_eta_distribution(p: int) -> dict[int, Fraction]:
+    """Exhaustive eta distribution over Heisenberg k=2 instances with
+    y1, y2, y1+y2 all nonzero, counted from the eta table."""
+    g = heisenberg_group(p)
+    a = g.a_group
+    xs = np.array(
+        [
+            (a.index((x1, y1)), a.index((x2, y2)))
+            for y1 in range(1, p)
+            for y2 in range(1, p)
+            if (y1 + y2) % p
+            for x1 in range(p)
+            for x2 in range(p)
+        ]
+    )
+    hist = np.bincount(eta_rows(image_table(g, xs), a.order).ravel())
+    total = int(hist.sum())
+    return {int(i): Fraction(int(c), total) for i, c in enumerate(hist) if c}
+
+
+# ---------------------------------------------------------------------------
+# Dense states and ensemble operators
+
+
+def coset_mixture_density(d, g: SemidirectGroup) -> np.ndarray:
+    """rho_d = (1/|A|) sum_ell |psi_{ell,d}><psi_{ell,d}| (direct assembly)."""
+    a = g.a_group
+    dim = a.order * g.p
+    rho = np.zeros((dim, dim), dtype=complex)
+    for ell in a.elements():
+        psi = coset_state(ell, d, g)
+        rho += np.outer(psi, psi.conj())
+    return rho / a.order
+
+
+def block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """Dense matrix with the (|A|^k, p^k, p^k) x-blocks on its diagonal."""
+    nx, pk, _ = blocks.shape
+    out = np.zeros((nx, pk, nx, pk), dtype=complex)
+    out[np.arange(nx), :, np.arange(nx), :] = blocks
+    return out.reshape(nx * pk, nx * pk)
+
+
+def support_blocks(
+    g: SemidirectGroup, k: int, enumeration_cap: int | None = None
+) -> np.ndarray:
+    """x-blocks of the projector onto {|x, S^x_w>}: 1/eta^x_w where b, b' share w."""
+    images = block_images(g, k, enumeration_cap)
+    eta = np.take_along_axis(eta_rows(images, g.a_group.order), images, axis=1)
+    same = images[:, :, None] == images[:, None, :]
+    return np.where(same, 1.0 / eta[:, :, None], 0.0)
+
+
+def hidden_subgroup_state(
+    d,
+    k: int,
+    g: SemidirectGroup,
+    cap: int | None = None,
+    enumeration_cap: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense k-copy Fourier-side state for the label d, with the image table.
+
+    The x-block is the outer product of the vector with entries
+    chi_{w(x, b)}(d), w(x, b) the image of b.
+    """
+    check_dim(g, k, cap)
+    images = block_images(g, k, enumeration_cap)
+    u = characters(g.a_group, g.a_group.reduce(d))[images]
+    scale = 1.0 / g.order**k
+    return block_diagonal(scale * (u[:, :, None] * u.conj()[:, None, :])), images
+
+
+def ensemble_sigma(
+    k: int,
+    g: SemidirectGroup,
+    cap: int | None = None,
+    enumeration_cap: int | None = None,
+) -> np.ndarray:
+    """Sigma = sum_{j in A} rho_j^(x)k, diagonal in the (x, S^x_w) basis."""
+    check_dim(g, k, cap)
+    images = block_images(g, k, enumeration_cap)
+    same = images[:, :, None] == images[:, None, :]
+    return block_diagonal(np.where(same, g.a_group.order / g.order**k, 0.0))
+
+
+def support_projector(
+    k: int,
+    g: SemidirectGroup,
+    cap: int | None = None,
+    enumeration_cap: int | None = None,
+) -> np.ndarray:
+    """Projector onto the span of {|x, S^x_w> : eta^x_w > 0}."""
+    check_dim(g, k, cap)
+    return block_diagonal(support_blocks(g, k, enumeration_cap))
+
+
+def tensor_power_grouped(mat: np.ndarray, k: int, dim_a: int, dim_b: int) -> np.ndarray:
+    """k-fold tensor power of a (dim_a * dim_b)-dim operator, reindexed to
+    the grouped (A^k major, Z_p^k minor) convention."""
+    if k == 1:
+        return mat.copy()
+    d = dim_a * dim_b
+    if mat.shape != (d, d):
+        raise ValueError(f"expected {d}x{d} matrix, got {mat.shape}")
+    full = dim_a**k * dim_b**k
+    idx = np.arange(full)
+    ai, bi = np.divmod(idx, dim_b**k)
+    out = np.ones((full, full), dtype=complex)
+    for j in range(k):
+        xj = (ai // dim_a**j) % dim_a
+        bj = (bi // dim_b**j) % dim_b
+        s = xj * dim_b + bj
+        out *= mat[s[:, None], s[None, :]]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Dense POVM routes
+
+
+def dense_element(povm: POVM, j) -> np.ndarray:
+    """E_j as a dense |G|^k x |G|^k matrix."""
+    a = povm.group.a_group
+    return block_diagonal(povm.block_matrices[:, a.index(a.reduce(j))])
+
+
+def pgm_from_inverse_sqrt(
+    k: int,
+    g: SemidirectGroup,
+    cap: int | None = None,
+    enumeration_cap: int | None = None,
+) -> list[np.ndarray]:
+    """Independent route: E_j = Sigma^(-1/2) rho_j Sigma^(-1/2) with the
+    inverse square root taken over the support via eigendecomposition."""
+    sigma = ensemble_sigma(k, g, cap, enumeration_cap)
+    vals, vecs = np.linalg.eigh(sigma)
+    inv_sqrt = np.zeros_like(vals)
+    nonzero = vals > 1e-12
+    inv_sqrt[nonzero] = 1.0 / np.sqrt(vals[nonzero])
+    s_inv = (vecs * inv_sqrt) @ vecs.conj().T
+    out = []
+    for j in g.a_group.elements():
+        rho, _ = hidden_subgroup_state(j, k, g, cap, enumeration_cap)
+        out.append(s_inv @ rho @ s_inv)
+    return out
+
+
+def perturb_with_uniform(povm: POVM, eps: float) -> POVM:
+    """Mix every element with the uniform POVM on the ensemble support.
+
+    Keeps completeness but destroys optimality; the negative control for
+    the optimality check.
+    """
+    blocks = support_blocks(povm.group, povm.k)
+    a = povm.group.a_group
+    matrices = (1 - eps) * povm.block_matrices + (eps / a.order) * blocks[:, None]
+    return POVM(povm.group, povm.k, matrices, None)
+
+
+def dense_verify_optimality(
+    k: int,
+    g: SemidirectGroup,
+    povm: POVM | None = None,
+    cap: int | None = None,
+    enumeration_cap: int | None = None,
+) -> OptimalityReport:
+    """The optimality conditions on dense matrices: T = sum_j sigma_j E_j
+    is Hermitian and T - sigma_j is positive semidefinite for every j."""
+    check_dim(g, k, cap)
+    if povm is None:
+        povm = build_pgm(k, g, cap, enumeration_cap)
+    a = g.a_group
+    sigmas = [
+        hidden_subgroup_state(j, k, g, cap, enumeration_cap)[0]
+        for j in a.elements()
+    ]
+    t = np.zeros_like(sigmas[0])
+    for j, sigma_j in zip(a.elements(), sigmas):
+        t += sigma_j @ dense_element(povm, j)
+    commutator_residual = float(np.abs(t - t.conj().T).max())
+    t_h = (t + t.conj().T) / 2
+    margin = math.inf
+    for sigma_j in sigmas:
+        margin = min(margin, float(np.linalg.eigvalsh(t_h - sigma_j).min()))
+    return OptimalityReport(commutator_residual, margin)

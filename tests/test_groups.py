@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import pgmhsp
 from pgmhsp.groups import (
     CyclicGroup,
     GroupElement,
@@ -11,7 +14,6 @@ from pgmhsp.groups import (
     character_eval,
     element_inv,
     element_mul,
-    element_pow,
     format_group_spec,
     group_elements,
     heisenberg_group,
@@ -26,6 +28,8 @@ from pgmhsp.groups import (
     semidirect_zpr,
     subgroup_order,
 )
+
+from oracles import element_pow
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)
@@ -355,3 +359,14 @@ def test_element_index_roundtrip():
         a.element(a.order)
     with pytest.raises(ValueError):
         a.reduce((1, 2, 3))
+
+
+def test_every_lru_cache_is_bounded():
+    sizes = {}
+    for info in pkgutil.iter_modules(pgmhsp.__path__):
+        module = importlib.import_module(f"pgmhsp.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):
+                sizes[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"groups.msum_table", "msum._residue_table", "states._phase_roots"} <= set(sizes)
+    assert all(size is not None for size in sizes.values()), sizes

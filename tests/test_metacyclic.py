@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pgmhsp import metacyclic
 from pgmhsp.groups import msum_table, semidirect_zn
 from pgmhsp.metacyclic import (
     estimate_success_rate,
@@ -127,6 +128,18 @@ def test_exact_success_rate():
     assert rate == success_bound(7, 3)
     assert exact_success_rate(15, 2, 14) == Fraction(16, 225)
     assert exact_success_rate(13, 3, 3) == Fraction(36, 169)
+
+
+def test_exact_success_rate_detects_wrong_msum_table(monkeypatch):
+    # M^(b) mod 7 for mu = 2 is 0, 1, 3; both tables below differ at b = 2
+    monkeypatch.setattr(metacyclic, "repeated_squaring_msum", lambda b, mu, n: b * b % n)
+    with pytest.raises(AssertionError):
+        exact_success_rate(7, 3, 2)
+    monkeypatch.undo()
+    # wrong coset-state phases: the erasure still works, the aggregate does not
+    monkeypatch.setattr(metacyclic, "msum_table", lambda g: (0, 1, 2))
+    with pytest.raises(AssertionError, match="differs"):
+        exact_success_rate(7, 3, 2)
 
 
 def test_exact_rate_cross_checked_by_float_aggregation():

@@ -21,9 +21,7 @@ from pgmhsp.msum import (
     discrete_log_bsgs,
     eta_rows,
     eta_statistics,
-    heisenberg_eta_distribution,
     image_table,
-    instance_residual,
     legendre_symbol,
     solve_all_w,
     solve_auto,
@@ -35,6 +33,8 @@ from pgmhsp.msum import (
     x_tuples,
 )
 from pgmhsp.states import b_tuple_index
+
+from oracles import heisenberg_eta_distribution, instance_residual
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,6 @@ from pgmhsp.pgm import (
     build_pgm,
     lemma2_bounds,
     outcome_distribution,
-    perturb_with_uniform,
-    pgm_from_inverse_sqrt,
     pgm_report,
     quantum_sample_vector,
     simulate_neumark_outcomes,
@@ -24,10 +23,14 @@ from pgmhsp.pgm import (
     trivial_state_outcome_distribution,
     verify_optimality,
 )
-from pgmhsp.states import (
-    a_tuple_from_index,
-    block_images,
+from pgmhsp.states import a_tuple_from_index, block_images
+
+from oracles import (
+    dense_element,
+    dense_verify_optimality,
     hidden_subgroup_state,
+    perturb_with_uniform,
+    pgm_from_inverse_sqrt,
     support_projector,
 )
 
@@ -41,7 +44,7 @@ def test_povm_validity(g, k):
     povm = build_pgm(k, g)
     total = np.zeros((g.order**k, g.order**k), dtype=complex)
     for j in g.a_group.elements():
-        dense = povm.dense_element(j)
+        dense = dense_element(povm, j)
         assert np.abs(dense - dense.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(dense).min() > -PSD_TOL
         total += dense
@@ -53,7 +56,7 @@ def test_pgm_matches_inverse_sqrt_route():
         povm = build_pgm(k, g)
         reference = pgm_from_inverse_sqrt(k, g)
         for ji, j in enumerate(g.a_group.elements()):
-            assert np.abs(povm.dense_element(j) - reference[ji]).max() < 1e-10
+            assert np.abs(dense_element(povm, j) - reference[ji]).max() < 1e-10
 
 
 def test_pgm_block_j0_x0_uniform():
@@ -88,7 +91,7 @@ def test_success_probability_independent_of_d():
     values = set()
     for d in range(7):
         rho, _ = hidden_subgroup_state(d, 1, Z7)
-        values.add(round(float(np.trace(povm.dense_element(d) @ rho).real), 12))
+        values.add(round(float(np.trace(dense_element(povm, d) @ rho).real), 12))
     assert len(values) == 1
 
 
@@ -98,7 +101,7 @@ def test_outcome_distribution_matches_dense_traces():
         rho, _ = hidden_subgroup_state(d, k, g)
         dist = outcome_distribution(k, g, d)
         for ji, j in enumerate(g.a_group.elements()):
-            direct = float(np.trace(povm.dense_element(j) @ rho).real)
+            direct = float(np.trace(dense_element(povm, j) @ rho).real)
             assert abs(dist[ji] - direct) < 1e-10
         assert abs(dist.sum() - 1) < 1e-10
 
@@ -109,7 +112,7 @@ def test_povm_completeness_on_states():
     for d in range(7):
         rho, _ = hidden_subgroup_state(d, 1, Z7)
         total = sum(
-            float(np.trace(povm.dense_element(j) @ rho).real) for j in range(7)
+            float(np.trace(dense_element(povm, j) @ rho).real) for j in range(7)
         )
         assert abs(total - 1) < 1e-10
 
@@ -122,7 +125,7 @@ def test_trivial_state_distribution():
     povm = build_pgm(2, HEIS3)
     dim = HEIS3.order**2
     rho = np.eye(dim) / dim
-    direct = float(np.trace(povm.dense_element((0, 0)) @ rho).real)
+    direct = float(np.trace(dense_element(povm, (0, 0)) @ rho).real)
     assert abs(probs[0] - direct) < 1e-12
     assert abs(probs.sum() + fail - 1) < 1e-12
 
@@ -173,13 +176,50 @@ def test_optimality_conditions(g, k):
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "g,k,perturbed",
+    [
+        (Z7, 1, False),
+        (HEIS3, 1, False),
+        (HEIS3, 2, False),
+        (semidirect_zn(9, 3, 4), 2, False),
+        (Z7, 1, True),
+    ],
+    ids=["z7-1", "heis3-1", "heis3-2", "zn9-2", "z7-1-perturbed"],
+)
+def test_block_optimality_matches_dense_oracle(g, k, perturbed):
+    povm = build_pgm(k, g)
+    tested = perturb_with_uniform(povm, 0.5) if perturbed else povm
+    block = verify_optimality(k, g, tested)
+    dense = dense_verify_optimality(k, g, tested)
+    assert abs(block.commutator_residual - dense.commutator_residual) < 1e-12
+    assert abs(block.min_eig_margin - dense.min_eig_margin) < 1e-12
+    assert block.passed == dense.passed == (not perturbed)
+    for d in g.a_group.elements():
+        rho, _ = hidden_subgroup_state(d, k, g)
+        direct = np.einsum("ij,ji->", dense_element(povm, d), rho).real
+        assert abs(success_probability_trace(k, g, d) - direct) < 1e-12
+
+
+def test_pgm_report_heisenberg_k2_peak_memory():
+    # one dense 729 x 729 complex matrix alone takes 8.1 MiB
+    tracemalloc.start()
+    try:
+        report = pgm_report(2, HEIS3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.optimality.passed
+    assert peak < 8 * 2**20
+
+
 def test_perturbed_povm_fails_optimality():
     povm = build_pgm(1, Z7)
     perturbed = perturb_with_uniform(povm, 0.5)
     # still a valid POVM ...
     total = np.zeros((21, 21), dtype=complex)
     for j in range(7):
-        dense = perturbed.dense_element(j)
+        dense = dense_element(perturbed, j)
         assert np.linalg.eigvalsh(dense).min() > -PSD_TOL
         total += dense
     assert np.abs(total - support_projector(1, Z7)).max() < 1e-10
@@ -270,7 +310,7 @@ def test_mixed_order_group_povm():
     povm = build_pgm(1, g9)
     total = np.zeros((27, 27), dtype=complex)
     for j in range(9):
-        dense = povm.dense_element(j)
+        dense = dense_element(povm, j)
         assert np.linalg.eigvalsh(dense).min() > -PSD_TOL
         total += dense
     assert np.abs(total - support_projector(1, g9)).max() < 1e-10

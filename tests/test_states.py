@@ -9,18 +9,21 @@ from pgmhsp.groups import (
     semidirect_zn,
 )
 from pgmhsp.msum import eta_rows
-from pgmhsp.pgm import quantum_sample_vector
+from pgmhsp.pgm import build_pgm, quantum_sample_vector, verify_optimality
 from pgmhsp.states import (
     a_tuple_from_index,
     a_tuple_index,
     b_tuple_index,
     block_images,
-    coset_mixture_density,
     coset_state,
-    ensemble_sigma,
     fourier_coset_state,
-    hidden_subgroup_state,
     qft_matrix,
+)
+
+from oracles import (
+    coset_mixture_density,
+    ensemble_sigma,
+    hidden_subgroup_state,
     support_projector,
     tensor_power_grouped,
 )
@@ -185,25 +188,15 @@ def test_sigma_support_vs_state_support():
 
 def test_dimension_cap():
     with pytest.raises(CapExceeded):
-        hidden_subgroup_state((1, 1), 3, HEIS5, cap=4096)
+        build_pgm(3, HEIS5, cap=4096)
     with pytest.raises(CapExceeded):
-        ensemble_sigma(3, HEIS5, cap=4096)
+        verify_optimality(3, HEIS5, cap=4096)
 
 
 def test_qft_unitarity():
     for a in (Z7.a_group, HEIS3.a_group, HEIS5.a_group):
         f = qft_matrix(a)
         assert np.abs(f @ f.conj().T - np.eye(a.order)).max() < 1e-12
-
-
-def test_matrix_json_pairs_roundtrip():
-    from pgmhsp.states import matrix_from_json_pairs, matrix_to_json_pairs
-
-    rho, _ = hidden_subgroup_state(1, 1, Z7)
-    data = matrix_to_json_pairs(rho)
-    assert data[0][0] == [float(rho[0, 0].real), float(rho[0, 0].imag)]
-    back = matrix_from_json_pairs(data)
-    assert np.abs(back - rho).max() == 0
 
 
 def test_solution_vectors_orthonormal_within_block():
