@@ -348,15 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *caps):
+        """--group, --out and the cap flags the subcommand applies."""
         p.add_argument("--group", help="group spec, e.g. 'zn N=7 p=3 mu=2'")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--dim-cap", type=int, default=None)
-        p.add_argument("--enum-cap", type=int, default=None)
-        p.add_argument("--pop-cap", type=int, default=None)
+        for cap in caps:
+            p.add_argument(f"--{cap}-cap", type=int, default=None)
 
     p_msum = sub.add_parser("solve-msum", help="solve one matrix sum instance")
-    common(p_msum)
+    common(p_msum, "enum")
     p_msum.add_argument("--instance", help="instance JSON path (default stdin)")
     p_msum.add_argument(
         "--verify", action="store_true", help="re-check against brute force"
@@ -364,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_msum.set_defaults(func=cmd_solve_msum)
 
     p_rep = sub.add_parser("pgm-report", help="success probability and optimality")
-    common(p_rep)
+    common(p_rep, "dim", "enum", "pop")
     p_rep.add_argument("--k", type=int, default=1)
     p_rep.set_defaults(func=cmd_pgm_report)
 
     p_eta = sub.add_parser("eta-stats", help="solution-count histogram")
-    common(p_eta)
+    common(p_eta, "enum", "pop")
     p_eta.add_argument("--k", type=int, default=1)
     p_eta.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p_eta.add_argument("--samples", type=int, default=None)
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eta.set_defaults(func=cmd_eta_stats)
 
     p_run = sub.add_parser("run-hsp", help="end-to-end hidden subgroup run")
-    common(p_run)
+    common(p_run, "enum", "pop")
     p_run.add_argument("--algo", choices=["pgm", "stripped"], default="pgm")
     p_run.add_argument("--k", type=int, default=1)
     p_run.add_argument("--trials", type=int, default=None)

@@ -207,56 +207,6 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
 
 
-def _mat_rank(a: Matrix, p: int) -> int:
-    rows = [list(row) for row in a]
-    r = len(rows)
-    rank = 0
-    for col in range(r):
-        pivot = next((i for i in range(rank, r) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(c * inv) % p for c in rows[rank]]
-        for i in range(r):
-            if i != rank and rows[i][col] % p:
-                factor = rows[i][col]
-                rows[i] = [(c - factor * d) % p for c, d in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def unipotent_block_sizes(g: "SemidirectGroup") -> tuple[int, ...]:
-    """Jordan block sizes of the stored matrix, largest first.
-
-    Any mu with mu^p = I over Z_p is unipotent ((mu - I)^p = 0), so the
-    block structure is read off the rank sequence of the nilpotent part.
-    """
-    a = g.a_group
-    if not isinstance(a, VectorGroup):
-        raise TypeError("block sizes are defined for the vector family only")
-    nilpotent = tuple(
-        tuple((c - (1 if i == j else 0)) % g.p for j, c in enumerate(row))
-        for i, row in enumerate(g.mu)
-    )
-    ranks = [a.r]
-    power = mat_identity(a.r)
-    while ranks[-1] > 0:
-        power = mat_mul(power, nilpotent, g.p)
-        ranks.append(_mat_rank(power, g.p))
-    sizes = []
-    for s in range(1, len(ranks)):
-        count = (ranks[s - 1] - ranks[s]) - (ranks[s] - ranks[s + 1] if s < len(ranks) - 1 else 0)
-        sizes.extend([s] * count)
-    sizes.sort(reverse=True)
-    return tuple(sizes)
-
-
-def jordan_canonical_group(g: "SemidirectGroup") -> "SemidirectGroup":
-    """The isomorphic group whose stored matrix is in Jordan form."""
-    return semidirect_jordan(g.p, unipotent_block_sizes(g))
-
-
 def jordan_matrix(p: int, block_sizes: tuple[int, ...] | list[int]) -> Matrix:
     """Unipotent Jordan-form matrix with the given block sizes, mod p."""
     sizes = tuple(int(s) for s in block_sizes)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .groups import SemidirectGroup, matrix_sum, msum_table, semidirect_zn
 from .msum import discrete_log_bsgs
+from .states import _phase_roots
 
 WILSON_Z_99 = 2.5758293035489004
 
@@ -58,11 +59,6 @@ def _ancilla_values(x: int, p: int, mu: int, n: int) -> list[int]:
             raise AssertionError(f"erasure round trip failed at b={b}")
         values.append(value)
     return values
-
-
-def _qft(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
 @dataclass
@@ -105,9 +101,8 @@ def run_stripped_algorithm(
         psi[((ell + table[b] * d) % n) * p + b] = 1 / math.sqrt(p)
     t.steps["coset"] = psi
 
-    # Fourier transform the first register.
-    f_n = _qft(n)
-    psi = (np.kron(f_n, np.eye(p)) @ psi).reshape(n * p)
+    # Fourier transform the first register: F[x, a] = omega^(xa) / sqrt(N).
+    psi = np.fft.ifft(psi.reshape(n, p), axis=0, norm="ortho").reshape(n * p)
     t.steps["post_qft"] = psi
 
     # Measure x: marginal over the second register.
@@ -137,7 +132,7 @@ def run_stripped_algorithm(
     t.steps["post_erasure"] = erased
 
     # Inverse Fourier transform and observe.
-    final = f_n.conj().T @ erased
+    final = np.fft.fft(erased, norm="ortho")
     t.steps["post_inverse_qft"] = final
     dist = np.abs(final) ** 2
     t.final_distribution = dist
@@ -155,14 +150,13 @@ def perfect_state_overlap(n: int, p: int, mu: int, d: int, x: int) -> float:
         raise ValueError(f"x={x} is not a unit mod {n}")
     d %= n
     table = msum_table(g)
-    values = [(x * table[b]) % n for b in range(p)]
-    if len(set(values)) != p:
+    values = x * np.array(table) % n
+    if len(np.unique(values)) != p:
         raise AssertionError("ancilla values collide despite unit mu - 1")
+    roots = _phase_roots(n)
     actual = np.zeros(n, dtype=complex)
-    omega = np.exp(2j * np.pi / n)
-    for b, value in enumerate(values):
-        actual[value] = omega ** (value * d) / math.sqrt(p)
-    perfect = np.array([omega ** (j * d) for j in range(n)]) / math.sqrt(n)
+    actual[values] = roots[values * d % n] / math.sqrt(p)
+    perfect = roots[np.arange(n) * d % n] / math.sqrt(n)
     return float(abs(np.vdot(perfect, actual)))
 
 
@@ -177,17 +171,18 @@ def exact_success_rate(n: int, p: int, mu: int) -> Fraction:
     g = _validate(n, p, mu)
     bound = success_bound(n, p)
     table = np.array(msum_table(g))
-    f_n = _qft(n)
+    roots = _phase_roots(n)
     units = np.array([x for x in range(n) if math.gcd(x, n) == 1])
     values = np.array([_ancilla_values(int(x), p, mu, n) for x in units])
     ells = np.arange(n)[:, None, None]
     for d in range(n):
-        # psi[ell, x, b]: the Fourier-transformed coset state (ell, d) at (x, b).
-        psi = f_n[units[None, :, None], (ells + table * d) % n] / math.sqrt(p)
+        # psi[ell, x, b]: the Fourier-transformed coset state (ell, d) at
+        # (x, b), omega^(x a) / sqrt(N p) with a = ell + M^(b) d.
+        psi = roots[units[None, :, None] * ((ells + table * d) % n) % n] / math.sqrt(n * p)
         pr_x = (np.abs(psi) ** 2).sum(axis=2)
         # The collapsed b register, erased onto the ancilla values and
         # inverse Fourier transformed, read at the outcome d.
-        final_d = (f_n.conj()[values, d] * psi).sum(axis=2) / np.sqrt(pr_x)
+        final_d = (roots.conj()[values * d % n] * psi).sum(axis=2) / np.sqrt(n * pr_x)
         rate = float((pr_x * np.abs(final_d) ** 2).sum()) / n
         if abs(rate - float(bound)) > 1e-12:
             raise AssertionError(

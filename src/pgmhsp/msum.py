@@ -397,25 +397,35 @@ _CHUNK = 1 << 16
 _LUT_BITS = 16
 
 
+def index_digits(indices: np.ndarray, p: int, r: int) -> np.ndarray:
+    """Coordinates of the Z_p^r elements with the given A-indices, shape
+    (*indices.shape, r), first coordinate most significant."""
+    places = np.arange(r - 1, -1, -1, dtype=np.int64)
+    return np.asarray(indices, dtype=np.int64)[..., None] // p**places % p
+
+
 @lru_cache(maxsize=16)
-def _coding(g: SemidirectGroup, k: int):
-    """(codes, lut, bits, width): codes[xi, b] codes M^(b) element(xi) for a
-    k-fold sum; for Z_p^r, lut decodes ``width`` digits of ``bits`` bits each."""
-    a = g.a_group
-    table = msum_table(g)
-    if isinstance(a, CyclicGroup):
-        return np.outer(np.arange(a.n, dtype=np.int64), table) % a.n, None, 0, 0
-    bits = (k * (g.p - 1)).bit_length()
-    if bits * a.r > 62:
-        raise CapExceeded(f"k = {k} copies of Z_{g.p}^{a.r} overflow 64-bit index sums")
-    places = np.arange(a.r - 1, -1, -1, dtype=np.int64)  # first coordinate most significant
-    digits = np.arange(a.order, dtype=np.int64)[:, None] // g.p**places % g.p
-    images = np.einsum("bij,xj->xbi", np.array(table, dtype=np.int64), digits) % g.p
-    codes = (images << bits * places).sum(axis=-1)
-    width = min(a.r, max(1, _LUT_BITS // bits))
+def _decoder(p: int, r: int, k: int) -> tuple[np.ndarray, int, int]:
+    """(lut, bits, width) for k-fold sums of Z_p^r codes with ``bits`` bits per
+    digit: lut maps ``width`` packed digits to their A-index part mod p."""
+    bits = (k * (p - 1)).bit_length()
+    if bits * r > 62:
+        raise CapExceeded(f"k = {k} copies of Z_{p}^{r} overflow 64-bit index sums")
+    width = min(r, max(1, _LUT_BITS // bits))
     packed = np.arange(1 << bits * width, dtype=np.int64)
-    lut = sum((packed >> bits * t & (1 << bits) - 1) % g.p * g.p**t for t in range(width))
-    return codes, lut, bits, width
+    lut = sum((packed >> bits * t & (1 << bits) - 1) % p * p**t for t in range(width))
+    return lut, bits, width
+
+
+def _codes(g: SemidirectGroup, xs: np.ndarray, bits: int) -> np.ndarray:
+    """codes[..., b] codes M^(b) x for the A-indices ``xs``: the A-index for
+    Z_N, the digits packed ``bits`` bits apart for Z_p^r."""
+    a = g.a_group
+    table = np.array(msum_table(g), dtype=np.int64)
+    if isinstance(a, CyclicGroup):
+        return xs[..., None] * table % a.n
+    images = np.einsum("bij,...j->...bi", table, index_digits(xs, g.p, a.r)) % g.p
+    return (images << bits * np.arange(a.r - 1, -1, -1, dtype=np.int64)).sum(axis=-1)
 
 
 def x_tuples(a_order: int, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -431,15 +441,21 @@ def image_table(
     A-indices, copy 1 first) and each b, in column idx_b(b)."""
     rows, k = xs.shape
     check_enumeration(g.p, k, enumeration_cap)
-    codes, lut, bits, width = _coding(g, k)
-    acc = codes[xs[:, k - 1]]
+    a = g.a_group
+    lut, bits, width = (None, 0, 0) if isinstance(a, CyclicGroup) else _decoder(g.p, a.r, k)
+    # Codes only for the x components present: in idx_A order the later
+    # copies take few distinct values per batch.
+    used, inverse = np.unique(xs, return_inverse=True)
+    codes = _codes(g, used, bits)
+    inverse = inverse.reshape(rows, k)
+    acc = codes[inverse[:, k - 1]]
     for j in range(k - 2, -1, -1):
-        acc = (acc[:, :, None] + codes[xs[:, j]][:, None, :]).reshape(rows, -1)
+        acc = (acc[:, :, None] + codes[inverse[:, j]][:, None, :]).reshape(rows, -1)
     if lut is None:
-        return acc % g.a_group.n
+        return acc % a.n
     mask = lut.size - 1
     out = lut[acc & mask]
-    for q in range(width, g.a_group.r, width):
+    for q in range(width, a.r, width):
         out += lut[acc >> bits * q & mask] * g.p**q
     return out
 

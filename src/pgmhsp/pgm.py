@@ -16,14 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import CyclicGroup, SemidirectGroup
+from .groups import SemidirectGroup
 from .msum import EtaStats, eta_chunks, eta_rows, eta_statistics, image_table
 from .states import (
     a_tuple_from_index,
     block_images,
     characters,
     check_dim,
-    qft_matrix,
+    fft_over_a,
     state_vectors,
 )
 
@@ -118,9 +118,12 @@ def success_probability_trace(
     d,
     cap: int | None = None,
     enumeration_cap: int | None = None,
+    povm: POVM | None = None,
 ) -> float:
-    """tr(E_d rho_d^(x)k) = sum_x <v_d^x|E_d^x|v_d^x>, block by block."""
-    povm = build_pgm(k, g, cap, enumeration_cap)
+    """tr(E_d rho_d^(x)k) = sum_x <v_d^x|E_d^x|v_d^x>, block by block, for the
+    PGM or a prebuilt block POVM."""
+    if povm is None:
+        povm = build_pgm(k, g, cap, enumeration_cap)
     a = g.a_group
     v = state_vectors(g, d, block_images(g, k, enumeration_cap))
     e_d = povm.block_matrices[:, a.index(a.reduce(d))]
@@ -144,14 +147,12 @@ def outcome_distribution(
     """
     a = g.a_group
     d = a.reduce(d)
-    shape = (a.order,) if isinstance(a, CyclicGroup) else (g.p,) * a.r
-    axes = tuple(range(1, len(shape) + 1))
-    power = np.zeros(shape)
+    power = np.zeros(a.order)
     for eta in eta_chunks(g, k, enumeration_cap):
-        amps = np.fft.fftn(np.sqrt(eta).reshape(-1, *shape), axes=axes)
+        amps = fft_over_a(a, np.sqrt(eta))
         power += (amps.real**2 + amps.imag**2).sum(axis=0)
     shifts = [a.index(a.add(d, a.neg(j))) for j in a.elements()]
-    return power.ravel()[shifts] / (g.order**k * a.order)
+    return power[shifts] / (g.order**k * a.order)
 
 
 def trivial_state_outcome_distribution(
@@ -375,7 +376,6 @@ def simulate_neumark_outcomes(
     images = block_images(g, k, enumeration_cap)
     chi_d = characters(a, a.reduce(d))
     pk = g.p**k
-    f_bar = qft_matrix(a).conj()
     probs = np.zeros(a.order)
     block_weight = 1.0 / a.order**k
     for xi in range(a.order**k):
@@ -388,7 +388,7 @@ def simulate_neumark_outcomes(
         leak = np.linalg.norm(coeffs[a.order :])
         if leak > UNITARITY_TOL:
             raise AssertionError(f"state leaked {leak} outside the w register")
-        outcome_amps = f_bar @ coeffs[: a.order]
+        outcome_amps = fft_over_a(a, coeffs[: a.order], norm="ortho")
         probs += block_weight * np.abs(outcome_amps) ** 2
     return probs
 
@@ -423,10 +423,11 @@ def pgm_report(
 
     formula = success_probability_formula(k, g, enumeration_cap)
     exact = formula if isinstance(formula, Fraction) else None
-    trace = success_probability_trace(k, g, g.a_group.zero, cap, enumeration_cap)
+    povm = build_pgm(k, g, cap, enumeration_cap)
+    trace = success_probability_trace(k, g, g.a_group.zero, cap, enumeration_cap, povm)
     stats = eta_statistics(g, k, cap=population_cap, enumeration_cap=enumeration_cap)
     bracket = best_certified_lower_bound(k, g, stats)
-    optimality = verify_optimality(k, g, None, cap, enumeration_cap)
+    optimality = verify_optimality(k, g, povm, cap, enumeration_cap)
     return PGMReport(
         format_group_spec(g), k, float(formula), exact, trace, bracket, optimality
     )

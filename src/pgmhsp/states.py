@@ -22,11 +22,12 @@ import numpy as np
 from .caps import CapExceeded, dim_cap
 from .groups import (
     AbelianGroup,
+    CyclicGroup,
     SemidirectGroup,
     phi_sum,
     subgroup_order,
 )
-from .msum import image_table, x_tuples
+from .msum import image_table, index_digits, x_tuples
 
 
 def state_dim(g: SemidirectGroup, k: int) -> int:
@@ -71,20 +72,24 @@ def _phase_roots(m: int) -> np.ndarray:
 
 def characters(a_group: AbelianGroup, d) -> np.ndarray:
     """chi_w(d) for every w in A-index order."""
-    t = [a_group.char_index(w, d) for w in a_group.elements()]
+    d = a_group.reduce(d)
+    w = np.arange(a_group.order, dtype=np.int64)
+    if isinstance(a_group, CyclicGroup):
+        t = w * d % a_group.n
+    else:
+        t = index_digits(w, a_group.p, a_group.r) @ np.array(d, dtype=np.int64) % a_group.p
     return _phase_roots(a_group.char_denominator)[t]
 
 
-def qft_matrix(a_group: AbelianGroup) -> np.ndarray:
-    """F[x, a] = chi_x(a) / sqrt(|A|)."""
-    n = a_group.order
-    roots = _phase_roots(a_group.char_denominator)
-    f = np.empty((n, n), dtype=complex)
-    elems = list(a_group.elements())
-    for i, x in enumerate(elems):
-        for j, a in enumerate(elems):
-            f[i, j] = roots[a_group.char_index(x, a)]
-    return f / np.sqrt(n)
+def fft_over_a(a_group: AbelianGroup, values: np.ndarray, norm: str | None = None) -> np.ndarray:
+    """sum_w conj(chi_j(w)) values[..., w] for every j, over the last axis in
+    A-index order: an FFT over A's shape, (N,) for Z_N and (p,)*r for Z_p^r,
+    whose C order is A-index order."""
+    shape = (a_group.n,) if isinstance(a_group, CyclicGroup) else (a_group.p,) * a_group.r
+    lead = values.shape[:-1]
+    axes = tuple(range(-len(shape), 0))
+    amps = np.fft.fftn(values.reshape(*lead, *shape), axes=axes, norm=norm)
+    return amps.reshape(*lead, a_group.order)
 
 
 # ---------------------------------------------------------------------------

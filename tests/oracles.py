@@ -13,10 +13,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from pgmhsp.groups import SemidirectGroup, conj_apply, element_mul, heisenberg_group
+from pgmhsp.groups import (
+    AbelianGroup,
+    CyclicGroup,
+    SemidirectGroup,
+    conj_apply,
+    element_mul,
+    heisenberg_group,
+)
 from pgmhsp.msum import MSumInstance, eta_rows, image_table
 from pgmhsp.pgm import POVM, OptimalityReport, build_pgm
-from pgmhsp.states import block_images, characters, check_dim, coset_state
+from pgmhsp.states import _phase_roots, block_images, characters, check_dim, coset_state
 
 # ---------------------------------------------------------------------------
 # Groups and the matrix sum problem
@@ -57,6 +64,32 @@ def heisenberg_eta_distribution(p: int) -> dict[int, Fraction]:
     hist = np.bincount(eta_rows(image_table(g, xs), a.order).ravel())
     total = int(hist.sum())
     return {int(i): Fraction(int(c), total) for i, c in enumerate(hist) if c}
+
+
+# ---------------------------------------------------------------------------
+# Dense Fourier transforms over A
+
+
+def qft_matrix(a_group: AbelianGroup) -> np.ndarray:
+    """F[x, a] = chi_x(a) / sqrt(|A|), element by element."""
+    n = a_group.order
+    roots = _phase_roots(a_group.char_denominator)
+    f = np.empty((n, n), dtype=complex)
+    elems = list(a_group.elements())
+    for i, x in enumerate(elems):
+        for j, a in enumerate(elems):
+            f[i, j] = roots[a_group.char_index(x, a)]
+    return f / np.sqrt(n)
+
+
+def stripped_qft(psi: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The stripped run's first Fourier step: (F_N (x) I_p) psi on the (a, b) register."""
+    return np.kron(qft_matrix(CyclicGroup(n)), np.eye(p)) @ psi
+
+
+def stripped_inverse_qft(erased: np.ndarray, n: int) -> np.ndarray:
+    """The stripped run's last Fourier step: F_N^dagger on the erased register."""
+    return qft_matrix(CyclicGroup(n)).conj().T @ erased
 
 
 # ---------------------------------------------------------------------------

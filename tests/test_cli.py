@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -16,6 +18,22 @@ def run_cli(args, stdin_text=None):
         text=True,
     )
     return proc
+
+
+def run_cli_in_1_gib(args):
+    """run_cli with the child's address space limited to 1 GiB."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pgmhsp.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit,
+    )
 
 
 def test_jsonio_formatting():
@@ -118,6 +136,37 @@ def test_run_hsp_pgm_caps(tmp_path, fixture_doc, extra):
     )
     assert proc.returncode == 3
     assert "cap exceeded" in proc.stderr
+
+
+def test_unapplied_cap_flags_are_not_accepted():
+    for argv in (
+        ["solve-msum", "--dim-cap", "10"],
+        ["solve-msum", "--pop-cap", "10"],
+        ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--dim-cap", "10"],
+        ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--exact",
+         "--dim-cap", "10"],
+    ):
+        assert main(argv) == 2, argv
+
+
+def test_stripped_run_large_n_in_1_gib():
+    # a dense N x N transform alone would take 1.46 GiB
+    proc = run_cli_in_1_gib(
+        ["run-hsp", "--algo", "stripped", "--group", "zn N=9901 p=3 mu=99",
+         "--trials", "3", "--seed", "1"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["trials"] == 3
+
+
+def test_sampled_eta_stats_large_group_in_1_gib():
+    # codes for all of A = Z_101^3 would take 2.33 GiB; ten samples need ten x
+    proc = run_cli_in_1_gib(
+        ["eta-stats", "--group", "zpr p=101 jordan=3", "--k", "1", "--mode", "sampled",
+         "--samples", "10", "--seed", "1"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("eta_value,count\n")
 
 
 def test_memory_error_exits_as_cap_exceeded(monkeypatch, capsys):

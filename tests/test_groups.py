@@ -324,28 +324,6 @@ def test_jordan_matrix_layout():
         jordan_matrix(5, ())
 
 
-def test_unipotent_block_sizes():
-    from pgmhsp.groups import (
-        jordan_canonical_group,
-        mat_identity,
-        mat_mul,
-        unipotent_block_sizes,
-    )
-
-    assert unipotent_block_sizes(HEIS3) == (2,)
-    assert unipotent_block_sizes(semidirect_jordan(5, (3, 2, 1))) == (3, 2, 1)
-    assert unipotent_block_sizes(semidirect_zpr(3, mat_identity(2))) == (1, 1)
-    with pytest.raises(TypeError):
-        unipotent_block_sizes(Z7)
-    # a conjugated (non-canonical) matrix has the same block structure
-    s, s_inv = ((1, 0), (1, 1)), ((1, 0), (2, 1))
-    mu = mat_mul(mat_mul(s, HEIS3.mu, 3), s_inv, 3)
-    assert mu != HEIS3.mu
-    conjugated = semidirect_zpr(3, mu)
-    assert unipotent_block_sizes(conjugated) == (2,)
-    assert jordan_canonical_group(conjugated) == HEIS3
-
-
 def test_element_index_roundtrip():
     from pgmhsp.groups import element_from_index, element_index
 

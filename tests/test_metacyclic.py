@@ -16,6 +16,8 @@ from pgmhsp.metacyclic import (
     wilson_interval,
 )
 
+from oracles import stripped_inverse_qft, stripped_qft
+
 STEP_NAMES = [
     "coset",
     "post_qft",
@@ -53,6 +55,20 @@ def test_transcript_steps_and_norms():
         assert abs(t.final_distribution[t.d] - 3 / 7) < 1e-12
     else:
         assert t.success is False
+
+
+@pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (31, 5, 2), (101, 5, 36)])
+def test_fourier_steps_match_dense_oracle(n, p, mu):
+    accepted = 0
+    for d, ell, seed in [(1, 0, 0), (2, 5, 1), (n - 1, 3, 2), (0, 1, 3), (5, n - 2, 4)]:
+        t = run_stripped_algorithm(n, p, mu, d, ell, seed=seed)
+        dense = stripped_qft(t.steps["coset"], n, p)
+        assert np.abs(t.steps["post_qft"] - dense).max() < 1e-12
+        if t.accepted:
+            accepted += 1
+            dense = stripped_inverse_qft(t.steps["post_erasure"], n)
+            assert np.abs(t.steps["post_inverse_qft"] - dense).max() < 1e-12
+    assert accepted >= 3
 
 
 def test_rejected_branch_marked():

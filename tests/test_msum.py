@@ -347,9 +347,9 @@ def test_image_table_matches_enumeration(spec, k):
 def test_image_table_decodes_digits_in_groups(monkeypatch):
     # a small lookup table forces the decode to split the r digits
     monkeypatch.setattr(msum, "_LUT_BITS", 4)
-    msum._coding.cache_clear()
+    msum._decoder.cache_clear()
     try:
         check_table_against_enumeration(parse_group_spec("zpr p=3 jordan=3"), 2)
         check_table_against_enumeration(parse_group_spec("zpr p=2 jordan=2,2,1"), 2)
     finally:
-        msum._coding.cache_clear()
+        msum._decoder.cache_clear()

@@ -213,6 +213,25 @@ def test_pgm_report_heisenberg_k2_peak_memory():
     assert peak < 8 * 2**20
 
 
+def test_pgm_report_builds_pgm_once(monkeypatch):
+    from pgmhsp import pgm
+
+    calls = []
+
+    def counting_build_pgm(*args, **kwargs):
+        calls.append(args)
+        return build_pgm(*args, **kwargs)
+
+    monkeypatch.setattr(pgm, "build_pgm", counting_build_pgm)
+    report = pgm.pgm_report(1, HEIS3)
+    assert len(calls) == 1
+    assert report.consistent and report.optimality.passed
+    # a prebuilt POVM is used as given
+    povm = build_pgm(1, HEIS3)
+    assert success_probability_trace(1, HEIS3, (0, 0), povm=povm) == report.pr_trace
+    assert len(calls) == 1
+
+
 def test_perturbed_povm_fails_optimality():
     povm = build_pgm(1, Z7)
     perturbed = perturb_with_uniform(povm, 0.5)

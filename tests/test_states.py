@@ -6,24 +6,28 @@ from pgmhsp.groups import (
     GroupElement,
     element_mul,
     heisenberg_group,
+    parse_group_spec,
     semidirect_zn,
 )
 from pgmhsp.msum import eta_rows
 from pgmhsp.pgm import build_pgm, quantum_sample_vector, verify_optimality
 from pgmhsp.states import (
+    _phase_roots,
     a_tuple_from_index,
     a_tuple_index,
     b_tuple_index,
     block_images,
+    characters,
     coset_state,
+    fft_over_a,
     fourier_coset_state,
-    qft_matrix,
 )
 
 from oracles import (
     coset_mixture_density,
     ensemble_sigma,
     hidden_subgroup_state,
+    qft_matrix,
     support_projector,
     tensor_power_grouped,
 )
@@ -197,6 +201,35 @@ def test_qft_unitarity():
     for a in (Z7.a_group, HEIS3.a_group, HEIS5.a_group):
         f = qft_matrix(a)
         assert np.abs(f @ f.conj().T - np.eye(a.order)).max() < 1e-12
+
+
+CHARACTER_GROUPS = [
+    "zn N=7 p=3 mu=2",
+    "zn N=9 p=3 mu=4",
+    "zn N=31 p=5 mu=2",
+    "zpr p=3 jordan=2",
+    "zpr p=5 jordan=3",
+    "zpr p=2 jordan=2,2,1",
+]
+
+
+@pytest.mark.parametrize("spec", CHARACTER_GROUPS)
+def test_characters_match_per_element_loop(spec):
+    a = parse_group_spec(spec).a_group
+    roots = _phase_roots(a.char_denominator)
+    for d in a.elements():
+        loop = roots[[a.char_index(w, d) for w in a.elements()]]
+        assert np.array_equal(characters(a, d), loop)
+
+
+@pytest.mark.parametrize("spec", CHARACTER_GROUPS)
+def test_fft_over_a_matches_dense_qft(spec):
+    a = parse_group_spec(spec).a_group
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(3, a.order)) + 1j * rng.normal(size=(3, a.order))
+    dense = values @ qft_matrix(a).conj().T
+    assert np.abs(fft_over_a(a, values, norm="ortho") - dense).max() < 1e-12
+    assert np.abs(fft_over_a(a, values[0]) - np.sqrt(a.order) * dense[0]).max() < 1e-12
 
 
 def test_solution_vectors_orthonormal_within_block():
