@@ -88,11 +88,24 @@ def run_stripped_algorithm(
     rng: np.random.Generator | None = None,
 ) -> SimTranscript:
     g = _validate(n, p, mu)
-    d %= n
-    ell %= n
     if rng is None:
         rng = np.random.default_rng(seed)
-    table = msum_table(g)
+    return _run_trial(g, msum_table(g), {}, d, ell, rng)
+
+
+def _run_trial(
+    g: SemidirectGroup,
+    table: tuple,
+    ancillas: dict[int, list[int]],
+    d: int,
+    ell: int,
+    rng: np.random.Generator,
+) -> SimTranscript:
+    """One run on a validated group with its M^(b) table; ``ancillas`` caches
+    the checked _ancilla_values of each measured x across runs."""
+    n, p, mu = g.a_group.n, g.p, g.mu
+    d %= n
+    ell %= n
     t = SimTranscript(n, p, mu, d, ell)
 
     # Coset state over (a, b) with index a*p + b.
@@ -125,7 +138,9 @@ def run_stripped_algorithm(
     # Then erase b, which the ancilla determines (checked by _ancilla_values).
     joint = np.zeros(p * n, dtype=complex)
     erased = np.zeros(n, dtype=complex)
-    for b, value in enumerate(_ancilla_values(x, p, mu, n)):
+    if x not in ancillas:
+        ancillas[x] = _ancilla_values(x, p, mu, n)
+    for b, value in enumerate(ancillas[x]):
         joint[b * n + value] = b_state[b]
         erased[value] = b_state[b]
     t.steps["post_compute"] = joint
@@ -243,10 +258,12 @@ def estimate_success_rate(
         raise AssertionError("some d fails to generate an order-p subgroup")
     successes = 0
     records = []
+    table = msum_table(g)
+    ancillas: dict[int, list[int]] = {}
     for trial in range(trials):
         d = valid_d[int(rng.integers(len(valid_d)))]
         ell = int(rng.integers(n))
-        t = run_stripped_algorithm(n, p, mu, d, ell, rng=rng)
+        t = _run_trial(g, table, ancillas, d, ell, rng)
         successes += bool(t.success)
         if collect:
             records.append(

@@ -2,15 +2,17 @@
 
 An instance is (x, w) with x a k-tuple over A and w in A; the task is to
 find every b in Z_p^k with  sum_j conj_apply(b_j, x_j) = w.  Four solvers
-are provided: exhaustive enumeration (the oracle for everything else), a
-discrete-log route for Z_N with k = 1, the quadratic closed form for the
-Heisenberg group with k = 2, and linear-slice elimination for Z_p^r.
-Every specialized solver returns exactly the brute-force solution set.
+are provided: brute force, a discrete-log route for Z_N with k = 1, the
+quadratic closed form for the Heisenberg group with k = 2, and linear-slice
+elimination for Z_p^r.  Brute force and elimination scan their candidates
+b as numpy columns of integer image codes, the same codes the eta table is
+built from.  Every specialized solver returns exactly the brute-force
+solution set; the tests check both against an independent pure-Python
+enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -63,25 +65,6 @@ class SolutionSet:
         return len(self.solutions)
 
 
-def _component_tables(inst: MSumInstance) -> list[list]:
-    """Per-copy tables T_j[b] = conj_apply(b, x_j) for b in [0, p)."""
-    g = inst.group
-    table = msum_table(g)
-    a = g.a_group
-    out = []
-    for xj in inst.x:
-        if isinstance(a, CyclicGroup):
-            out.append([(m * xj) % a.n for m in table])
-        else:
-            out.append(
-                [
-                    tuple(sum(row[i] * xj[i] for i in range(a.r)) % g.p for row in m)
-                    for m in table
-                ]
-            )
-    return out
-
-
 def check_enumeration(p: int, k: int, cap: int | None = None) -> None:
     """Raise CapExceeded when the b-grid Z_p^k is larger than the cap."""
     if k < 1:
@@ -91,32 +74,147 @@ def check_enumeration(p: int, k: int, cap: int | None = None) -> None:
         raise CapExceeded(f"p^k = {p**k} exceeds enumeration cap {limit}")
 
 
-def _enumerate(inst: MSumInstance, cap: int | None):
-    """(b, sum_j conj_apply(b_j, x_j)) for every b in Z_p^k, lexicographically."""
-    g = inst.group
-    check_enumeration(g.p, inst.k, cap)
-    tables = _component_tables(inst)
+# ---------------------------------------------------------------------------
+# Integer image codes
+#
+# Column idx_b(b) = sum_j b_j p^j (copy 1 least significant) of a row holds
+# the A-index of sum_j M^(b_j) x_j.  Additions are index arithmetic: mod N
+# for Z_N.  For Z_p^r each of the k addends packs its r digits into bit
+# fields wide enough to hold k(p-1), so the k codes add without carries; a
+# lookup table then reduces every digit mod p once, up to _LUT_BITS bits of
+# digits per lookup.  The eta table and the solvers sum (_code_sums) and
+# decode (_decode) codes this way; none walks Z_p^k element by element.
+
+# Elements per eta-table batch, and columns per solver block: of 2^14..2^22,
+# 2^16 ran the benchmark's exhaustive histograms fastest in total (2^22 was
+# 1.5x slower) and keeps batches small.
+_CHUNK = 1 << 16
+_LUT_BITS = 16
+
+
+def index_digits(indices: np.ndarray, p: int, r: int) -> np.ndarray:
+    """Coordinates of the Z_p^r elements with the given A-indices, shape
+    (*indices.shape, r), first coordinate most significant."""
+    places = np.arange(r - 1, -1, -1, dtype=np.int64)
+    return np.asarray(indices, dtype=np.int64)[..., None] // p**places % p
+
+
+@lru_cache(maxsize=16)
+def _decoder(p: int, r: int, k: int) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """(lut, bits, width, weights) for k-fold sums of Z_p^r codes with ``bits``
+    bits per digit: lut maps ``width`` packed digits to their A-index part
+    mod p, and coordinates @ weights is the code of a vector.  Codes wider
+    than 62 bits (which also covers A-indices beyond int64) are Python ints."""
+    bits = (k * (p - 1)).bit_length()
+    width = min(r, max(1, _LUT_BITS // bits))
+    packed = np.arange(1 << bits * width, dtype=np.int64)
+    lut = sum((packed >> bits * t & (1 << bits) - 1) % p * p**t for t in range(width))
+    weights = np.array(
+        [1 << bits * i for i in range(r - 1, -1, -1)],
+        dtype=np.int64 if bits * r <= 62 else object,
+    )
+    return lut, bits, width, weights
+
+
+@lru_cache(maxsize=16)
+def _msum_array(g: SemidirectGroup) -> np.ndarray:
+    """msum_table(g) as a read-only int64 array: (p,) for Z_N, (p, r, r) for Z_p^r."""
+    table = np.array(msum_table(g), dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _digit_images(g: SemidirectGroup, xs: np.ndarray) -> np.ndarray:
+    """Coordinates of M^(b) x for the Z_p^r coordinate vectors ``xs`` (last
+    axis), shape (*xs.shape[:-1], p, r)."""
+    return np.einsum("bij,...j->...bi", _msum_array(g), xs) % g.p
+
+
+def _pack(g: SemidirectGroup, images: np.ndarray, k: int) -> np.ndarray:
+    """Codes of Z_p^r coordinate vectors (last axis), ready for sums of k codes."""
+    return images @ _decoder(g.p, g.a_group.r, k)[3]
+
+
+def _codes(g: SemidirectGroup, xs: np.ndarray, k: int) -> np.ndarray:
+    """codes[..., b] codes M^(b) x for the A elements ``xs`` (A-indices for
+    Z_N, coordinate vectors along a last axis for Z_p^r), ready for sums of
+    k codes: the A-index for Z_N, the packed digits for Z_p^r."""
     a = g.a_group
-    for b in itertools.product(range(g.p), repeat=inst.k):
-        total = a.zero
-        for bj, tab in zip(b, tables):
-            total = a.add(total, tab[bj])
-        yield b, total
+    if isinstance(a, CyclicGroup):
+        if (a.n - 1) ** 2 < 2**63:
+            return xs[..., None] * _msum_array(g) % a.n
+        # x * M^(b) would overflow int64: Python-int codes, summed as objects
+        return np.array([[x * m % a.n for m in msum_table(g)] for x in xs.tolist()], dtype=object)
+    return _pack(g, _digit_images(g, xs), k)
+
+
+def _code_sums(codes: np.ndarray) -> np.ndarray:
+    """sums[..., idx_b(b)] = sum_j codes[..., j, b_j] over b in Z_p^k, for
+    codes of shape (..., k, p)."""
+    *lead, k, p = codes.shape
+    if k == 0:
+        return np.zeros((*lead, 1), dtype=np.int64)
+    acc = codes[..., k - 1, :]
+    for j in range(k - 2, -1, -1):
+        acc = (acc[..., :, None] + codes[..., j, None, :]).reshape(*lead, -1)
+    return acc
+
+
+def _decode(g: SemidirectGroup, sums: np.ndarray, k: int) -> np.ndarray:
+    """A-indices of sums of k codes."""
+    a = g.a_group
+    if isinstance(a, CyclicGroup):
+        return sums % a.n
+    lut, bits, width, weights = _decoder(g.p, a.r, k)
+    mask = lut.size - 1
+    out = lut[(sums & mask).astype(np.int64, copy=False)].astype(weights.dtype, copy=False)
+    for q in range(width, a.r, width):
+        part = lut[(sums >> bits * q & mask).astype(np.int64, copy=False)]
+        out += part.astype(weights.dtype, copy=False) * g.p**q
+    return out
+
+
+def _column_blocks(codes: np.ndarray):
+    """(first column, sums) over consecutive blocks of idx_b columns, where
+    sums[c] = sum_j codes[j, b_j] for the b in column first + c.
+
+    A block spans the low copies that fit in _CHUNK columns (at least one);
+    the high copies are summed once and added one column prefix at a time,
+    so a block holds at most max(_CHUNK, p) columns for any p^k.
+    """
+    k, p = codes.shape
+    low = 1
+    while low < k and p ** (low + 1) <= _CHUNK:
+        low += 1
+    low_sums = _code_sums(codes[:low])
+    if low >= k:
+        yield 0, low_sums
+        return
+    for h, high in enumerate(_code_sums(codes[low:]).tolist()):
+        yield h * low_sums.size, low_sums + high
+
+
+def _solution_set(cols: list[np.ndarray], p: int, k: int) -> SolutionSet:
+    """The b-tuples, as Python ints, of the idx_b columns in ``cols``."""
+    if not cols:
+        return SolutionSet(())
+    hits = np.concatenate(cols)
+    digits = hits[:, None] // p ** np.arange(k, dtype=np.int64) % p
+    return SolutionSet(tuple(map(tuple, digits.tolist())))
 
 
 def solve_bruteforce(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
-    """Complete solution set by trying all b in Z_p^k."""
-    return SolutionSet(tuple(b for b, total in _enumerate(inst, cap) if total == inst.w))
-
-
-def solve_all_w(
-    g: SemidirectGroup, x: tuple, cap: int | None = None
-) -> dict:
-    """Map w -> sorted solution list for a fixed x, via one enumeration."""
-    buckets: dict = {}
-    for b, total in _enumerate(MSumInstance(g, tuple(x), g.a_group.zero), cap):
-        buckets.setdefault(total, []).append(b)
-    return buckets
+    """Complete solution set: the image of every b in Z_p^k, a block of
+    columns at a time, compared with w."""
+    g, k = inst.group, inst.k
+    check_enumeration(g.p, k, cap)
+    target = g.a_group.index(inst.w)
+    hits = []
+    for first, sums in _column_blocks(_codes(g, np.array(inst.x), k)):
+        found = (_decode(g, sums, k) == target).nonzero()[0]
+        if found.size:
+            hits.append(first + found)
+    return _solution_set(hits, g.p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -283,57 +381,52 @@ def solve_jordan(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
     """Z_p^r solver: use a coordinate linear in b to cut enumeration by p.
 
     A coordinate i qualifies when conj_apply(b, x_j)[i] = b * c_j for all
-    copies; candidates then live on a (k-1)-dimensional slice and are
-    checked against the full system.  Without a usable linear coordinate
-    this is plain enumeration.
+    copies; candidates then live on a (k-1)-dimensional slice, where the
+    pivot copy's b is solved from coordinate i, and are checked against the
+    full system.  Without a usable linear coordinate this is plain
+    enumeration.
     """
     g = inst.group
     if not isinstance(g.a_group, VectorGroup):
         raise ValueError("jordan solver needs A = Z_p^r")
     p, r, k = g.p, g.a_group.r, inst.k
     check_enumeration(p, k, cap)
-    tables = _component_tables(inst)
+    images = _digit_images(g, np.array(inst.x))
+    # images[j, b, i] = b * c[j, i] for every copy j and b: coordinate i is linear.
+    coeffs = images[:, 1, :]
+    linear = (images == np.arange(p)[:, None] * coeffs[:, None, :] % p).all(axis=(0, 1))
 
     pivot = None
-    for i in range(r):
-        coeffs = [tables[j][1][i] if p > 1 else 0 for j in range(k)]
-        linear = all(
-            tables[j][b][i] == (b * coeffs[j]) % p
-            for j in range(k)
-            for b in range(p)
-        )
-        if not linear:
+    for i, (is_linear, column) in enumerate(zip(linear.tolist(), coeffs.T.tolist())):
+        if not is_linear:
             continue
-        nonzero = [j for j in range(k) if coeffs[j] != 0]
+        nonzero = [j for j, c in enumerate(column) if c]
         if nonzero:
-            pivot = (i, coeffs, nonzero[0])
+            pivot = i, nonzero[0], column
             break
         if inst.w[i] != 0:
             return SolutionSet(())
-
     if pivot is None:
         return solve_bruteforce(inst, cap)
 
-    a = g.a_group
+    # Slice index t runs over the other copies' b in idx_b order; the pivot
+    # copy's b solves coordinate i: c_j0 b_j0 = w_i - sum_{j != j0} c_j b_j.
+    # That sum is digit i of the other copies' code sum, read from its field.
+    i, j0, column = pivot
+    inv = pow(column[j0], -1, p)
+    codes = _pack(g, images, k)
+    bits = _decoder(p, r, k)[1]
+    shift, mask = bits * (r - 1 - i), (1 << bits) - 1
+    target = g.a_group.index(inst.w)
+    below = p**j0
     hits = []
-    i, coeffs, j0 = pivot
-    inv = pow(coeffs[j0], -1, p)
-    others = [j for j in range(k) if j != j0]
-    for partial in itertools.product(range(p), repeat=k - 1):
-        acc = inst.w[i]
-        for j, bj in zip(others, partial):
-            acc -= coeffs[j] * bj
-        bj0 = acc * inv % p
-        b = [0] * k
-        b[j0] = bj0
-        for j, bj in zip(others, partial):
-            b[j] = bj
-        total = a.zero
-        for bj, tab in zip(b, tables):
-            total = a.add(total, tab[bj])
-        if total == inst.w:
-            hits.append(tuple(b))
-    return SolutionSet(tuple(hits))
+    for first, sums in _column_blocks(codes[[j for j in range(k) if j != j0]]):
+        b_pivot = ((inst.w[i] - (sums >> shift & mask)) * inv % p).astype(np.int64, copy=False)
+        found = (_decode(g, sums + codes[j0][b_pivot], k) == target).nonzero()[0]
+        if found.size:
+            t = first + found
+            hits.append(t // below * (below * p) + b_pivot[found] * below + t % below)
+    return _solution_set(hits, p, k)
 
 
 def solve_auto(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
@@ -384,48 +477,8 @@ class EtaStats:
 # ---------------------------------------------------------------------------
 # The eta table
 #
-# Row x, column idx_b(b) of the image table holds the A-index of
-# sum_j M^(b_j) x_j; eta^x_w is the number of entries equal to w in row x.
-# Additions are index arithmetic: mod N for Z_N.  For Z_p^r each of the k
-# addends packs its r digits into bit fields wide enough to hold k(p-1),
-# so the k codes add without carries; a lookup table then reduces every
-# digit mod p once, up to _LUT_BITS bits of digits per lookup.
-
-# Elements per batch: of 2^14..2^22, 2^16 ran the benchmark's exhaustive
-# histograms fastest in total (2^22 was 1.5x slower) and keeps batches small.
-_CHUNK = 1 << 16
-_LUT_BITS = 16
-
-
-def index_digits(indices: np.ndarray, p: int, r: int) -> np.ndarray:
-    """Coordinates of the Z_p^r elements with the given A-indices, shape
-    (*indices.shape, r), first coordinate most significant."""
-    places = np.arange(r - 1, -1, -1, dtype=np.int64)
-    return np.asarray(indices, dtype=np.int64)[..., None] // p**places % p
-
-
-@lru_cache(maxsize=16)
-def _decoder(p: int, r: int, k: int) -> tuple[np.ndarray, int, int]:
-    """(lut, bits, width) for k-fold sums of Z_p^r codes with ``bits`` bits per
-    digit: lut maps ``width`` packed digits to their A-index part mod p."""
-    bits = (k * (p - 1)).bit_length()
-    if bits * r > 62:
-        raise CapExceeded(f"k = {k} copies of Z_{p}^{r} overflow 64-bit index sums")
-    width = min(r, max(1, _LUT_BITS // bits))
-    packed = np.arange(1 << bits * width, dtype=np.int64)
-    lut = sum((packed >> bits * t & (1 << bits) - 1) % p * p**t for t in range(width))
-    return lut, bits, width
-
-
-def _codes(g: SemidirectGroup, xs: np.ndarray, bits: int) -> np.ndarray:
-    """codes[..., b] codes M^(b) x for the A-indices ``xs``: the A-index for
-    Z_N, the digits packed ``bits`` bits apart for Z_p^r."""
-    a = g.a_group
-    table = np.array(msum_table(g), dtype=np.int64)
-    if isinstance(a, CyclicGroup):
-        return xs[..., None] * table % a.n
-    images = np.einsum("bij,...j->...bi", table, index_digits(xs, g.p, a.r)) % g.p
-    return (images << bits * np.arange(a.r - 1, -1, -1, dtype=np.int64)).sum(axis=-1)
+# Row x of the image table holds the A-index of sum_j M^(b_j) x_j in column
+# idx_b(b); eta^x_w is the number of entries equal to w in row x.
 
 
 def x_tuples(a_order: int, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -441,27 +494,18 @@ def image_table(
     A-indices, copy 1 first) and each b, in column idx_b(b)."""
     rows, k = xs.shape
     check_enumeration(g.p, k, enumeration_cap)
-    a = g.a_group
-    lut, bits, width = (None, 0, 0) if isinstance(a, CyclicGroup) else _decoder(g.p, a.r, k)
     # Codes only for the x components present: in idx_A order the later
     # copies take few distinct values per batch.
     used, inverse = np.unique(xs, return_inverse=True)
-    codes = _codes(g, used, bits)
-    inverse = inverse.reshape(rows, k)
-    acc = codes[inverse[:, k - 1]]
-    for j in range(k - 2, -1, -1):
-        acc = (acc[:, :, None] + codes[inverse[:, j]][:, None, :]).reshape(rows, -1)
-    if lut is None:
-        return acc % a.n
-    mask = lut.size - 1
-    out = lut[acc & mask]
-    for q in range(width, a.r, width):
-        out += lut[acc >> bits * q & mask] * g.p**q
-    return out
+    a = g.a_group
+    codes = _codes(g, used if isinstance(a, CyclicGroup) else index_digits(used, g.p, a.r), k)
+    return _decode(g, _code_sums(codes[inverse.reshape(rows, k)]), k)
 
 
 def eta_rows(images: np.ndarray, a_order: int) -> np.ndarray:
     """eta^x_w for each row of an image table: shape (rows, |A|)."""
+    if images.dtype == object:  # Python-int codes: far too many w to count
+        raise CapExceeded(f"|A| = {a_order} is too large to count solutions per w")
     rows = images.shape[0]
     flat = (images + a_order * np.arange(rows, dtype=np.int64)[:, None]).ravel()
     return np.bincount(flat, minlength=rows * a_order).reshape(rows, a_order)

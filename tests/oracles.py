@@ -8,6 +8,7 @@ result has an independent check at small dimensions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -44,6 +45,31 @@ def instance_residual(inst: MSumInstance, b: tuple[int, ...]):
     for bj, xj in zip(b, inst.x):
         total = a.add(total, conj_apply(bj, xj, inst.group))
     return total
+
+
+def _component_tables(g: SemidirectGroup, x: tuple) -> list[list]:
+    """Per-copy tables T_j[b] = conj_apply(b, x_j) for b in [0, p)."""
+    return [[conj_apply(b, xj, g) for b in range(g.p)] for xj in x]
+
+
+def _enumerate(g: SemidirectGroup, x: tuple):
+    """(b, sum_j conj_apply(b_j, x_j)) for every b in Z_p^k, lexicographically."""
+    a = g.a_group
+    tables = _component_tables(g, tuple(a.reduce(xj) for xj in x))
+    for b in itertools.product(range(g.p), repeat=len(x)):
+        total = a.zero
+        for bj, tab in zip(b, tables):
+            total = a.add(total, tab[bj])
+        yield b, total
+
+
+def solve_all_w(g: SemidirectGroup, x: tuple) -> dict:
+    """Map w -> sorted solution list for a fixed x, by one pure-Python
+    enumeration of Z_p^k (the reference for every matrix-sum solver)."""
+    buckets: dict = {}
+    for b, total in _enumerate(g, x):
+        buckets.setdefault(total, []).append(b)
+    return buckets
 
 
 def heisenberg_eta_distribution(p: int) -> dict[int, Fraction]:

@@ -33,7 +33,6 @@ from pgmhsp.groups import (
 from pgmhsp.msum import (
     MSumInstance,
     eta_statistics,
-    solve_all_w,
     solve_bruteforce,
     solve_heisenberg_closed_form,
     solve_jordan,
@@ -66,6 +65,7 @@ from oracles import (
     heisenberg_eta_distribution,
     hidden_subgroup_state,
     perturb_with_uniform,
+    solve_all_w,
 )
 
 Z7 = semidirect_zn(7, 3, 2)

@@ -218,6 +218,50 @@ def test_estimate_reproducible():
     assert a.successes == b.successes
 
 
+@pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (31, 5, 2)])
+def test_estimate_sets_up_once_and_equals_single_runs(monkeypatch, n, p, mu):
+    calls = {"_validate": 0, "_ancilla_values": []}
+    validate, ancilla_values = metacyclic._validate, metacyclic._ancilla_values
+
+    def counting_validate(*args):
+        calls["_validate"] += 1
+        return validate(*args)
+
+    def counting_ancilla_values(x, *args):
+        calls["_ancilla_values"].append(x)
+        return ancilla_values(x, *args)
+
+    monkeypatch.setattr(metacyclic, "_validate", counting_validate)
+    monkeypatch.setattr(metacyclic, "_ancilla_values", counting_ancilla_values)
+    trials = 300
+    est = estimate_success_rate(n, p, mu, trials, seed=21, collect=True)
+    assert calls["_validate"] == 1
+    accepted = [rec["measured_x"] for rec in est.trial_records if rec["accepted"]]
+    assert sorted(calls["_ancilla_values"]) == sorted(set(accepted))
+
+    # The same records from one run_stripped_algorithm per trial, drawing
+    # (d, ell) and the measurements from one generator in the same order.
+    rng = np.random.default_rng(21)
+    records = []
+    for trial in range(trials):
+        d = int(rng.integers(n))  # every d has order p here, so valid_d is range(n)
+        ell = int(rng.integers(n))
+        t = run_stripped_algorithm(n, p, mu, d, ell, rng=rng)
+        records.append(
+            {
+                "trial": trial,
+                "d": d,
+                "ell": ell,
+                "measured_x": t.measured_x,
+                "accepted": t.accepted,
+                "outcome": t.measured_outcome,
+                "success": bool(t.success),
+            }
+        )
+    assert list(est.trial_records) == records
+    assert est.successes == sum(rec["success"] for rec in records)
+
+
 def test_rejected_fraction_matches_unit_density():
     # the x measurement is uniform, so rejections happen at rate 1 - phi(N)/N
     est = estimate_success_rate(7, 3, 2, 3000, seed=2, collect=True)

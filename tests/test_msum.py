@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from pgmhsp import msum
 from pgmhsp.caps import CapExceeded
 from pgmhsp.groups import (
+    VectorGroup,
     heisenberg_group,
     parse_group_spec,
     semidirect_jordan,
@@ -23,7 +25,6 @@ from pgmhsp.msum import (
     eta_statistics,
     image_table,
     legendre_symbol,
-    solve_all_w,
     solve_auto,
     solve_bruteforce,
     solve_heisenberg_closed_form,
@@ -34,7 +35,7 @@ from pgmhsp.msum import (
 )
 from pgmhsp.states import b_tuple_index
 
-from oracles import heisenberg_eta_distribution, instance_residual
+from oracles import heisenberg_eta_distribution, instance_residual, solve_all_w
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)
@@ -353,3 +354,118 @@ def test_image_table_decodes_digits_in_groups(monkeypatch):
         check_table_against_enumeration(parse_group_spec("zpr p=2 jordan=2,2,1"), 2)
     finally:
         msum._decoder.cache_clear()
+
+
+def check_solvers_against_enumeration(g, k, max_rows):
+    # every w, for at most max_rows x-tuples spread evenly over A^k
+    a = g.a_group
+    xs = x_tuples(a.order, k)
+    for row in xs[:: math.ceil(len(xs) / max_rows)].tolist():
+        x = tuple(a.element(c) for c in row)
+        buckets = solve_all_w(g, x)
+        for w in a.elements():
+            inst = MSumInstance(g, x, w)
+            expected = tuple(buckets.get(w, ()))
+            assert solve_bruteforce(inst).solutions == expected
+            if isinstance(a, VectorGroup):
+                assert solve_jordan(inst).solutions == expected
+
+
+@pytest.mark.parametrize("spec,k", TABLE_CASES)
+def test_solvers_match_enumeration_across_blocks(monkeypatch, spec, k):
+    # blocks of p columns: every k > 1 scan crosses block boundaries
+    monkeypatch.setattr(msum, "_CHUNK", 4)
+    check_solvers_against_enumeration(parse_group_spec(spec), k, max_rows=243)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def planted_instance(g, k, seed):
+    rng = random.Random(seed)
+    a = g.a_group
+    x = tuple(a.element(rng.randrange(a.order)) for _ in range(k))
+    b = tuple(rng.randrange(g.p) for _ in range(k))
+    return MSumInstance(g, x, instance_residual(MSumInstance(g, x, a.zero), b)), b
+
+
+def test_large_scan_memory_is_bounded():
+    # p^k = 3^13 = 1 594 323 columns, under the 10^7 enumeration cap; one
+    # unchunked int64 row of them is 12.8 MB.
+    g = parse_group_spec("zn N=9901 p=3 mu=99")
+    inst, planted = planted_instance(g, 13, seed=13)
+    got, peak = traced_peak(solve_bruteforce, inst)
+    assert peak < 8 * 2**20
+    assert planted in got.solutions
+    assert solve_auto(inst) == got
+    # the same row built in one piece by the eta table
+    row = image_table(g, np.array([[g.a_group.index(xj) for xj in inst.x]]))[0]
+    hits = np.flatnonzero(row == g.a_group.index(inst.w))
+    assert got.eta == hits.size
+    assert sorted(b_tuple_index(g.p, b) for b in got.solutions) == hits.tolist()
+    for b in got.solutions:
+        assert instance_residual(inst, b) == inst.w
+
+    # Z_3^6 keeps the solution set itself small (eta near 3^13 / 729).
+    h = parse_group_spec("zpr p=3 jordan=3,3")
+    inst, planted = planted_instance(h, 13, seed=7)
+    sliced, peak = traced_peak(solve_jordan, inst)
+    assert peak < 8 * 2**20
+    scanned, peak = traced_peak(solve_bruteforce, inst)
+    assert peak < 8 * 2**20
+    assert planted in sliced.solutions
+    assert sliced == scanned == solve_auto(inst)
+
+
+def test_large_modulus_codes_are_exact():
+    # N - 1 > 3.04e9: x * M^(b) exceeds int64, so the codes are Python ints
+    g = parse_group_spec("zn N=4294967311 p=3 mu=2208774156")
+    n = g.a_group.n
+    rng = random.Random(5)
+    for k in (1, 2, 3):
+        for _ in range(4):
+            x = tuple(n - 1 - rng.randrange(1000) for _ in range(k))
+            buckets = solve_all_w(g, x)
+            for w, sols in buckets.items():
+                assert solve_bruteforce(MSumInstance(g, x, w)).solutions == tuple(sols)
+            row = image_table(g, np.array([x]))[0]
+            for w, sols in buckets.items():
+                positions = np.flatnonzero(row == w).tolist()
+                assert positions == sorted(b_tuple_index(g.p, b) for b in sols)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "zpr p=3 jordan=" + ",".join(["3"] * 11),  # 2-bit digits: 66-bit codes
+        "zpr p=5 jordan=" + ",".join(["5"] * 6),  # |A| = 5^30 is beyond int64
+    ],
+)
+def test_wide_codes_are_exact(spec):
+    # codes wider than 62 bits are summed and decoded as Python ints
+    g = parse_group_spec(spec)
+    a = g.a_group
+    rng = random.Random(3)
+    for k in (1, 2):
+        for _ in range(3):
+            x = tuple(tuple(rng.randrange(g.p) for _ in range(a.r)) for _ in range(k))
+            buckets = solve_all_w(g, x)
+            for w, sols in buckets.items():
+                inst = MSumInstance(g, x, w)
+                assert solve_bruteforce(inst).solutions == tuple(sols)
+                assert solve_jordan(inst).solutions == tuple(sols)
+            if a.order < 2**63:
+                row = image_table(g, np.array([[a.index(xj) for xj in x]]))[0]
+                for w, sols in buckets.items():
+                    positions = np.flatnonzero(row == a.index(w)).tolist()
+                    assert positions == sorted(b_tuple_index(g.p, b) for b in sols)
+    if a.order < 2**63:
+        # per-w counts of such an A stay out of reach, with a cap error
+        with pytest.raises(CapExceeded):
+            eta_statistics(g, 1, cap=a.order**2)
