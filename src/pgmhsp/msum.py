@@ -9,6 +9,15 @@ b as numpy columns of integer image codes, the same codes the eta table is
 built from.  Every specialized solver returns exactly the brute-force
 solution set; the tests check both against an independent pure-Python
 enumeration.
+
+The exact eta histogram walks one x per symmetry orbit (eta_orbits), with
+the orbit size as its weight.  A scalar unit c commutes with every M^(b),
+so eta^(cx)_(cw) = eta^x_w: copy 1 takes one representative per unit class
+(the divisors d of N, of weight phi(N/d), for Z_N; 0 and the vectors whose
+leading nonzero coordinate is 1, of weight p - 1, for Z_p^r).  Permuting
+the copies permutes b, so copies 2..k take one nondecreasing tuple per
+multiset, of weight (k-1)!/prod(mult!).  The walk streams its rows in
+chunks and checks that the weights sum to |A|^k.
 """
 
 from __future__ import annotations
@@ -487,19 +496,37 @@ def x_tuples(a_order: int, k: int, start: int = 0, stop: int | None = None) -> n
     return flat[:, None] // a_order ** np.arange(k, dtype=np.int64) % a_order
 
 
+def _element_codes(g: SemidirectGroup, indices: np.ndarray, k: int) -> np.ndarray:
+    """codes[..., b] of M^(b) x for the A elements with the given A-indices."""
+    a = g.a_group
+    return _codes(g, indices if isinstance(a, CyclicGroup) else index_digits(indices, g.p, a.r), k)
+
+
+def _codes_of_a(g: SemidirectGroup, k: int) -> np.ndarray | None:
+    """Codes of every element of A, rows in A-index order, for a walk that
+    meets every x component; None when they would not fit in one chunk."""
+    if g.a_group.order * g.p > _CHUNK:
+        return None
+    return _element_codes(g, np.arange(g.a_group.order, dtype=np.int64), k)
+
+
 def image_table(
-    g: SemidirectGroup, xs: np.ndarray, enumeration_cap: int | None = None
+    g: SemidirectGroup,
+    xs: np.ndarray,
+    enumeration_cap: int | None = None,
+    codes: np.ndarray | None = None,
 ) -> np.ndarray:
     """A-index of sum_j conj_apply(b_j, x_j) for each row x of ``xs`` (per-copy
-    A-indices, copy 1 first) and each b, in column idx_b(b)."""
+    A-indices, copy 1 first) and each b, in column idx_b(b).  ``codes``, from
+    _codes_of_a, holds the codes of all of A; without it the codes of the
+    x components present are built for this batch alone."""
     rows, k = xs.shape
     check_enumeration(g.p, k, enumeration_cap)
-    # Codes only for the x components present: in idx_A order the later
-    # copies take few distinct values per batch.
-    used, inverse = np.unique(xs, return_inverse=True)
-    a = g.a_group
-    codes = _codes(g, used if isinstance(a, CyclicGroup) else index_digits(used, g.p, a.r), k)
-    return _decode(g, _code_sums(codes[inverse.reshape(rows, k)]), k)
+    if codes is None:
+        used, inverse = np.unique(xs, return_inverse=True)
+        codes = _element_codes(g, used, k)
+        xs = inverse.reshape(rows, k)
+    return _decode(g, _code_sums(codes[xs]), k)
 
 
 def eta_rows(images: np.ndarray, a_order: int) -> np.ndarray:
@@ -515,11 +542,144 @@ def eta_chunks(g: SemidirectGroup, k: int, enumeration_cap: int | None = None):
     """eta rows of every x in idx_A order, a chunk of about _CHUNK elements at a time."""
     check_enumeration(g.p, k, enumeration_cap)
     a_order = g.a_group.order
+    codes = _codes_of_a(g, k)
     step = max(1, _CHUNK // max(g.p**k, a_order))
     total = a_order**k
     for start in range(0, total, step):
         xs = x_tuples(a_order, k, start, min(start + step, total))
-        yield eta_rows(image_table(g, xs, enumeration_cap), a_order)
+        yield eta_rows(image_table(g, xs, enumeration_cap, codes), a_order)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry orbits of A^k
+
+
+def _prime_factors(n: int) -> list[int]:
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + ([n] if n > 1 else [])
+
+
+@lru_cache(maxsize=16)
+def _divisor_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The divisors d of n as A-indices of Z_n (d mod n, ascending), and
+    phi(n/d), the number of x in Z_n with gcd(x, n) = d."""
+    primes = _prime_factors(n)
+    divisors = [1]
+    for q in primes:
+        powers = [1]
+        while n % (powers[-1] * q) == 0:
+            powers.append(powers[-1] * q)
+        divisors = [d * e for d in divisors for e in powers]
+    divisors.sort(key=lambda d: d % n)
+    sizes = []
+    for d in divisors:
+        m = n // d
+        for q in primes:
+            if m % q == 0:
+                m = m // q * (q - 1)
+        sizes.append(m)
+    reps = np.array([d % n for d in divisors], dtype=np.int64)
+    weights = np.array(sizes, dtype=np.int64)
+    reps.flags.writeable = weights.flags.writeable = False
+    return reps, weights
+
+
+def _unit_class_count(a) -> int:
+    if isinstance(a, CyclicGroup):
+        return len(_divisor_classes(a.n)[0])
+    return 1 + (a.order - 1) // (a.p - 1)
+
+
+def _unit_classes(a, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A-index and size of the unit classes {c x : c a unit} with the given
+    ranks, in A-index order of their representatives."""
+    if isinstance(a, CyclicGroup):
+        reps, sizes = _divisor_classes(a.n)
+        return reps[ranks], sizes[ranks]
+    # Rank 0 is the zero vector; the representatives with their leading 1 in
+    # digit e (counted from the least significant) are A-indices
+    # [p^e, 2 p^e), at ranks from 1 + (p^e - 1)/(p - 1).
+    p = a.p
+    powers = p ** np.arange(a.r, dtype=np.int64)
+    starts = 1 + (powers - 1) // (p - 1)
+    e = np.searchsorted(starts, ranks, side="right") - 1
+    nonzero = ranks > 0
+    return np.where(nonzero, powers[e] + ranks - starts[e], 0), np.where(nonzero, p - 1, 1)
+
+
+def _colex_tables(n: int, m: int) -> list[np.ndarray]:
+    """tables[j][c] = C(c, j + 1) for c in [0, n + m - 1): the combinatorial
+    number system of m-element subsets of [0, n + m - 1)."""
+    tables = []
+    for _ in range(m):
+        below = tables[-1] if tables else np.ones(n + m - 1, dtype=np.int64)
+        tables.append(np.concatenate(([0], np.cumsum(below)[:-1])))
+    return tables
+
+
+def _multisets(
+    tables: list[np.ndarray], ranks: np.ndarray, dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nondecreasing m-tuples y with the given colex ranks, shape (rows, m), and
+    the number of distinct orderings of each, m!/prod(mult!), as ``dtype``.
+
+    Rank r is sum_j C(c_j, j + 1) for the subset c_0 < ... < c_{m-1} with
+    c_j = y_j + j, unranked greedily from the top."""
+    m = len(tables)
+    ys = np.empty((ranks.size, m), dtype=np.int64)
+    rest = ranks.copy()
+    for j in range(m - 1, -1, -1):
+        c = np.searchsorted(tables[j], rest, side="right") - 1
+        rest -= tables[j][c]
+        ys[:, j] = c - j
+    orderings = np.ones(ranks.size, dtype=dtype)
+    run = np.ones(ranks.size, dtype=np.int64)
+    for j in range(1, m):
+        run = np.where(ys[:, j] == ys[:, j - 1], run + 1, 1)
+        orderings = orderings * (j + 1) // run
+    return ys, orderings
+
+
+def orbit_rows(a, k: int) -> int:
+    """Rows the orbit walk evaluates: unit classes of x_1 times multisets of
+    x_2..x_k."""
+    return _unit_class_count(a) * math.comb(a.order + k - 2, k - 1)
+
+
+def eta_orbits(g: SemidirectGroup, k: int, enumeration_cap: int | None = None):
+    """(weights, eta rows) over one x per symmetry orbit of A^k, a chunk of
+    about _CHUNK elements at a time; weights[i] is the orbit size of row i.
+
+    Summing weight times any function of the row's eta multiset gives its
+    sum over all of A^k.  Weights are int64 while |A|^(k+1) < 2^63 and
+    Python ints beyond that."""
+    check_enumeration(g.p, k, enumeration_cap)
+    a = g.a_group
+    multisets = math.comb(a.order + k - 2, k - 1)
+    rows = _unit_class_count(a) * multisets
+    if rows >= 2**63:
+        raise CapExceeded(f"{rows} orbit rows exceed int64")
+    dtype = np.int64 if a.order ** (k + 1) < 2**63 else object
+    tables = _colex_tables(a.order, k - 1)
+    codes = _codes_of_a(g, k)
+    step = max(1, _CHUNK // max(g.p**k, a.order))
+    total = 0
+    for start in range(0, rows, step):
+        ranks = np.arange(start, min(start + step, rows), dtype=np.int64)
+        first, sizes = _unit_classes(a, ranks // multisets)
+        rest, orderings = _multisets(tables, ranks % multisets, dtype)
+        weights = sizes.astype(dtype) * orderings
+        total += int(weights.sum())
+        xs = np.column_stack([first, rest])
+        yield weights, eta_rows(image_table(g, xs, enumeration_cap, codes), a.order)
+    if total != a.order**k:
+        raise AssertionError(f"orbit weights sum to {total}, not |A|^k = {a.order**k}")
 
 
 def eta_statistics(
@@ -534,14 +694,23 @@ def eta_statistics(
     """Exact (exhaustive) or sampled histogram of eta over (x, w) pairs."""
     a = g.a_group
     check_enumeration(g.p, k, enumeration_cap)
-    hist = np.zeros(g.p**k + 1, dtype=np.int64)
+    size = g.p**k + 1
     if mode == "exhaustive":
         population = a.order ** (k + 1)
         limit = pop_cap(cap)
-        if population > limit:
-            raise CapExceeded(f"population {population} exceeds cap {limit}")
-        for eta in eta_chunks(g, k, enumeration_cap):
-            hist += np.bincount(eta.ravel(), minlength=hist.size)
+        # The cap bounds the (x, w) pairs evaluated, at least |A| of them;
+        # testing |A| first keeps a large N from being factored.
+        if a.order > limit or orbit_rows(a, k) * a.order > limit:
+            raise CapExceeded(
+                f"(x, w) pairs over the symmetry orbits of population {population} "
+                f"exceed cap {limit}"
+            )
+        hist = 0
+        for weights, eta in eta_orbits(g, k, enumeration_cap):
+            # weight times each row's own histogram of eta over w
+            rows = len(eta)
+            flat = (eta + size * np.arange(rows, dtype=np.int64)[:, None]).ravel()
+            hist = hist + weights @ np.bincount(flat, minlength=rows * size).reshape(rows, size)
         counts_map = {int(eta): int(c) for eta, c in enumerate(hist) if c}
         return EtaStats(counts_map, population, "exhaustive")
     if mode == "sampled":
@@ -550,6 +719,7 @@ def eta_statistics(
         if not samples or samples < 1:
             raise ValueError("sampled mode requires a positive sample count")
         rng = random.Random(seed)
+        hist = np.zeros(size, dtype=np.int64)
         # Row: x_1..x_k then w, drawn in that order for each sample.
         draws = np.array(
             [[rng.randrange(a.order) for _ in range(k + 1)] for _ in range(samples)],

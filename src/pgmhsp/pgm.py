@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import SemidirectGroup
-from .msum import EtaStats, eta_chunks, eta_rows, eta_statistics, image_table
+from .msum import EtaStats, eta_chunks, eta_orbits, eta_rows, eta_statistics, image_table
 from .states import (
     a_tuple_from_index,
     block_images,
@@ -161,9 +161,14 @@ def trivial_state_outcome_distribution(
     enumeration_cap: int | None = None,
 ) -> tuple[np.ndarray, float]:
     """Outcome probabilities for the maximally mixed (trivial-subgroup)
-    input, plus the leftover mass outside the ensemble support."""
+    input, plus the leftover mass outside the ensemble support.  The support
+    dimension, the number of (x, w) with eta^x_w > 0, is an exact integer
+    summed over the symmetry orbits of x (msum.eta_orbits)."""
     a = g.a_group
-    support = sum(int(np.count_nonzero(eta)) for eta in eta_chunks(g, k, enumeration_cap))
+    support = sum(
+        int(weights @ np.count_nonzero(eta, axis=1))
+        for weights, eta in eta_orbits(g, k, enumeration_cap)
+    )
     dim = g.order**k
     per_outcome = support / (dim * a.order)
     probs = np.full(a.order, per_outcome)

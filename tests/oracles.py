@@ -22,7 +22,7 @@ from pgmhsp.groups import (
     element_mul,
     heisenberg_group,
 )
-from pgmhsp.msum import MSumInstance, eta_rows, image_table
+from pgmhsp.msum import MSumInstance, eta_chunks, eta_rows, image_table
 from pgmhsp.pgm import POVM, OptimalityReport, build_pgm
 from pgmhsp.states import _phase_roots, block_images, characters, check_dim, coset_state
 
@@ -70,6 +70,15 @@ def solve_all_w(g: SemidirectGroup, x: tuple) -> dict:
     for b, total in _enumerate(g, x):
         buckets.setdefault(total, []).append(b)
     return buckets
+
+
+def eta_histogram_all_x(g: SemidirectGroup, k: int) -> dict[int, int]:
+    """eta value -> number of (x, w) pairs, from the eta rows of all |A|^k x
+    (the reference for the histogram over symmetry orbits)."""
+    hist = np.zeros(g.p**k + 1, dtype=np.int64)
+    for eta in eta_chunks(g, k):
+        hist += np.bincount(eta.ravel(), minlength=hist.size)
+    return {int(eta): int(c) for eta, c in enumerate(hist) if c}
 
 
 def heisenberg_eta_distribution(p: int) -> dict[int, Fraction]:

@@ -7,7 +7,10 @@ import sys
 import pytest
 
 from pgmhsp.cli import main
+from pgmhsp.groups import parse_group_spec
 from pgmhsp.jsonio import dumps
+
+from oracles import eta_histogram_all_x
 
 
 def run_cli(args, stdin_text=None):
@@ -202,6 +205,18 @@ def test_eta_stats_exhaustive(tmp_path):
     assert summary["population"] == 729
     assert summary["mean"] == 1.0
     assert summary["mode"] == "exhaustive"
+
+
+def test_eta_stats_orbit_census_under_default_caps():
+    # population 5^12 exceeds the 10^8 cap; the walk over symmetry orbits
+    # evaluates 32 unit classes x 7875 multisets x 125 w = 3.15e7 pairs
+    proc = run_cli(["eta-stats", "--group", "zpr p=5 jordan=3", "--k", "3"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    end = lines.index("{")
+    counts = {int(a): int(b) for a, b in (line.split(",") for line in lines[1:end])}
+    assert json.loads("\n".join(lines[end:]))["population"] == 5**12
+    assert counts == eta_histogram_all_x(parse_group_spec("zpr p=5 jordan=3"), 3)
 
 
 def test_eta_stats_sampled_requires_seed():

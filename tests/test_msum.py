@@ -35,7 +35,12 @@ from pgmhsp.msum import (
 )
 from pgmhsp.states import b_tuple_index
 
-from oracles import heisenberg_eta_distribution, instance_residual, solve_all_w
+from oracles import (
+    eta_histogram_all_x,
+    heisenberg_eta_distribution,
+    instance_residual,
+    solve_all_w,
+)
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)
@@ -354,6 +359,88 @@ def test_image_table_decodes_digits_in_groups(monkeypatch):
         check_table_against_enumeration(parse_group_spec("zpr p=2 jordan=2,2,1"), 2)
     finally:
         msum._decoder.cache_clear()
+
+
+# the divisor classes of a composite N with two prime factors: 1, 3, 7, 21
+ORBIT_GROUPS = TABLE_GROUPS + ["zn N=21 p=3 mu=4"]
+
+
+@pytest.mark.parametrize("spec", ORBIT_GROUPS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orbit_histogram_matches_all_x_oracle(spec, k):
+    g = parse_group_spec(spec)
+    stats = eta_statistics(g, k)
+    assert stats.counts == eta_histogram_all_x(g, k)
+    assert stats.population == g.a_group.order ** (k + 1)
+
+
+@pytest.mark.parametrize("spec", ORBIT_GROUPS + ["zn N=12 p=2 mu=5", "zpr p=5 jordan=2,1"])
+def test_unit_classes_partition_a(spec):
+    # brute force: the class of x is {c x : c a unit}; its least A-index is
+    # the representative (d for gcd(x, N) = d, or the leading coordinate 1)
+    a = parse_group_spec(spec).a_group
+    if isinstance(a, VectorGroup):
+        units = [lambda v, c=c: tuple(c * t % a.p for t in v) for c in range(1, a.p)]
+    else:
+        units = [lambda v, c=c: c * v % a.n for c in range(1, a.n) if math.gcd(c, a.n) == 1]
+    classes = {}
+    for x in a.elements():
+        rep = min(a.index(unit(x)) for unit in units)
+        classes[rep] = classes.get(rep, 0) + 1
+    count = msum._unit_class_count(a)
+    reps, sizes = msum._unit_classes(a, np.arange(count))
+    assert dict(zip(reps.tolist(), sizes.tolist())) == classes
+    assert reps.tolist() == sorted(classes)
+
+
+@pytest.mark.parametrize("spec,k", [("zn N=21 p=3 mu=4", 4), ("zpr p=3 jordan=3", 4),
+                                    ("zn N=7 p=3 mu=2", 6)])
+def test_orbit_weights_sum_to_population(spec, k):
+    g = parse_group_spec(spec)
+    a = g.a_group
+    seen, total, rows = set(), 0, 0
+    for weights, eta in msum.eta_orbits(g, k):
+        assert weights.dtype == np.int64
+        total += int(weights.sum())
+        rows += len(eta)
+    assert total == a.order**k
+    assert rows == msum.orbit_rows(a, k)
+    # the multisets of copies 2..k are distinct and nondecreasing
+    tables = msum._colex_tables(a.order, k - 1)
+    count = math.comb(a.order + k - 2, k - 1)
+    ys, orderings = msum._multisets(tables, np.arange(count), np.int64)
+    assert (np.diff(ys, axis=1) >= 0).all()
+    assert len({tuple(y) for y in ys.tolist()}) == count
+    assert int(orderings.sum()) == a.order ** (k - 1)
+
+
+def test_orbit_walk_checks_its_weights(monkeypatch):
+    classes = msum._unit_classes
+    monkeypatch.setattr(msum, "_unit_classes", lambda a, ranks: (classes(a, ranks)[0], ranks * 0 + 1))
+    with pytest.raises(AssertionError, match="orbit weights"):
+        eta_statistics(Z7, 2)
+
+
+def test_orbit_weights_beyond_int64_are_python_ints():
+    # |A|^(k+1) = 2097169^3 > 2^63: the weights are exact Python ints
+    g = parse_group_spec("zn N=2097169 p=3 mu=315549")
+    weights, eta = next(msum.eta_orbits(g, 2))
+    assert weights.dtype == object
+    assert weights.tolist() == [1]  # x = (0, 0)
+    assert eta.shape == (1, 2097169)
+
+
+def test_population_cap_bounds_orbit_pairs():
+    # Z7, k = 2: 2 unit classes x 7 multisets = 14 rows, 98 (x, w) pairs
+    assert msum.orbit_rows(Z7.a_group, 2) == 14
+    stats = eta_statistics(Z7, 2, cap=98)
+    assert stats.population == 343
+    assert stats.counts == eta_histogram_all_x(Z7, 2)
+    with pytest.raises(CapExceeded, match="cap 97"):
+        eta_statistics(Z7, 2, cap=97)
+    # |A| alone above the cap: no factoring of N
+    with pytest.raises(CapExceeded):
+        eta_statistics(parse_group_spec("zn N=2097169 p=3 mu=315549"), 1, cap=10**6)
 
 
 def check_solvers_against_enumeration(g, k, max_rows):
