@@ -340,6 +340,16 @@ def _run_hsp_pgm(args) -> int:
 # Parser
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgmhsp",
@@ -380,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run, "enum", "pop")
     p_run.add_argument("--algo", choices=["pgm", "stripped"], default="pgm")
     p_run.add_argument("--k", type=int, default=1)
-    p_run.add_argument("--trials", type=int, default=None)
+    p_run.add_argument("--trials", type=_nonnegative_int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--exact", action="store_true", help="full-branch aggregation")
     p_run.add_argument("--fixture", help="oracle fixture JSON path")

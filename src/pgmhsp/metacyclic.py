@@ -7,6 +7,16 @@ b -> x*M^(b) -> mu^b -> b, inverse Fourier transform, and observe.  For
 every accepted x the observation lands on d with probability exactly
 p/N, giving an overall success rate of phi(N) * p / N^2.
 
+``run_stripped_algorithm`` records every step of one run.  The Monte Carlo
+estimate runs the statevector once, for d = 1, ell = 0 and x = 1, and gives
+each trial its two laws in O(N) by relabelling that run:
+
+* the coset offset ell only multiplies the state by a global phase, and the
+  post-QFT state of label d is psi_d[x, b] = omega^(x M^(b) d) / sqrt(Np),
+  the d = 1 state with row x relabelled to x*d mod N;
+* the outcome law of (d, x) at y is the law of (d, x) = (0, 1) at
+  x*(y - d) mod N.
+
 Requires gcd(mu - 1, N) = 1 so the erasure identity
 (mu - 1) M^(b) = mu^b - 1 determines b from x*M^(b).
 """
@@ -78,6 +88,14 @@ class SimTranscript:
     success: bool | None = None
 
 
+def _draw(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """rng.choice(len(weights), p=weights / weights.sum()), computed as
+    Generator.choice does: one rng.random() against the normalised cdf."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def run_stripped_algorithm(
     n: int,
     p: int,
@@ -90,20 +108,7 @@ def run_stripped_algorithm(
     g = _validate(n, p, mu)
     if rng is None:
         rng = np.random.default_rng(seed)
-    return _run_trial(g, msum_table(g), {}, d, ell, rng)
-
-
-def _run_trial(
-    g: SemidirectGroup,
-    table: tuple,
-    ancillas: dict[int, list[int]],
-    d: int,
-    ell: int,
-    rng: np.random.Generator,
-) -> SimTranscript:
-    """One run on a validated group with its M^(b) table; ``ancillas`` caches
-    the checked _ancilla_values of each measured x across runs."""
-    n, p, mu = g.a_group.n, g.p, g.mu
+    table = msum_table(g)
     d %= n
     ell %= n
     t = SimTranscript(n, p, mu, d, ell)
@@ -120,8 +125,7 @@ def _run_trial(
 
     # Measure x: marginal over the second register.
     marginal = np.abs(psi.reshape(n, p)) ** 2
-    px = marginal.sum(axis=1)
-    x = int(rng.choice(n, p=px / px.sum()))
+    x = _draw(marginal.sum(axis=1), rng)
     t.measured_x = x
     collapsed = np.zeros_like(psi)
     collapsed[x * p : (x + 1) * p] = psi[x * p : (x + 1) * p]
@@ -138,9 +142,7 @@ def _run_trial(
     # Then erase b, which the ancilla determines (checked by _ancilla_values).
     joint = np.zeros(p * n, dtype=complex)
     erased = np.zeros(n, dtype=complex)
-    if x not in ancillas:
-        ancillas[x] = _ancilla_values(x, p, mu, n)
-    for b, value in enumerate(ancillas[x]):
+    for b, value in enumerate(_ancilla_values(x, p, mu, n)):
         joint[b * n + value] = b_state[b]
         erased[value] = b_state[b]
     t.steps["post_compute"] = joint
@@ -151,10 +153,26 @@ def _run_trial(
     t.steps["post_inverse_qft"] = final
     dist = np.abs(final) ** 2
     t.final_distribution = dist
-    outcome = int(rng.choice(n, p=dist / dist.sum()))
+    outcome = _draw(dist, rng)
     t.measured_outcome = outcome
     t.success = outcome == d
     return t
+
+
+def _base_laws(n: int, p: int, table: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The x-law of label d = 1 and the outcome law of (d, x) = (0, 1), from
+    one run of the statevector steps with d = 1, ell = 0 and x = 1."""
+    values = np.array(table)
+    psi = np.zeros((n, p), dtype=complex)
+    psi[values, np.arange(p)] = 1 / math.sqrt(p)
+    psi = np.fft.ifft(psi, axis=0, norm="ortho")
+    x_law = (np.abs(psi) ** 2).sum(axis=1)
+    # Collapse onto x = 1, whose ancilla values are M^(b) themselves.
+    erased = np.zeros(n, dtype=complex)
+    erased[values] = psi[1] / np.linalg.norm(psi[1])
+    outcome_law = np.abs(np.fft.fft(erased, norm="ortho")) ** 2
+    # The law of (1, 1) at y is the law of (0, 1) at y - 1.
+    return x_law, np.roll(outcome_law, -1)
 
 
 def perfect_state_overlap(n: int, p: int, mu: int, d: int, x: int) -> float:
@@ -251,6 +269,8 @@ def estimate_success_rate(
     Wilson interval; passes when the interval's upper edge clears the
     phi(N) p / N^2 bound.  Zero trials make no claim.  With ``collect``
     the per-trial records are kept for transcript emission."""
+    if trials < 0:
+        raise ValueError(f"trials must not be negative, got {trials}")
     g = _validate(n, p, mu)
     bound = success_bound(n, p)
     if trials == 0:
@@ -261,25 +281,34 @@ def estimate_success_rate(
     valid_d = [d for d in range(n) if subgroup_order(d, g) == p]
     if len(valid_d) != n:
         raise AssertionError("some d fails to generate an order-p subgroup")
+    x_law, outcome_law = _base_laws(n, p, msum_table(g))
+    labels = np.arange(n)
+    checked: set[int] = set()
     successes = 0
     records = []
-    table = msum_table(g)
-    ancillas: dict[int, list[int]] = {}
     for trial in range(trials):
         d = valid_d[int(rng.integers(len(valid_d)))]
-        ell = int(rng.integers(n))
-        t = _run_trial(g, table, ancillas, d, ell, rng)
-        successes += bool(t.success)
+        ell = int(rng.integers(n))  # a global phase: neither law depends on it
+        x = _draw(x_law[labels * d % n], rng)
+        accepted = math.gcd(x, n) == 1
+        outcome = None
+        if accepted:
+            if x not in checked:
+                _ancilla_values(x, p, mu, n)  # the erasure round trip for x
+                checked.add(x)
+            outcome = _draw(outcome_law[(labels - d) * x % n], rng)
+        success = outcome == d
+        successes += success
         if collect:
             records.append(
                 {
                     "trial": trial,
                     "d": d,
                     "ell": ell,
-                    "measured_x": t.measured_x,
-                    "accepted": t.accepted,
-                    "outcome": t.measured_outcome,
-                    "success": bool(t.success),
+                    "measured_x": x,
+                    "accepted": accepted,
+                    "outcome": outcome,
+                    "success": success,
                 }
             )
     rate = successes / trials

@@ -376,3 +376,77 @@ def test_pgm_report_heisenberg_k2_within_budget():
     doc = json.loads(proc.stdout)
     assert abs(doc["pr_formula"] - doc["pr_trace"]) < 1e-10
     assert doc["optimality"]["pass"] is True
+
+
+def test_run_hsp_rejects_negative_trials(tmp_path):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"group": "zn N=7 p=3 mu=2", "hidden": "trivial"}))
+    for argv in (
+        ["--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--seed", "1"],
+        ["--algo", "pgm", "--fixture", str(fixture), "--seed", "1"],
+    ):
+        for trials in ("-5", "-1", "five"):
+            assert main(["run-hsp", *argv, "--trials", trials]) == 2, (argv, trials)
+        assert main(["run-hsp", *argv, "--trials", "0"]) == 0, argv
+
+
+# stdout and the sha256 of the --out JSONL of seeded Monte Carlo runs; a
+# change to the trial loop must reproduce them byte for byte
+STRIPPED_GOLDEN = [
+    (
+        "zn N=7 p=3 mu=2",
+        10000,
+        "cf4680353333b94d45f411e2921ca7e3b03c36307b9d0c27949e6aa64756f94b",
+        """{
+  "N": 7,
+  "bound": 0.36734693877551022,
+  "empirical_rate": 0.37080000000000002,
+  "mu": 2,
+  "p": 3,
+  "pass": true,
+  "seed": 17,
+  "successes": 3708,
+  "trials": 10000,
+  "wilson_99": [
+    0.35844775134784662,
+    0.38332358070327949
+  ]
+}
+""",
+    ),
+    (
+        "zn N=31 p=5 mu=2",
+        2000,
+        "86490f929ddc5d5eea07524deeb972519434015f4a465f3102bab64d8a527221",
+        """{
+  "N": 31,
+  "bound": 0.15608740894901144,
+  "empirical_rate": 0.16700000000000001,
+  "mu": 2,
+  "p": 5,
+  "pass": true,
+  "seed": 17,
+  "successes": 334,
+  "trials": 2000,
+  "wilson_99": [
+    0.14662595666316297,
+    0.18957615850176573
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,trials,jsonl_sha256,stdout", STRIPPED_GOLDEN)
+def test_run_hsp_stripped_golden_bytes(tmp_path, spec, trials, jsonl_sha256, stdout):
+    import hashlib
+
+    out = tmp_path / "trials.jsonl"
+    proc = run_cli(
+        ["run-hsp", "--algo", "stripped", "--group", spec, "--trials", str(trials),
+         "--seed", "17", "--out", str(out)]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stdout
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == jsonl_sha256

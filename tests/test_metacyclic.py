@@ -267,3 +267,71 @@ def test_rejected_fraction_matches_unit_density():
     est = estimate_success_rate(7, 3, 2, 3000, seed=2, collect=True)
     rejected = sum(1 for rec in est.trial_records if not rec["accepted"])
     assert abs(rejected / 3000 - (1 - 6 / 7)) < 0.03
+
+
+def test_estimate_rejects_negative_trials():
+    with pytest.raises(ValueError):
+        estimate_success_rate(7, 3, 2, -5, seed=1)
+
+
+def test_draw_matches_generator_choice():
+    # same index and same generator state afterwards as Generator.choice
+    laws = np.random.default_rng(0)
+    for seed in range(500):
+        size = 1 if seed % 50 == 0 else int(laws.integers(2, 40))
+        w = laws.random(size)
+        w[laws.random(size) < 0.3] = 0.0
+        if not w.any():
+            w[int(laws.integers(size))] = 1.0
+        w *= laws.choice([1e-6, 1.0, 1e6])
+        reference, drawing = np.random.default_rng(seed), np.random.default_rng(seed)
+        index = metacyclic._draw(w, drawing)
+        assert index == int(reference.choice(size, p=w / w.sum())), seed
+        assert w[index] > 0
+        assert drawing.random() == reference.random()
+
+
+@pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (31, 5, 2)])
+def test_relabelled_laws_match_transcripts(monkeypatch, n, p, mu):
+    # Force each measured x; the laws run_stripped_algorithm draws from must
+    # be the base laws of the estimate relabelled by d and x.
+    x_law, outcome_law = metacyclic._base_laws(n, p, msum_table(semidirect_zn(n, p, mu)))
+    labels = np.arange(n)
+    drawn = []
+
+    def forced_draw(weights, rng):
+        drawn.append(weights)
+        return forced_x if len(drawn) == 1 else 0
+
+    monkeypatch.setattr(metacyclic, "_draw", forced_draw)
+    rejected = 0
+    for d in range(n):
+        for ell in range(n):
+            for forced_x in range(n):
+                drawn.clear()
+                t = run_stripped_algorithm(n, p, mu, d, ell, seed=0)
+                assert t.measured_x == forced_x
+                assert np.abs(drawn[0] - x_law[labels * d % n]).max() < 1e-12
+                if not t.accepted:
+                    rejected += 1
+                    assert len(drawn) == 1
+                    continue
+                assert drawn[1] is t.final_distribution
+                relabelled = outcome_law[(labels - d) * forced_x % n]
+                assert np.abs(t.final_distribution - relabelled).max() < 1e-12
+    assert rejected == n * n * (n - sum(math.gcd(x, n) == 1 for x in range(n)))
+
+
+def test_estimate_memory_stays_linear_in_n():
+    # the statevector of one run is N x p complex amplitudes (0.45 MiB at
+    # N = 9901); a cache of laws per d alone would take N^2 floats (748 MiB)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        est = estimate_success_rate(9901, 3, 99, 500, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.trials == 500
+    assert peak < 8 * 2**20
