@@ -29,9 +29,8 @@ from .msum import (
     eta_statistics,
     solve_auto,
     solve_bruteforce,
-    solve_heisenberg_closed_form,
-    solve_jordan,
     solve_metacyclic_dlog,
+    solve_polynomial,
 )
 from .pgm import (
     POVM,

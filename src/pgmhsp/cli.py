@@ -78,8 +78,8 @@ def cmd_solve_msum(args) -> int:
     if not isinstance(payload, dict):
         raise UsageError("instance document must be a JSON object")
     spec = args.group or payload.get("group")
-    if not spec:
-        raise UsageError("group spec missing (flag --group or instance key 'group')")
+    if not spec or not isinstance(spec, str):
+        raise UsageError("group spec missing (flag --group or string key 'group')")
     g = parse_group_spec(spec)
     a = g.a_group
     try:

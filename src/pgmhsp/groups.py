@@ -126,7 +126,7 @@ class VectorGroup:
     def reduce(self, a) -> tuple[int, ...]:
         if len(a) != self.r:
             raise ValueError(f"expected length-{self.r} vector, got {a!r}")
-        return tuple(c % self.p for c in a)
+        return tuple([c % self.p for c in a])
 
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((u + v) % self.p for u, v in zip(a, b))
@@ -310,14 +310,6 @@ def heisenberg_group(p: int) -> SemidirectGroup:
     return semidirect_jordan(p, (2,))
 
 
-def is_heisenberg(g: SemidirectGroup) -> bool:
-    return (
-        isinstance(g.a_group, VectorGroup)
-        and g.a_group.r == 2
-        and g.mu == ((1, 1), (0, 1))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Automorphism action and the summed maps
 
@@ -345,6 +337,20 @@ def element_inv(x: GroupElement, g: SemidirectGroup) -> GroupElement:
     )
 
 
+def _running_sums(g: SemidirectGroup):
+    """M^(0), M^(1), ... without end, by M^(b+1) = M^(b) + mu^b."""
+    ag = g.a_group
+    if isinstance(ag, CyclicGroup):
+        total, power = 0, 1
+        while True:
+            yield total
+            total, power = (total + power) % ag.n, power * g.mu % ag.n
+    total, power = tuple((0,) * ag.r for _ in range(ag.r)), mat_identity(ag.r)
+    while True:
+        yield total
+        total, power = mat_add(total, power, g.p), mat_mul(power, g.mu, g.p)
+
+
 def matrix_sum(b: int, g: SemidirectGroup):
     """The literal sum M^(b) = sum_{i<b} mu^i of the stored datum.
 
@@ -354,25 +360,13 @@ def matrix_sum(b: int, g: SemidirectGroup):
     """
     if b < 0:
         raise ValueError(f"matrix_sum needs b >= 0, got {b}")
-    ag = g.a_group
-    if isinstance(ag, CyclicGroup):
-        total, power = 0, 1
-        for _ in range(b):
-            total = (total + power) % ag.n
-            power = (power * g.mu) % ag.n
-        return total
-    total = tuple(tuple(0 for _ in range(ag.r)) for _ in range(ag.r))
-    power = mat_identity(ag.r)
-    for _ in range(b):
-        total = mat_add(total, power, g.p)
-        power = mat_mul(power, g.mu, g.p)
-    return total
+    return next(itertools.islice(_running_sums(g), b, None))
 
 
 @lru_cache(maxsize=16)
 def msum_table(g: SemidirectGroup) -> tuple:
-    """M^(b) for b = 0..p-1, cached per group."""
-    return tuple(matrix_sum(b, g) for b in range(g.p))
+    """M^(b) for b = 0..p-1, cached per group: p running sums."""
+    return tuple(itertools.islice(_running_sums(g), g.p))
 
 
 def phi_sum(b: int, a, g: SemidirectGroup):
@@ -451,11 +445,6 @@ def group_elements(g: SemidirectGroup):
 
 def element_index(x: GroupElement, g: SemidirectGroup) -> int:
     return g.a_group.index(x.a) * g.p + x.b
-
-
-def element_from_index(i: int, g: SemidirectGroup) -> GroupElement:
-    ai, b = divmod(i, g.p)
-    return GroupElement(g.a_group.element(ai), b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Solvers and statistics for the matrix sum problem.
 
 An instance is (x, w) with x a k-tuple over A and w in A; the task is to
-find every b in Z_p^k with  sum_j conj_apply(b_j, x_j) = w.  Four solvers
-are provided: brute force, a discrete-log route for Z_N with k = 1, the
-quadratic closed form for the Heisenberg group with k = 2, and linear-slice
-elimination for Z_p^r.  Brute force and elimination scan their candidates
-b as numpy columns of integer image codes, the same codes the eta table is
-built from.  Every specialized solver returns exactly the brute-force
+find every b in Z_p^k with  sum_j conj_apply(b_j, x_j) = w.  Three solvers
+are provided: brute force (Z_N with k > 1), a discrete-log route for Z_N
+with k = 1, and the polynomial route for every Z_p^r group, where
+M^(b) = sum_l C(b, l+1) (mu - I)^l makes the system triangular in b: it
+eliminates the linear layer over F_p, then checks the points of the affine
+family left against the same integer image codes the eta table is built
+from, or, for p beyond a few thousand, root-finds along its lines without
+tabulating Z_p.  Every specialized solver returns exactly the brute-force
 solution set; the tests check both against an independent pure-Python
 enumeration.
 
@@ -22,7 +24,9 @@ chunks and checks that the weights sum to |A|^k.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +39,10 @@ from .groups import (
     CyclicGroup,
     SemidirectGroup,
     VectorGroup,
-    is_heisenberg,
+    mat_add,
+    mat_identity,
+    mat_mul,
+    mat_transpose,
     msum_table,
 )
 
@@ -52,7 +59,7 @@ class MSumInstance:
         a = self.group.a_group
         if len(self.x) < 1:
             raise ValueError("instance needs k >= 1 components")
-        object.__setattr__(self, "x", tuple(a.reduce(xj) for xj in self.x))
+        object.__setattr__(self, "x", tuple([a.reduce(xj) for xj in self.x]))
         object.__setattr__(self, "w", a.reduce(self.w))
 
     @property
@@ -99,6 +106,8 @@ def check_enumeration(p: int, k: int, cap: int | None = None) -> None:
 # 1.5x slower) and keeps batches small.
 _CHUNK = 1 << 16
 _LUT_BITS = 16
+# Points up to which the polynomial solver checks a grid in Python ints.
+_PY_GRID = 64
 
 
 def index_digits(indices: np.ndarray, p: int, r: int) -> np.ndarray:
@@ -133,17 +142,6 @@ def _msum_array(g: SemidirectGroup) -> np.ndarray:
     return table
 
 
-def _digit_images(g: SemidirectGroup, xs: np.ndarray) -> np.ndarray:
-    """Coordinates of M^(b) x for the Z_p^r coordinate vectors ``xs`` (last
-    axis), shape (*xs.shape[:-1], p, r)."""
-    return np.einsum("bij,...j->...bi", _msum_array(g), xs) % g.p
-
-
-def _pack(g: SemidirectGroup, images: np.ndarray, k: int) -> np.ndarray:
-    """Codes of Z_p^r coordinate vectors (last axis), ready for sums of k codes."""
-    return images @ _decoder(g.p, g.a_group.r, k)[3]
-
-
 def _codes(g: SemidirectGroup, xs: np.ndarray, k: int) -> np.ndarray:
     """codes[..., b] codes M^(b) x for the A elements ``xs`` (A-indices for
     Z_N, coordinate vectors along a last axis for Z_p^r), ready for sums of
@@ -154,7 +152,9 @@ def _codes(g: SemidirectGroup, xs: np.ndarray, k: int) -> np.ndarray:
             return xs[..., None] * _msum_array(g) % a.n
         # x * M^(b) would overflow int64: Python-int codes, summed as objects
         return np.array([[x * m % a.n for m in msum_table(g)] for x in xs.tolist()], dtype=object)
-    return _pack(g, _digit_images(g, xs), k)
+    # the digits of M^(b) x, shape (*xs.shape[:-1], p, r), packed
+    digits = np.einsum("bij,...j->...bi", _msum_array(g), xs) % g.p
+    return digits @ _decoder(g.p, a.r, k)[3]
 
 
 def _code_sums(codes: np.ndarray) -> np.ndarray:
@@ -281,172 +281,297 @@ def solve_metacyclic_dlog(inst: MSumInstance, cap: int | None = None) -> Solutio
 
 
 # ---------------------------------------------------------------------------
-# Square roots mod p
+# Polynomial route (Z_p^r)
+#
+# N = mu - I is nilpotent (mu^p = I in characteristic p), so on 0 <= b < p
+# M^(b) = sum_{l+1<p} C(b, l+1) N^l: sum_j M^(b_j) x_j - w is a polynomial of
+# degree <= D = min(r, p - 1) in b, and <= l under a functional y with
+# y N^l = 0; on the first layer (y N = 0) it is linear, sum_j b_j y.x_j - y.w.
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """0 for a = 0, +1 for nonzero squares, -1 for nonsquares."""
-    a %= p
-    if a == 0:
-        return 0
-    s = pow(a, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+@lru_cache(maxsize=1024)
+def _eliminate(rows: tuple, n: int, p: int):
+    """Solve the linear system [rows | rhs] in n unknowns over F_p:
+    (base, directions, free), the solutions being base + sum_i s_i
+    directions[i] with directions[i] 1 at free[i]; None when inconsistent."""
+    rows = [[c % p for c in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(n + 1):
+        i = len(pivots)
+        hit = next((j for j in range(i, len(rows)) if rows[j][col]), None)
+        if hit is None:
+            continue
+        if col == n:
+            return None
+        rows[i], rows[hit] = rows[hit], rows[i]
+        top = rows[i] = [c * pow(rows[i][col], -1, p) % p for c in rows[i]]
+        for j, row in enumerate(rows):
+            if j != i and row[col]:
+                rows[j] = [(u - row[col] * v) % p for u, v in zip(row, top)]
+        pivots.append(col)
+    row_of = dict(zip(pivots, rows))
+    free = tuple(j for j in range(n) if j not in row_of)
+    base = tuple(row_of[j][n] if j in row_of else 0 for j in range(n))
+    directions = tuple(
+        tuple(-row_of[j][c] % p if j in row_of else int(j == c) for j in range(n)) for c in free
+    )
+    return base, directions, free
 
 
 @lru_cache(maxsize=16)
-def _residue_table(p: int) -> dict[int, int]:
-    table: dict[int, int] = {}
-    for x in range(p):
-        table.setdefault(x * x % p, x)
-    return table
+def _layers(g: SemidirectGroup) -> tuple[tuple, int, tuple]:
+    """(basis, linear, powers): a basis of functionals on Z_p^r ordered by the
+    least l with y N^l = 0, the number with y N = 0, and powers[l] = basis N^l
+    for l < D."""
+    p, r = g.p, g.a_group.r
+    n = mat_add(g.mu, tuple(tuple(-c for c in row) for row in mat_identity(r)), p)
+    basis, linear, power = [], 0, n
+    while len(basis) < r:
+        # the y with y N^l = 0 (the kernel of the transpose) that extend the
+        # basis, i.e. leave no combination of basis and y vanishing
+        for y in _eliminate(tuple((*row, 0) for row in mat_transpose(power)), r, p)[1]:
+            if not _eliminate(tuple((*col, 0) for col in zip(*basis, y)), len(basis) + 1, p)[1]:
+                basis.append(y)
+        linear = linear or len(basis)
+        power = mat_mul(power, n, p)
+    powers = [tuple(basis)]
+    while len(powers) < min(r, p - 1):
+        powers.append(mat_mul(powers[-1], n, p))
+    return powers[0], linear, tuple(powers)
 
 
-def sqrt_mod_p(a: int, p: int) -> int:
-    """Deterministic square root mod p; raises if a is a nonresidue.
-
-    Table lookup for p < 10^4, Tonelli-Shanks (smallest-nonresidue
-    variant) above.
-    """
-    a %= p
-    if p < 10**4:
-        root = _residue_table(p).get(a)
-        if root is None:
-            raise ValueError(f"{a} is not a square mod {p}")
-        return root
-    if a == 0:
-        return 0
-    if legendre_symbol(a, p) != 1:
-        raise ValueError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks with the smallest quadratic nonresidue as generator.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre_symbol(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+def _line_cost(p: int, degree: int) -> int:
+    """Root finding on one line, in grid points checked in the same time:
+    powering t^p modulo a polynomial of degree <= ``degree`` takes about
+    degree^2 Python operations per bit of p, each worth some 50 points of
+    the numpy grid scan (35-86 measured at p = 101..1009)."""
+    return 50 * degree * degree * p.bit_length()
 
 
-# ---------------------------------------------------------------------------
-# Heisenberg closed form (k = 2)
+@lru_cache(maxsize=16)
+def _tables(g: SemidirectGroup, k: int) -> tuple:
+    """(codes, rows, linear, decode) for the x of every A-index i: codes[i]
+    from _codes_of_a, rows[i] the same in Python ints, linear[i] = y.x over
+    the linear layer, and decode maps sums of k codes to A-indices; all None
+    when A's codes exceed _CHUNK."""
+    codes = _codes_of_a(g, k)
+    if codes is None:
+        return None, None, None, None
+    p, r = g.p, g.a_group.r
+    lut, bits, width, _ = _decoder(p, r, k)
+    lut, mask = lut.tolist(), lut.size - 1
+    parts = [(bits * q, p**q) for q in range(0, r, width)]
+    decode = lut.__getitem__ if len(parts) == 1 else (lambda u: sum(
+        lut[u >> shift & mask] * scale for shift, scale in parts))
+    basis, linear, _ = _layers(g)
+    ys = np.array(basis[:linear], dtype=np.int64)
+    values = index_digits(np.arange(g.a_group.order), p, r) @ ys.T % p
+    return codes, codes.tolist(), list(map(tuple, values.tolist())), decode
 
 
-def solve_heisenberg_closed_form(
-    inst: MSumInstance, cap: int | None = None
-) -> SolutionSet:
-    """Quadratic closed form for the Heisenberg matrix sum problem.
+def _trim(poly: list) -> list:
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
 
-    With instance columns (x1, y1), (x2, y2) and target (w, v), the
-    discriminant decides the count: two solutions for a nonzero square,
-    one for zero, none for a nonsquare.  Degenerate denominators
-    (y1, y2, or y1 + y2 = 0) fall back to brute force.
-    """
-    g = inst.group
-    if not is_heisenberg(g):
-        raise ValueError("closed form needs the Heisenberg group")
-    if inst.k != 2:
-        raise ValueError("closed form needs k = 2")
-    p = g.p
-    (x1, y1), (x2, y2) = inst.x
-    w, v = inst.w
-    if y1 == 0 or y2 == 0 or (y1 + y2) % p == 0:
-        return solve_bruteforce(inst, cap)
-    delta = (
-        (2 * w * y1 + v * y1 - v * v - 2 * v * x1) * (y1 + y2) * y2
-        + (v * y2 + x1 * y2 - x2 * y1) ** 2
-    ) % p
-    if legendre_symbol(delta, p) == -1:
+
+def _poly_divmod(a: list, m: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder over F_p, coefficients from degree 0."""
+    a, q, inv = list(a), [], pow(m[-1], -1, p)
+    while len(a) >= len(m):
+        q.append(a[-1] * inv % p)
+        for j, mj in enumerate(m, len(a) - len(m)):
+            a[j] = (a[j] - q[-1] * mj) % p
+        a.pop()
+    return q[::-1], _trim(a)
+
+
+def _poly_mulmod(a: list, b: list, m: list, p: int) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _poly_divmod(out, m, p)[1]
+
+
+def _poly_gcd(a: list, b: list, p: int) -> list:
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return [c * pow(a[-1], -1, p) % p for c in a]
+
+
+def _power_minus(base: list, e: int, m: list, p: int, minus: list) -> list:
+    """base^e - minus, mod m over F_p."""
+    power = [1]
+    for bit in bin(e)[2:]:
+        power = _poly_mulmod(power, power, m, p)
+        if bit == "1":
+            power = _poly_mulmod(power, base, m, p)
+    return _trim([(u - v) % p for u, v in itertools.zip_longest(power, minus, fillvalue=0)])
+
+
+def _roots(f: list, p: int) -> list[int]:
+    """The distinct roots in F_p of a polynomial of degree 1..p-1: its gcd h
+    with t^p - t, split by gcd(h, (t + a)^((p-1)/2) - 1) for a = 0, 1, ..."""
+    stack, roots = [_poly_gcd(f, _power_minus([0, 1], p, f, p, [0, 1]), p)], []
+    while stack:
+        h = stack.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        for a in range(p) if len(h) > 2 else ():
+            part = _poly_gcd(h, _power_minus([a, 1], (p - 1) // 2, h, p, [1]), p)
+            if 1 < len(part) < len(h):
+                stack += [part, _poly_divmod(h, part, p)[0]]
+                break
+    return roots
+
+
+def _first_nonvanishing(c: tuple, v: tuple, coefficients: list, offsets: list, p: int):
+    """Coefficients in t of the first functional i, in layer order, for which
+    offsets[i] + sum_{j,l} coefficients[j][l][i] C(b_j, l + 1) does not vanish
+    on the line b = c + t v; None if none does."""
+    terms = []
+    for cj, vj, per_l in zip(c, v, coefficients):
+        binom = [1]
+        for l, column in enumerate(per_l):
+            # C(b, l + 1) = C(b, l) (b - l) / (l + 1) at b = cj + vj t
+            scale = pow(l + 1, -1, p)
+            binom = [(u * (cj - l) + w * vj) * scale % p for u, w in zip([*binom, 0], [0, *binom])]
+            terms.append((column, binom))
+    for i, offset in enumerate(offsets):
+        poly = [offset] + [0] * len(coefficients[0])
+        for column, binom in terms:
+            for m, bm in enumerate(binom):
+                poly[m] += column[i] * bm
+        poly = _trim([u % p for u in poly])
+        if poly:
+            return poly
+    return None
+
+
+def solve_polynomial(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
+    """Z_p^r solver: eliminate the linear layer over F_p, leaving an affine
+    family with f free coordinates.  For p up to _line_cost, check its p^f
+    points against the image codes, in Python ints up to _PY_GRID points
+    and a block at a time beyond; for larger p walk p^(f-1) lines c + t v
+    and check the roots in t of the first functional (in layer order) not
+    vanishing on each, a line with none being all solutions.  The cap
+    bounds that work, counted in grid points, and the solutions written
+    out; nothing of size p is built for the lines."""
+    g, k, p = inst.group, inst.k, inst.group.p
+    a = g.a_group
+    if not isinstance(a, VectorGroup):
+        raise ValueError("polynomial solver needs A = Z_p^r")
+    limit = enum_cap(cap)
+    basis, linear, powers = _layers(g)
+    line = _line_cost(p, len(powers))
+    codes, rows, linear_values, decode = _tables(g, k) if p <= line else (None,) * 4
+    target = a.index(inst.w)
+    if linear_values is None:
+        columns = [[sum(map(operator.mul, y, v)) for y in basis[:linear]]
+                   for v in (*inst.x, inst.w)]
+    else:
+        indices = [a.index(xj) for xj in inst.x]
+        columns = [linear_values[i] for i in (*indices, target)]
+    family = _eliminate(tuple(zip(*columns)), k, p)
+    if family is None:
         return SolutionSet(())
-    root = sqrt_mod_p(delta, p)
-    inv_b1 = pow(y1 * (y1 + y2), -1, p)
-    inv_b2 = pow(y2 * (y1 + y2), -1, p)
-    t1 = v * y1 + x2 * y1 - x1 * y2
-    t2 = v * y2 + x1 * y2 - x2 * y1
-    hits = set()
-    for sign in (root, (-root) % p):
-        b1 = (t1 + sign) * inv_b1 % p
-        b2 = (t2 - sign) * inv_b2 % p
-        hits.add((b1, b2))
+    base, directions, free = family
+    f = len(free)
+    # the grid also tabulates the p values of each b_j
+    walked = max(p**f, p) if p <= line else p ** max(f - 1, 0) * line
+    if walked > limit:
+        raise CapExceeded(f"{walked} grid points of work exceed enumeration cap {limit}")
+    if p <= line and rows is not None and p**f <= _PY_GRID:
+        return _small_grid([rows[i] for i in indices], decode, target, base, directions, free, p)
+    if p <= line:
+        codes = _codes(g, np.array(inst.x), k) if codes is None else codes[indices]
+        return _grid_scan(g, codes, target, base, directions, free)
+    # coefficients[j][l][i] = (basis N^l x_j)_i over the functionals above the linear layer
+    coefficients = [
+        [[sum(map(operator.mul, y, xj)) for y in power[linear:]] for power in powers]
+        for xj in inst.x
+    ]
+    offsets = [-sum(map(operator.mul, y, inst.w)) for y in basis[linear:]]
+    zero = (0,) * k
+    if f == 0:
+        point = _first_nonvanishing(base, zero, coefficients, offsets, p)
+        return SolutionSet((base,) if point is None else ())
+    hits, solved_lines = [], []
+    for steps in itertools.product(range(p), repeat=f - 1):
+        c = base
+        for s, d in zip(steps, directions):
+            c = [(u + s * e) % p for u, e in zip(c, d)]
+        poly = _first_nonvanishing(c, directions[-1], coefficients, offsets, p)
+        if poly is None:  # a basis vanishes: the line solves (written out last)
+            solved_lines.append(c)
+            if walked + p * len(solved_lines) > limit:
+                raise CapExceeded(f"solutions exceed enumeration cap {limit}")
+            continue
+        for t in _roots(poly, p) if len(poly) > 1 else ():
+            b = tuple((u + t * e) % p for u, e in zip(c, directions[-1]))
+            if _first_nonvanishing(b, zero, coefficients, offsets, p) is None:
+                hits.append(b)
+    for c in solved_lines:
+        hits += [tuple((u + t * e) % p for u, e in zip(c, directions[-1])) for t in range(p)]
     return SolutionSet(tuple(hits))
 
 
-# ---------------------------------------------------------------------------
-# Jordan elimination (Z_p^r)
+def _small_grid(rows: list, decode, target: int, base: tuple, directions: tuple,
+                free: tuple, p: int) -> SolutionSet:
+    """The points b = base + sum_i s_i directions[i] of the family whose
+    image, decode(sum_j rows[j][b_j]), is target, over s in
+    itertools.product order in Python ints: the codes of the free copies
+    (b = s_i) and the b of the other moving copies (base_j plus a term
+    below p per direction) are folded one free coordinate at a time."""
+    k, f = len(base), len(free)
+    moving = {j: [base[j]] for j in range(k) if j not in free and any(d[j] for d in directions)}
+    sums = [sum(rows[j][base[j]] for j in range(k) if j not in free and j not in moving)]
+    for j, d in zip(free, directions):
+        sums = [u + e for u in sums for e in rows[j]]
+        for i, seq in moving.items():
+            step = [s * d[i] % p for s in range(p)]
+            moving[i] = [u + e for u in seq for e in step]
+    for j, seq in moving.items():
+        row = rows[j] * (f + 1)
+        sums = [u + row[b] for u, b in zip(sums, seq)]
+    found = [n for n, image in enumerate(map(decode, sums)) if image == target]
+    coords = [[base[j]] * len(found) for j in range(k)]
+    for j, seq in moving.items():
+        coords[j] = [seq[n] % p for n in found]
+    for i, j in enumerate(free):
+        coords[j] = [n // p ** (f - 1 - i) % p for n in found]
+    return SolutionSet(tuple(zip(*coords)))
 
 
-def solve_jordan(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
-    """Z_p^r solver: use a coordinate linear in b to cut enumeration by p.
-
-    A coordinate i qualifies when conj_apply(b, x_j)[i] = b * c_j for all
-    copies; candidates then live on a (k-1)-dimensional slice, where the
-    pivot copy's b is solved from coordinate i, and are checked against the
-    full system.  Without a usable linear coordinate this is plain
-    enumeration.
-    """
-    g = inst.group
-    if not isinstance(g.a_group, VectorGroup):
-        raise ValueError("jordan solver needs A = Z_p^r")
-    p, r, k = g.p, g.a_group.r, inst.k
-    check_enumeration(p, k, cap)
-    images = _digit_images(g, np.array(inst.x))
-    # images[j, b, i] = b * c[j, i] for every copy j and b: coordinate i is linear.
-    coeffs = images[:, 1, :]
-    linear = (images == np.arange(p)[:, None] * coeffs[:, None, :] % p).all(axis=(0, 1))
-
-    pivot = None
-    for i, (is_linear, column) in enumerate(zip(linear.tolist(), coeffs.T.tolist())):
-        if not is_linear:
-            continue
-        nonzero = [j for j, c in enumerate(column) if c]
-        if nonzero:
-            pivot = i, nonzero[0], column
-            break
-        if inst.w[i] != 0:
-            return SolutionSet(())
-    if pivot is None:
-        return solve_bruteforce(inst, cap)
-
-    # Slice index t runs over the other copies' b in idx_b order; the pivot
-    # copy's b solves coordinate i: c_j0 b_j0 = w_i - sum_{j != j0} c_j b_j.
-    # That sum is digit i of the other copies' code sum, read from its field.
-    i, j0, column = pivot
-    inv = pow(column[j0], -1, p)
-    codes = _pack(g, images, k)
-    bits = _decoder(p, r, k)[1]
-    shift, mask = bits * (r - 1 - i), (1 << bits) - 1
-    target = g.a_group.index(inst.w)
-    below = p**j0
-    hits = []
-    for first, sums in _column_blocks(codes[[j for j in range(k) if j != j0]]):
-        b_pivot = ((inst.w[i] - (sums >> shift & mask)) * inv % p).astype(np.int64, copy=False)
-        found = (_decode(g, sums + codes[j0][b_pivot], k) == target).nonzero()[0]
+def _grid_scan(g: SemidirectGroup, codes: np.ndarray, target: int, base: tuple,
+               directions: tuple, free: tuple) -> SolutionSet:
+    """_small_grid as one numpy scan over blocks of the free copies'
+    columns (_column_blocks); each other copy adds codes[j, b_j] with b_j
+    summed over the same blocks from s_i directions[i][j]."""
+    p, (k, _), f = g.p, codes.shape, len(free)
+    others = [j for j in range(k) if j not in free]
+    moves = np.array(directions, dtype=np.int64).reshape(f, k)
+    steps = [np.arange(p) * moves[:, j, None] for j in others]  # s * directions[i][j]
+    hits = [np.zeros(0, dtype=np.int64)]
+    blocks = zip(_column_blocks(codes[list(free)]), *map(_column_blocks, steps))
+    for (first, sums), *shifts in blocks:
+        for j, (_, shift) in zip(others, shifts):
+            sums = sums + codes[j][(base[j] + shift) % p]
+        found = (_decode(g, sums, k) == target).nonzero()[0]
         if found.size:
-            t = first + found
-            hits.append(t // below * (below * p) + b_pivot[found] * below + t % below)
-    return _solution_set(hits, p, k)
+            hits.append(first + found)
+    s = np.concatenate(hits)[:, None] // p ** np.arange(f, dtype=np.int64) % p
+    b = (np.array(base, dtype=np.int64) + s @ moves) % p
+    return SolutionSet(tuple(map(tuple, b.tolist())))
 
 
 def solve_auto(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
     """Route an instance to the most specific solver for its group shape."""
-    g = inst.group
-    if isinstance(g.a_group, CyclicGroup) and inst.k == 1:
+    if isinstance(inst.group.a_group, VectorGroup):
+        return solve_polynomial(inst, cap)
+    if inst.k == 1:
         return solve_metacyclic_dlog(inst, cap)
-    if is_heisenberg(g) and inst.k == 2:
-        return solve_heisenberg_closed_form(inst, cap)
-    if isinstance(g.a_group, VectorGroup):
-        return solve_jordan(inst, cap)
     return solve_bruteforce(inst, cap)
 
 

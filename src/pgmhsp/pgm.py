@@ -19,7 +19,6 @@ import numpy as np
 from .groups import SemidirectGroup
 from .msum import EtaStats, eta_chunks, eta_orbits, eta_rows, eta_statistics, image_table
 from .states import (
-    a_tuple_from_index,
     block_images,
     characters,
     check_dim,
@@ -361,41 +360,6 @@ def quantum_sample_vector(
         vec[hits] = 1.0 / np.sqrt(eta)
     prob = 1.0 / eta if eta else 0.0
     return QuantumSample(vec, eta, prob)
-
-
-def simulate_neumark_outcomes(
-    k: int,
-    g: SemidirectGroup,
-    d,
-    cap: int | None = None,
-    enumeration_cap: int | None = None,
-) -> np.ndarray:
-    """Measurement simulation through the per-block unitaries.
-
-    Measure the block label x (uniform for these states), apply the
-    adjoint block unitary, Fourier transform the w register, and read out
-    j; returns the aggregated outcome distribution over A.
-    """
-    check_dim(g, k, cap)
-    a = g.a_group
-    images = block_images(g, k, enumeration_cap)
-    chi_d = characters(a, a.reduce(d))
-    pk = g.p**k
-    probs = np.zeros(a.order)
-    block_weight = 1.0 / a.order**k
-    for xi in range(a.order**k):
-        x = a_tuple_from_index(a, xi, k)
-        block = build_neumark(x, k, g, enumeration_cap)
-        u = chi_d[images[xi]] / math.sqrt(pk)
-        embedded = np.zeros(block.unitary.shape[0], dtype=complex)
-        embedded[:pk] = u
-        coeffs = block.unitary.conj().T @ embedded
-        leak = np.linalg.norm(coeffs[a.order :])
-        if leak > UNITARITY_TOL:
-            raise AssertionError(f"state leaked {leak} outside the w register")
-        outcome_amps = fft_over_a(a, coeffs[: a.order], norm="ortho")
-        probs += block_weight * np.abs(outcome_amps) ** 2
-    return probs
 
 
 # ---------------------------------------------------------------------------

@@ -313,18 +313,6 @@ def reduce_to_cyclic(f: HidingFunction, g: SemidirectGroup) -> ReductionResult:
     return ReductionResult(reduced=ReducedProblem(g, h1, g2, f2, lift, project))
 
 
-def quotient_well_defined(f: HidingFunction, g: SemidirectGroup, reduced: ReducedProblem) -> bool:
-    """Exhaustive check: f is constant on each representative fiber."""
-    h1_elems = subgroup_closure(reduced.h1.generators, g)
-    a1 = [elem.a for elem in h1_elems]
-    for elem in group_elements(g):
-        base = f(elem.a, elem.b)
-        for h in a1:
-            if f(g.a_group.add(elem.a, h), elem.b) != base:
-                return False
-    return True
-
-
 def detect_trivial_vs_order_p(f: HidingFunction, d, g: SemidirectGroup) -> bool:
     """True iff (d, 1) lies in the hidden subgroup: f(0, 0) = f(d, 1)."""
     return f(g.a_group.zero, 0) == f(d, 1)

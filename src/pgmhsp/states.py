@@ -42,27 +42,12 @@ def check_dim(g: SemidirectGroup, k: int, cap: int | None = None) -> int:
     return dim
 
 
-def a_tuple_index(a_group: AbelianGroup, x: tuple) -> int:
-    """idx_A(x) with copy 1 least significant."""
-    i = 0
-    for xj in reversed(x):
-        i = i * a_group.order + a_group.index(xj)
-    return i
-
-
 def a_tuple_from_index(a_group: AbelianGroup, i: int, k: int) -> tuple:
     out = []
     for _ in range(k):
         i, c = divmod(i, a_group.order)
         out.append(a_group.element(c))
     return tuple(out)
-
-
-def b_tuple_index(p: int, b: tuple[int, ...]) -> int:
-    i = 0
-    for bj in reversed(b):
-        i = i * p + bj
-    return i
 
 
 @lru_cache(maxsize=16)

@@ -11,20 +11,40 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from pgmhsp.groups import (
     AbelianGroup,
     CyclicGroup,
+    GroupElement,
     SemidirectGroup,
+    VectorGroup,
     conj_apply,
     element_mul,
+    group_elements,
     heisenberg_group,
 )
-from pgmhsp.msum import MSumInstance, eta_chunks, eta_rows, image_table
-from pgmhsp.pgm import POVM, OptimalityReport, build_pgm
-from pgmhsp.states import _phase_roots, block_images, characters, check_dim, coset_state
+from pgmhsp.msum import (
+    MSumInstance,
+    SolutionSet,
+    eta_chunks,
+    eta_rows,
+    image_table,
+    solve_bruteforce,
+)
+from pgmhsp.pgm import POVM, UNITARITY_TOL, OptimalityReport, build_neumark, build_pgm
+from pgmhsp.pipeline import HidingFunction, ReducedProblem, subgroup_closure
+from pgmhsp.states import (
+    _phase_roots,
+    a_tuple_from_index,
+    block_images,
+    characters,
+    check_dim,
+    coset_state,
+    fft_over_a,
+)
 
 # ---------------------------------------------------------------------------
 # Groups and the matrix sum problem
@@ -99,6 +119,149 @@ def heisenberg_eta_distribution(p: int) -> dict[int, Fraction]:
     hist = np.bincount(eta_rows(image_table(g, xs), a.order).ravel())
     total = int(hist.sum())
     return {int(i): Fraction(int(c), total) for i, c in enumerate(hist) if c}
+
+
+# ---------------------------------------------------------------------------
+# Index conventions and the quotient check
+
+
+def element_from_index(i: int, g: SemidirectGroup) -> GroupElement:
+    """The element of G with index idx_A(a) * p + b."""
+    ai, b = divmod(i, g.p)
+    return GroupElement(g.a_group.element(ai), b)
+
+
+def a_tuple_index(a_group: AbelianGroup, x: tuple) -> int:
+    """idx_A(x) with copy 1 least significant."""
+    i = 0
+    for xj in reversed(x):
+        i = i * a_group.order + a_group.index(xj)
+    return i
+
+
+def b_tuple_index(p: int, b: tuple[int, ...]) -> int:
+    """idx_b(b) with copy 1 least significant."""
+    i = 0
+    for bj in reversed(b):
+        i = i * p + bj
+    return i
+
+
+def quotient_well_defined(f: HidingFunction, g: SemidirectGroup, reduced: ReducedProblem) -> bool:
+    """Exhaustive check: f is constant on each representative fiber."""
+    h1_elems = subgroup_closure(reduced.h1.generators, g)
+    a1 = [elem.a for elem in h1_elems]
+    for elem in group_elements(g):
+        base = f(elem.a, elem.b)
+        for h in a1:
+            if f(g.a_group.add(elem.a, h), elem.b) != base:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The Heisenberg closed form (k = 2), a reference independent of the
+# polynomial solver
+
+
+def is_heisenberg(g: SemidirectGroup) -> bool:
+    return (
+        isinstance(g.a_group, VectorGroup)
+        and g.a_group.r == 2
+        and g.mu == ((1, 1), (0, 1))
+    )
+
+
+def legendre_symbol(a: int, p: int) -> int:
+    """0 for a = 0, +1 for nonzero squares, -1 for nonsquares."""
+    a %= p
+    if a == 0:
+        return 0
+    s = pow(a, (p - 1) // 2, p)
+    return 1 if s == 1 else -1
+
+
+@lru_cache(maxsize=16)
+def _residue_table(p: int) -> dict[int, int]:
+    table: dict[int, int] = {}
+    for x in range(p):
+        table.setdefault(x * x % p, x)
+    return table
+
+
+def sqrt_mod_p(a: int, p: int) -> int:
+    """Deterministic square root mod p; raises if a is a nonresidue.
+
+    Table lookup for p < 10^4, Tonelli-Shanks (smallest-nonresidue
+    variant) above.
+    """
+    a %= p
+    if p < 10**4:
+        root = _residue_table(p).get(a)
+        if root is None:
+            raise ValueError(f"{a} is not a square mod {p}")
+        return root
+    if a == 0:
+        return 0
+    if legendre_symbol(a, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    # Tonelli-Shanks with the smallest quadratic nonresidue as generator.
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while legendre_symbol(z, p) != -1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        t2, i = t, 0
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def solve_heisenberg_closed_form(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
+    """Quadratic closed form for the Heisenberg matrix sum problem.
+
+    With instance columns (x1, y1), (x2, y2) and target (w, v), the
+    discriminant decides the count: two solutions for a nonzero square,
+    one for zero, none for a nonsquare.  Degenerate denominators
+    (y1, y2, or y1 + y2 = 0) fall back to brute force.
+    """
+    g = inst.group
+    if not is_heisenberg(g):
+        raise ValueError("closed form needs the Heisenberg group")
+    if inst.k != 2:
+        raise ValueError("closed form needs k = 2")
+    p = g.p
+    (x1, y1), (x2, y2) = inst.x
+    w, v = inst.w
+    if y1 == 0 or y2 == 0 or (y1 + y2) % p == 0:
+        return solve_bruteforce(inst, cap)
+    delta = (
+        (2 * w * y1 + v * y1 - v * v - 2 * v * x1) * (y1 + y2) * y2
+        + (v * y2 + x1 * y2 - x2 * y1) ** 2
+    ) % p
+    if legendre_symbol(delta, p) == -1:
+        return SolutionSet(())
+    root = sqrt_mod_p(delta, p)
+    inv_b1 = pow(y1 * (y1 + y2), -1, p)
+    inv_b2 = pow(y2 * (y1 + y2), -1, p)
+    t1 = v * y1 + x2 * y1 - x1 * y2
+    t2 = v * y2 + x1 * y2 - x2 * y1
+    hits = set()
+    for sign in (root, (-root) % p):
+        b1 = (t1 + sign) * inv_b1 % p
+        b2 = (t2 - sign) * inv_b2 % p
+        hits.add((b1, b2))
+    return SolutionSet(tuple(hits))
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +455,38 @@ def dense_verify_optimality(
     for sigma_j in sigmas:
         margin = min(margin, float(np.linalg.eigvalsh(t_h - sigma_j).min()))
     return OptimalityReport(commutator_residual, margin)
+
+
+def simulate_neumark_outcomes(
+    k: int,
+    g: SemidirectGroup,
+    d,
+    cap: int | None = None,
+    enumeration_cap: int | None = None,
+) -> np.ndarray:
+    """Measurement simulation through the per-block unitaries.
+
+    Measure the block label x (uniform for these states), apply the
+    adjoint block unitary, Fourier transform the w register, and read out
+    j; returns the aggregated outcome distribution over A.
+    """
+    check_dim(g, k, cap)
+    a = g.a_group
+    images = block_images(g, k, enumeration_cap)
+    chi_d = characters(a, a.reduce(d))
+    pk = g.p**k
+    probs = np.zeros(a.order)
+    block_weight = 1.0 / a.order**k
+    for xi in range(a.order**k):
+        x = a_tuple_from_index(a, xi, k)
+        block = build_neumark(x, k, g, enumeration_cap)
+        u = chi_d[images[xi]] / math.sqrt(pk)
+        embedded = np.zeros(block.unitary.shape[0], dtype=complex)
+        embedded[:pk] = u
+        coeffs = block.unitary.conj().T @ embedded
+        leak = np.linalg.norm(coeffs[a.order :])
+        if leak > UNITARITY_TOL:
+            raise AssertionError(f"state leaked {leak} outside the w register")
+        outcome_amps = fft_over_a(a, coeffs[: a.order], norm="ortho")
+        probs += block_weight * np.abs(outcome_amps) ** 2
+    return probs

@@ -34,14 +34,12 @@ from pgmhsp.msum import (
     MSumInstance,
     eta_statistics,
     solve_bruteforce,
-    solve_heisenberg_closed_form,
-    solve_jordan,
     solve_metacyclic_dlog,
+    solve_polynomial,
 )
 from pgmhsp.pgm import (
     build_pgm,
     lemma2_bounds,
-    simulate_neumark_outcomes,
     success_probability_formula,
     success_probability_trace,
     verify_optimality,
@@ -49,7 +47,6 @@ from pgmhsp.pgm import (
 from pgmhsp.pipeline import (
     coset_hiding_function,
     default_trial_budget,
-    quotient_well_defined,
     reduce_to_cyclic,
     run_pgm_hsp,
 )
@@ -65,7 +62,10 @@ from oracles import (
     heisenberg_eta_distribution,
     hidden_subgroup_state,
     perturb_with_uniform,
+    quotient_well_defined,
+    simulate_neumark_outcomes,
     solve_all_w,
+    solve_heisenberg_closed_form,
 )
 
 Z7 = semidirect_zn(7, 3, 2)
@@ -106,15 +106,15 @@ def _admissible_metacyclic(limit):
 
 def test_criterion_02_solver_equivalence():
     start = time.monotonic()
-    # Heisenberg closed form: exhaustive at p=3
+    # Heisenberg: the polynomial solver against the closed form, itself
+    # checked against brute force; exhaustive at p=3
     for xs in itertools.product(range(3), repeat=4):
         for w in itertools.product(range(3), repeat=2):
             inst = MSumInstance(HEIS3, ((xs[0], xs[1]), (xs[2], xs[3])), w)
-            assert (
-                solve_heisenberg_closed_form(inst).solutions
-                == solve_bruteforce(inst).solutions
-            )
-    # Heisenberg closed form: 10^4 sampled instances per p
+            closed = solve_heisenberg_closed_form(inst).solutions
+            assert closed == solve_bruteforce(inst).solutions
+            assert solve_polynomial(inst).solutions == closed
+    # Heisenberg: 10^4 sampled instances per p
     rng = np.random.default_rng(1)
     for p in (3, 5, 7, 11):
         g = heisenberg_group(p)
@@ -123,10 +123,9 @@ def test_criterion_02_solver_equivalence():
             inst = MSumInstance(
                 g, ((int(x1), int(y1)), (int(x2), int(y2))), (int(w), int(v))
             )
-            assert (
-                solve_heisenberg_closed_form(inst).solutions
-                == solve_bruteforce(inst).solutions
-            )
+            closed = solve_heisenberg_closed_form(inst).solutions
+            assert closed == solve_bruteforce(inst).solutions
+            assert solve_polynomial(inst).solutions == closed
     # metacyclic discrete log: exhaustive over admissible triples, N <= 50
     triple_count = 0
     for n, p, mu in _admissible_metacyclic(50):
@@ -140,7 +139,7 @@ def test_criterion_02_solver_equivalence():
                     == solve_bruteforce(inst).solutions
                 )
     assert triple_count > 50
-    # jordan elimination: exhaustive where the population fits
+    # polynomial solver on Jordan blocks: exhaustive where the population fits
     for p, r in ((3, 2), (5, 2), (3, 3)):
         g = semidirect_jordan(p, (r,))
         k = r
@@ -152,12 +151,12 @@ def test_criterion_02_solver_equivalence():
             for w in elems:
                 inst = MSumInstance(g, xi, w)
                 expected = tuple(sorted(oracle.get(w, ())))
-                assert solve_jordan(inst).solutions == expected
+                assert solve_polynomial(inst).solutions == expected
     elapsed = time.monotonic() - start
     assert elapsed < 300
     print(
         f"\n[PASS] criterion 2: specialized solvers match brute force "
-        f"(heisenberg, metacyclic x{triple_count} triples, jordan) ({elapsed:.1f}s)"
+        f"(heisenberg, metacyclic x{triple_count} triples, polynomial) ({elapsed:.1f}s)"
     )
 
 

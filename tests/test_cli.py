@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -93,6 +95,136 @@ def test_solve_msum_cap_exceeded():
         stdin_text='{"group": "zn N=7 p=3 mu=2", "k": 3, "x": [1,2,3], "w": 3}',
     )
     assert proc.returncode == 3
+
+
+def test_solve_msum_large_prime_under_default_caps():
+    # p^k = 1009^3 exceeds the enumeration cap; the polynomial route checks
+    # the 1009^2 points left by the linear layer
+    from pgmhsp.groups import parse_group_spec
+    from pgmhsp.msum import MSumInstance
+
+    from oracles import instance_residual
+
+    g = parse_group_spec("zpr p=1009 jordan=3")
+    x = ((1, 2, 3), (4, 5, 6), (7, 8, 10))
+    w = instance_residual(MSumInstance(g, x, g.a_group.zero), (5, 6, 7))
+    doc = {"group": "zpr p=1009 jordan=3", "k": 3, "x": [list(v) for v in x], "w": list(w)}
+    start = time.monotonic()
+    proc = run_cli(["solve-msum"], stdin_text=json.dumps(doc))
+    assert proc.returncode == 0, proc.stderr
+    assert time.monotonic() - start < 10
+    solutions = json.loads(proc.stdout)["solutions"]
+    assert [5, 6, 7] in solutions
+    for b in solutions:
+        assert instance_residual(MSumInstance(g, x, w), tuple(b)) == w
+
+
+def test_solve_msum_large_work_exits_3_quickly():
+    # k = 4 at p = 1009: three free coordinates, 1009^3 grid points or 1009^2
+    # lines to root-find
+    doc = {"group": "zpr p=1009 jordan=3", "x": [[1, 2, 3], [4, 5, 6], [7, 8, 10], [1, 0, 0]],
+           "w": [0, 0, 0]}
+    start = time.monotonic()
+    proc = run_cli(["solve-msum"], stdin_text=json.dumps(doc))
+    assert proc.returncode == 3, proc.stderr
+    assert time.monotonic() - start < 5
+
+
+def test_solve_msum_heisenberg_at_large_p():
+    # one line and a quadratic in t at p near 10^9; b = (5, 7) is planted
+    p = 999999937
+    x, b = [[3, 4], [5, 6]], (5, 7)
+    w = [sum(bj * u + bj * (bj - 1) // 2 * v for bj, (u, v) in zip(b, x)) % p,
+         sum(bj * v for bj, (u, v) in zip(b, x)) % p]
+    doc = {"group": f"zpr p={p} jordan=2", "x": x, "w": w}
+    start = time.monotonic()
+    proc = run_cli(["solve-msum"], stdin_text=json.dumps(doc))
+    assert proc.returncode == 0, proc.stderr
+    assert time.monotonic() - start < 5
+    assert [5, 7] in json.loads(proc.stdout)["solutions"]
+
+
+@pytest.mark.parametrize("cap,code", [("26", 3), ("27", 0)])
+def test_solve_msum_all_of_z_p_k_hits_the_cap(cap, code):
+    # x = 0, w = 0: every b in Z_3^3 solves, so all 27 are walked
+    proc = run_cli(
+        ["solve-msum", "--enum-cap", cap],
+        stdin_text='{"group": "zpr p=3 jordan=3", "x": [[0,0,0],[0,0,0],[0,0,0]], "w": [0,0,0]}',
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["eta"] == 27
+
+
+def test_solve_msum_cap_bounds_walked_candidates_not_p_k():
+    # one linear equation in three copies leaves 9 of the 27 b to walk: a cap
+    # of 10 is below p^k and exited 3 before the polynomial route
+    proc = run_cli(
+        ["solve-msum", "--enum-cap", "10", "--group", "zpr p=3 jordan=3"],
+        stdin_text='{"x": [[1,2,0],[0,1,1],[2,2,2]], "w": [0,0,0]}',
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["solutions"] == [[0, 0, 0]]
+
+
+BAD_SPECS = [
+    "zpr p=4 jordan=2", "zn N=7 p=4 mu=2", "zn N=8 p=1 mu=1", "zpr p=3 r=2 mu=1,1;1,1",
+    "zpr p=3 r=2 mu=0,0;0,0", "zn N=7 p=3 mu=3", "zn N=7 p=3 mu=7", "zpr p=3 jordan=4",
+    "zpr p=3 jordan=0", "zpr p=x jordan=2", "zpr p=3 jordan=", "zn N=7 p=3 mu=2 extra",
+    "zq N=7 p=3 mu=2", "zpr p=3 r=2 mu=1,1;0", "zpr p=3 r=0 mu=", "zn N=0 p=3 mu=1",
+    "zn N=7 p=3 mu=2.5", "zpr p=3 r=2 jordan=2", 5, None, ["zn N=7 p=3 mu=2"], {},
+]
+BAD_ELEMENTS = {
+    "zn N=7 p=3 mu=2": ["1", 1.5, None, [1], {}, [[1]]],
+    "zpr p=3 jordan=2": [1, "12", [1], [1, 2, 3], ["a", 1], [1.0, 2], [[1], [2]], None, {}],
+}
+NOT_JSON = ["{nope", "", "[1,", "{'x': [1]}", "nan?", "{\"x\": [1],}", "\u00ff\u00fe"]
+
+
+def fuzzed_instance(rng):
+    """One malformed solve-msum input: (argv, document text)."""
+    spec = rng.choice(sorted(BAD_ELEMENTS))
+    a_zero = 0 if spec.startswith("zn") else [0, 0]
+    k = rng.randrange(1, 4)
+    doc = {"group": spec, "k": k, "x": [a_zero] * k, "w": a_zero}
+    argv = ["solve-msum"]
+    kind = rng.randrange(9)
+    if kind == 0:
+        doc["group"] = rng.choice(BAD_SPECS)
+    elif kind == 1:
+        bad = rng.choice([s for s in BAD_SPECS if isinstance(s, str) and s])
+        argv += ["--group", bad]
+    elif kind == 2:
+        doc["x"] = rng.choice(["x", 3, {}, None, [], 1.5])
+    elif kind == 3:
+        doc["x"][rng.randrange(k)] = rng.choice(BAD_ELEMENTS[spec])
+    elif kind == 4:
+        doc["w"] = rng.choice(BAD_ELEMENTS[spec])
+    elif kind == 5:
+        doc["k"] = rng.choice([k + 1, 0, -1, "2", None, [k]])
+    elif kind == 6:
+        del doc[rng.choice(["x", "w", "group"])]
+    elif kind == 7:
+        return argv, json.dumps(rng.choice([[doc], 7, "doc", None]))
+    else:
+        return argv, rng.choice(NOT_JSON)
+    return argv, json.dumps(doc)
+
+
+def test_solve_msum_fuzzed_inputs_exit_2(tmp_path, capsys):
+    rng = random.Random(2024)
+    path = tmp_path / "instance.json"
+    for trial in range(400):
+        argv, text = fuzzed_instance(rng)
+        path.write_text(text, encoding="utf-8")
+        assert main([*argv, "--instance", str(path)]) == 2, (argv, text)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, text, err)
+    # and the same through a child process, stdin and all
+    for trial in range(5):
+        argv, text = fuzzed_instance(rng)
+        proc = run_cli(argv, stdin_text=text)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, (argv, text)
 
 
 def test_pgm_report_z7():

@@ -17,9 +17,12 @@ from pgmhsp.groups import (
     format_group_spec,
     group_elements,
     heisenberg_group,
-    is_heisenberg,
     jordan_matrix,
+    mat_add,
+    mat_mul,
+    mat_pow,
     matrix_sum,
+    msum_table,
     parse_group_spec,
     phi_apply,
     phi_sum,
@@ -29,7 +32,7 @@ from pgmhsp.groups import (
     subgroup_order,
 )
 
-from oracles import element_pow
+from oracles import element_from_index, element_pow, is_heisenberg
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)
@@ -182,6 +185,38 @@ def test_matrix_sum_binomial_entries():
                 assert m[i][j] == expected
 
 
+def _conjugated_jordan3(p: int):
+    """S J S^-1 for the 3x3 Jordan block J and a fixed S of determinant 1."""
+    s = ((1, 1, 0), (0, 1, 0), (2, 0, 1))
+    s_inv = mat_pow(s, math.prod(p**3 - p**i for i in range(3)) - 1, p)  # |GL_3(F_p)|
+    return semidirect_zpr(p, mat_mul(mat_mul(s, jordan_matrix(p, (3,)), p), s_inv, p))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        semidirect_jordan(3, (3,)),
+        semidirect_jordan(5, (3,)),
+        semidirect_jordan(3, (2, 1)),
+        semidirect_jordan(2, (2,)),
+        _conjugated_jordan3(5),
+        semidirect_zn(31, 5, 2),
+    ],
+    ids=format_group_spec,
+)
+def test_msum_table_equals_power_sums(g):
+    # the running sums against sum_{i<b} mu^i, each power computed on its own
+    a = g.a_group
+    for b, m in enumerate(msum_table(g)):
+        if isinstance(a, CyclicGroup):
+            expected = sum(pow(g.mu, i, a.n) for i in range(b)) % a.n
+        else:
+            expected = tuple((0,) * a.r for _ in range(a.r))
+            for i in range(b):
+                expected = mat_add(expected, mat_pow(g.mu, i, g.p), g.p)
+        assert m == expected == matrix_sum(b, g)
+
+
 def _order_p_mu(n: int, p: int) -> int:
     phi = sum(1 for x in range(1, n) if math.gcd(x, n) == 1)
     assert phi % p == 0
@@ -325,7 +360,7 @@ def test_jordan_matrix_layout():
 
 
 def test_element_index_roundtrip():
-    from pgmhsp.groups import element_from_index, element_index
+    from pgmhsp.groups import element_index
 
     for g in (Z7, HEIS3):
         for i in range(g.order):
@@ -346,5 +381,5 @@ def test_every_lru_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters"):
                 sizes[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"groups.msum_table", "msum._residue_table", "states._phase_roots"} <= set(sizes)
+    assert {"groups.msum_table", "msum._layers", "states._phase_roots"} <= set(sizes)
     assert all(size is not None for size in sizes.values()), sizes

@@ -12,9 +12,13 @@ from pgmhsp.caps import CapExceeded
 from pgmhsp.groups import (
     VectorGroup,
     heisenberg_group,
+    mat_identity,
+    mat_mul,
+    mat_pow,
     parse_group_spec,
     semidirect_jordan,
     semidirect_zn,
+    semidirect_zpr,
 )
 from pgmhsp.msum import (
     EtaStats,
@@ -24,22 +28,22 @@ from pgmhsp.msum import (
     eta_rows,
     eta_statistics,
     image_table,
-    legendre_symbol,
     solve_auto,
     solve_bruteforce,
-    solve_heisenberg_closed_form,
-    solve_jordan,
     solve_metacyclic_dlog,
-    sqrt_mod_p,
+    solve_polynomial,
     x_tuples,
 )
-from pgmhsp.states import b_tuple_index
 
 from oracles import (
+    b_tuple_index,
     eta_histogram_all_x,
     heisenberg_eta_distribution,
     instance_residual,
+    legendre_symbol,
     solve_all_w,
+    solve_heisenberg_closed_form,
+    sqrt_mod_p,
 )
 
 Z7 = semidirect_zn(7, 3, 2)
@@ -162,6 +166,7 @@ def test_heisenberg_examples():
     assert (
         solve_heisenberg_closed_form(inst5).solutions
         == solve_bruteforce(inst5).solutions
+        == solve_polynomial(inst5).solutions
     )
     with pytest.raises(ValueError):
         solve_heisenberg_closed_form(MSumInstance(HEIS3, ((1, 1),), (0, 0)))
@@ -178,6 +183,7 @@ def test_heisenberg_exhaustive_p3():
             assert (
                 solve_heisenberg_closed_form(inst).solutions
                 == solve_bruteforce(inst).solutions
+                == solve_polynomial(inst).solutions
             )
 
 
@@ -192,6 +198,7 @@ def test_heisenberg_sampled(p):
         assert (
             solve_heisenberg_closed_form(inst).solutions
             == solve_bruteforce(inst).solutions
+            == solve_polynomial(inst).solutions
         )
 
 
@@ -207,9 +214,9 @@ def test_heisenberg_distribution_rationals():
 def test_jordan_examples():
     g = semidirect_jordan(3, (3,))
     inst = MSumInstance(g, ((1, 2, 0), (0, 1, 1), (2, 2, 2)), (0, 0, 0))
-    assert (0, 0, 0) in solve_jordan(inst).solutions
+    assert (0, 0, 0) in solve_polynomial(inst).solutions
     with pytest.raises(ValueError):
-        solve_jordan(MSumInstance(Z7, (1,), 0))
+        solve_polynomial(MSumInstance(Z7, (1,), 0))
 
 
 def test_jordan_matches_heisenberg_closed_form_exhaustive():
@@ -217,7 +224,7 @@ def test_jordan_matches_heisenberg_closed_form_exhaustive():
         for w in itertools.product(range(3), repeat=2):
             inst = MSumInstance(HEIS3, ((xs[0], xs[1]), (xs[2], xs[3])), w)
             assert (
-                solve_jordan(inst).solutions
+                solve_polynomial(inst).solutions
                 == solve_heisenberg_closed_form(inst).solutions
             )
 
@@ -237,7 +244,7 @@ def test_jordan_vs_bruteforce_sampled(g, k):
         xs = tuple(tuple(rng.randrange(g.p) for _ in range(a.r)) for _ in range(k))
         w = tuple(rng.randrange(g.p) for _ in range(a.r))
         inst = MSumInstance(g, xs, w)
-        assert solve_jordan(inst).solutions == solve_bruteforce(inst).solutions
+        assert solve_polynomial(inst).solutions == solve_bruteforce(inst).solutions
 
 
 def test_solve_all_w_partition():
@@ -305,7 +312,7 @@ def test_jordan_solver_on_non_canonical_form():
     for xs in itertools.product(range(3), repeat=4):
         for w in itertools.product(range(3), repeat=2):
             inst = MSumInstance(g, ((xs[0], xs[1]), (xs[2], xs[3])), w)
-            assert solve_jordan(inst).solutions == solve_bruteforce(inst).solutions
+            assert solve_polynomial(inst).solutions == solve_bruteforce(inst).solutions
 
 
 def test_eta_statistics_large_jordan_exhaustive():
@@ -455,7 +462,7 @@ def check_solvers_against_enumeration(g, k, max_rows):
             expected = tuple(buckets.get(w, ()))
             assert solve_bruteforce(inst).solutions == expected
             if isinstance(a, VectorGroup):
-                assert solve_jordan(inst).solutions == expected
+                assert solve_polynomial(inst).solutions == expected
 
 
 @pytest.mark.parametrize("spec,k", TABLE_CASES)
@@ -463,6 +470,197 @@ def test_solvers_match_enumeration_across_blocks(monkeypatch, spec, k):
     # blocks of p columns: every k > 1 scan crosses block boundaries
     monkeypatch.setattr(msum, "_CHUNK", 4)
     check_solvers_against_enumeration(parse_group_spec(spec), k, max_rows=243)
+
+
+@pytest.fixture
+def route(monkeypatch, request):
+    """Force a route of solve_polynomial: "grid" as routed (Python ints on
+    small grids), "scan" the numpy block scan in blocks of 9 columns with the
+    codes built per instance, "lines" the line walk whenever f > 0."""
+    if request.param == "scan":
+        monkeypatch.setattr(msum, "_PY_GRID", 0)
+        monkeypatch.setattr(msum, "_CHUNK", 9)
+    if request.param == "lines":
+        monkeypatch.setattr(msum, "_line_cost", lambda p, degree: 0)
+    msum._tables.cache_clear()
+    yield request.param
+    msum._tables.cache_clear()
+
+
+def conjugated(g, seed):
+    """The group with mu replaced by S mu S^-1 for a seeded invertible S."""
+    p, r = g.p, g.a_group.r
+    rng = random.Random(seed)
+    order = math.prod(p**r - p**i for i in range(r))  # |GL_r(F_p)|
+    while True:
+        s = tuple(tuple(rng.randrange(p) for _ in range(r)) for _ in range(r))
+        s_inv = mat_pow(s, order - 1, p)
+        if mat_mul(s, s_inv, p) == mat_identity(r):
+            return semidirect_zpr(p, mat_mul(mat_mul(s, g.mu, p), s_inv, p))
+
+
+POLYNOMIAL_SPECS = [
+    f"zpr p={p} jordan={blocks}"
+    for p in (3, 5, 7, 11, 13)
+    for blocks in ("2", "3", "4", "2,1", "3,2", "1,1")
+    if max(map(int, blocks.split(","))) <= p
+]
+
+
+def check_polynomial_against_oracle(g, k, rng, rows):
+    # planted and uniform w for random x, and the degenerate x: each x_j in
+    # ker N (M^(b) x_j = b x_j), and x = 0
+    a, p = g.a_group, g.p
+    n = [[(c - (i == j)) % p for j, c in enumerate(row)] for i, row in enumerate(g.mu)]
+    kernel = msum._eliminate(tuple((*row, 0) for row in n), a.r, p)[1]
+
+    def in_kernel():
+        x = a.zero
+        for y, s in zip(kernel, [rng.randrange(p) for _ in kernel]):
+            x = a.add(x, tuple(s * c for c in y))
+        assert instance_residual(MSumInstance(g, (x,), a.zero), (2,)) == a.add(x, x)
+        return x
+
+    xs = [tuple(a.element(rng.randrange(a.order)) for _ in range(k)) for _ in range(rows)]
+    xs += [tuple(in_kernel() for _ in range(k)), (a.zero,) * k]
+    for x in xs:
+        buckets = solve_all_w(g, x)
+        ws = list(buckets)[:4] + [a.element(rng.randrange(a.order)) for _ in range(2)] + [a.zero]
+        for w in ws:
+            assert solve_polynomial(MSumInstance(g, x, w)).solutions == tuple(buckets.get(w, ()))
+
+
+@pytest.mark.parametrize("route", ["grid", "scan", "lines"], indirect=True)
+@pytest.mark.parametrize("spec", POLYNOMIAL_SPECS)
+def test_polynomial_matches_oracle_seeded(route, spec):
+    g = parse_group_spec(spec)
+    rng = random.Random(spec)
+    for k in (1, 2, 3):
+        if g.p**k <= 1331:
+            check_polynomial_against_oracle(g, k, rng, rows=4)
+
+
+@pytest.mark.parametrize("route", ["grid", "scan", "lines"], indirect=True)
+@pytest.mark.parametrize("spec", ["zpr p=3 jordan=2", "zpr p=5 jordan=3", "zpr p=3 jordan=2,1",
+                                  "zpr p=5 jordan=3,2", "zpr p=2 jordan=2,1"])
+def test_polynomial_matches_oracle_conjugated_mu(route, spec):
+    g = conjugated(parse_group_spec(spec), seed=len(spec))
+    assert g.mu != parse_group_spec(spec).mu
+    rng = random.Random(spec)
+    for k in (1, 2, 3):
+        check_polynomial_against_oracle(g, k, rng, rows=3)
+
+
+@pytest.mark.parametrize("route", ["scan", "lines"], indirect=True)
+@pytest.mark.parametrize("spec,k", TABLE_CASES)
+def test_polynomial_matches_enumeration_across_blocks(route, spec, k):
+    g = parse_group_spec(spec)
+    if isinstance(g.a_group, VectorGroup):
+        check_solvers_against_enumeration(g, k, max_rows=81)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 1009, 10007])
+def test_roots_over_prime_fields(p):
+    rng = random.Random(p)
+    for degree in range(1, 5 if p > 3 else 3):
+        for _ in range(20):
+            if rng.random() < 0.5:  # a product of linear factors, some repeated
+                roots = [rng.randrange(p) for _ in range(degree)]
+                poly = [1]
+                for root in roots:
+                    poly = [((poly[i - 1] if i else 0) - root * (poly[i] if i < len(poly) else 0)) % p
+                            for i in range(len(poly) + 1)]
+                expected = sorted(set(roots))
+            else:
+                poly = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+                expected = None
+            got = sorted(msum._roots(poly, p))
+            if expected is None and p <= 1009:
+                expected = [t for t in range(p) if sum(c * pow(t, i, p) for i, c in enumerate(poly)) % p == 0]
+            if expected is not None:
+                assert got == expected, (poly, p)
+            assert all(sum(c * pow(t, i, p) for i, c in enumerate(poly)) % p == 0 for t in got)
+
+
+def test_polynomial_cap_bounds_the_candidates_walked():
+    g = parse_group_spec("zpr p=3 jordan=3")
+    a = g.a_group
+    # one linear equation in three copies: f = 2, 9 points walked of p^k = 27
+    inst = MSumInstance(g, ((1, 2, 0), (0, 1, 1), (2, 2, 2)), a.zero)
+    assert solve_polynomial(inst, cap=9) == solve_bruteforce(inst)
+    with pytest.raises(CapExceeded):
+        solve_polynomial(inst, cap=8)
+    # x = 0, w = 0: every b solves, all 27 points are walked
+    zero = MSumInstance(g, (a.zero,) * 3, a.zero)
+    assert solve_polynomial(zero, cap=27).eta == 27
+    with pytest.raises(CapExceeded):
+        solve_polynomial(zero, cap=26)
+    # p = 1009, f = 2: the 1009^2-point grid is cheaper than 1009 lines
+    big = parse_group_spec("zpr p=1009 jordan=3")
+    x = ((1, 2, 3), (4, 5, 6), (7, 8, 10))
+    inst = MSumInstance(big, x, instance_residual(MSumInstance(big, x, big.a_group.zero), (5, 6, 7)))
+    assert 1009 * msum._line_cost(1009, 3) > 1009**2
+    assert (5, 6, 7) in solve_polynomial(inst, cap=1009**2).solutions
+    with pytest.raises(CapExceeded):
+        solve_polynomial(inst, cap=1009**2 - 1)
+    # p = 10007, f = 1: one line, charged its root finding
+    big = parse_group_spec("zpr p=10007 jordan=3")
+    inst = MSumInstance(big, x[:2], instance_residual(MSumInstance(big, x[:2], big.a_group.zero), (5, 6)))
+    work = msum._line_cost(10007, 3)
+    assert work < 10007
+    assert (5, 6) in solve_polynomial(inst, cap=work).solutions
+    with pytest.raises(CapExceeded):
+        solve_polynomial(inst, cap=work - 1)
+    with pytest.raises(CapExceeded):  # x = 0: f = 2, 10007 lines
+        solve_polynomial(MSumInstance(big, (big.a_group.zero,) * 2, big.a_group.zero), cap=10**7)
+
+
+def test_polynomial_cap_stops_before_writing_out_solutions():
+    # x = 0, w = 0 at p = 1009: every b solves; the p^3 points exceed the cap
+    # before one of them (300 MB as tuples) is written out
+    g = parse_group_spec("zpr p=1009 jordan=3")
+    inst = MSumInstance(g, (g.a_group.zero,) * 3, g.a_group.zero)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            solve_polynomial(inst, cap=2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def heisenberg_residual(p, x, b):
+    """sum_j M^(b_j) x_j in the Heisenberg group, M^(b) (u, v) = (b u + C(b, 2) v, b v),
+    in O(k) arithmetic at any p."""
+    return (
+        sum(bj * u + bj * (bj - 1) // 2 * v for bj, (u, v) in zip(b, x)) % p,
+        sum(bj * v for bj, (u, v) in zip(b, x)) % p,
+    )
+
+
+def test_polynomial_large_p_builds_nothing_of_size_p():
+    # Heisenberg k = 2 at p near 10^9: f = 1, one line and a quadratic in t
+    p = 999999937
+    g = parse_group_spec(f"zpr p={p} jordan=2")
+    rng = random.Random(p)
+    for _ in range(5):
+        x = tuple((rng.randrange(p), rng.randrange(1, p)) for _ in range(2))
+        b = (rng.randrange(p), rng.randrange(p))
+        inst = MSumInstance(g, x, heisenberg_residual(p, x, b))
+        got, peak = traced_peak(solve_auto, inst)
+        assert peak < 2**20
+        assert b in got.solutions and got == solve_heisenberg_closed_form(inst)
+        for other in got.solutions:
+            assert heisenberg_residual(p, x, other) == inst.w
+    # x_2 = -x_1, w = 0: every b_1 = b_2 solves, p solutions on the one line
+    inst = MSumInstance(g, ((1, 1), (p - 1, p - 1)), (0, 0))
+    got, peak = traced_peak(lambda: pytest.raises(CapExceeded, solve_auto, inst))
+    assert peak < 2**20
+    small = parse_group_spec("zpr p=1009 jordan=2")
+    assert solve_auto(MSumInstance(small, ((1, 1), (1008, 1008)), (0, 0))).solutions == tuple(
+        (t, t) for t in range(1009)
+    )
 
 
 def traced_peak(fn, *args):
@@ -502,7 +700,7 @@ def test_large_scan_memory_is_bounded():
     # Z_3^6 keeps the solution set itself small (eta near 3^13 / 729).
     h = parse_group_spec("zpr p=3 jordan=3,3")
     inst, planted = planted_instance(h, 13, seed=7)
-    sliced, peak = traced_peak(solve_jordan, inst)
+    sliced, peak = traced_peak(solve_polynomial, inst)
     assert peak < 8 * 2**20
     scanned, peak = traced_peak(solve_bruteforce, inst)
     assert peak < 8 * 2**20
@@ -546,7 +744,7 @@ def test_wide_codes_are_exact(spec):
             for w, sols in buckets.items():
                 inst = MSumInstance(g, x, w)
                 assert solve_bruteforce(inst).solutions == tuple(sols)
-                assert solve_jordan(inst).solutions == tuple(sols)
+                assert solve_polynomial(inst).solutions == tuple(sols)
             if a.order < 2**63:
                 row = image_table(g, np.array([[a.index(xj) for xj in x]]))[0]
                 for w, sols in buckets.items():

@@ -17,7 +17,6 @@ from pgmhsp.pgm import (
     outcome_distribution,
     pgm_report,
     quantum_sample_vector,
-    simulate_neumark_outcomes,
     success_probability_formula,
     success_probability_trace,
     trivial_state_outcome_distribution,
@@ -31,6 +30,7 @@ from oracles import (
     hidden_subgroup_state,
     perturb_with_uniform,
     pgm_from_inverse_sqrt,
+    simulate_neumark_outcomes,
     support_projector,
 )
 

@@ -14,12 +14,13 @@ from pgmhsp.pipeline import (
     coset_hiding_function,
     default_trial_budget,
     detect_trivial_vs_order_p,
-    quotient_well_defined,
     reduce_to_cyclic,
     run_pgm_hsp,
     solve_hsp,
     subgroup_closure,
 )
+
+from oracles import quotient_well_defined
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)

@@ -14,8 +14,6 @@ from pgmhsp.pgm import build_pgm, quantum_sample_vector, verify_optimality
 from pgmhsp.states import (
     _phase_roots,
     a_tuple_from_index,
-    a_tuple_index,
-    b_tuple_index,
     block_images,
     characters,
     coset_state,
@@ -24,6 +22,8 @@ from pgmhsp.states import (
 )
 
 from oracles import (
+    a_tuple_index,
+    b_tuple_index,
     coset_mixture_density,
     ensemble_sigma,
     hidden_subgroup_state,
