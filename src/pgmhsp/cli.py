@@ -37,12 +37,16 @@ def _group_from_args(args) -> SemidirectGroup:
     return parse_group_spec(args.group)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _element_from_json(a_group, value):
     if isinstance(a_group, CyclicGroup):
-        if not isinstance(value, int):
+        if not _is_int(value):
             raise UsageError(f"expected an integer element, got {value!r}")
         return a_group.reduce(value)
-    if not isinstance(value, list) or not all(isinstance(c, int) for c in value):
+    if not isinstance(value, list) or not all(_is_int(c) for c in value):
         raise UsageError(f"expected a list of integers, got {value!r}")
     return a_group.reduce(tuple(value))
 
@@ -90,7 +94,7 @@ def cmd_solve_msum(args) -> int:
     if not isinstance(x_raw, list) or not x_raw:
         raise UsageError("'x' must be a non-empty list")
     k = payload.get("k", len(x_raw))
-    if k != len(x_raw):
+    if not _is_int(k) or k != len(x_raw):
         raise UsageError(f"k={k} does not match len(x)={len(x_raw)}")
     x = tuple(_element_from_json(a, xj) for xj in x_raw)
     w = _element_from_json(a, w_raw)
@@ -99,12 +103,16 @@ def cmd_solve_msum(args) -> int:
     cap = enum_cap(args.enum_cap)
     result = msum.solve_auto(inst, cap)
     if args.verify:
-        oracle = msum.solve_bruteforce(inst, cap)
-        if oracle.solutions != result.solutions:
-            raise AssertionError(
-                f"solver disagrees with brute force on {inst}: "
-                f"{result.solutions} vs {oracle.solutions}"
-            )
+        # every returned b by its residual; the whole set against brute
+        # force where p^k fits the cap
+        msum.check_solutions(inst, result.solutions)
+        if g.p**inst.k <= cap:
+            oracle = msum.solve_bruteforce(inst, cap)
+            if oracle.solutions != result.solutions:
+                raise AssertionError(
+                    f"solver disagrees with brute force on {inst}: "
+                    f"{result.solutions} vs {oracle.solutions}"
+                )
     doc = {
         "group": format_group_spec(g),
         "k": k,
@@ -202,6 +210,8 @@ def _load_fixture(path: str):
         raise UsageError("fixture must be a JSON object")
     if doc.get("labeling", "canonical-coset") != "canonical-coset":
         raise UsageError(f"unsupported labeling {doc.get('labeling')!r}")
+    if not isinstance(doc.get("group"), str):
+        raise UsageError("fixture needs a string key 'group'")
     g = parse_group_spec(doc["group"])
     hidden = doc.get("hidden", "trivial")
     from .groups import GroupElement
@@ -213,10 +223,17 @@ def _load_fixture(path: str):
         d = _element_from_json(g.a_group, hidden["d"])
         return g, coset_hiding_function(g, hidden=d)
     if isinstance(hidden, dict) and "generators" in hidden:
-        gens = [
-            GroupElement(_element_from_json(g.a_group, item["a"]), int(item["b"]))
-            for item in hidden["generators"]
-        ]
+        items = hidden["generators"]
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise UsageError(f"'generators' must be a list of objects, got {items!r}")
+        gens = []
+        for item in items:
+            if "a" not in item or "b" not in item:
+                raise UsageError(f"generator {item!r} needs keys 'a' and 'b'")
+            b = item["b"]
+            if not _is_int(b):
+                raise UsageError(f"generator 'b' must be an integer, got {b!r}")
+            gens.append(GroupElement(_element_from_json(g.a_group, item["a"]), b))
         return g, coset_hiding_function(g, generators=gens)
     raise UsageError(f"unsupported hidden subgroup spec {hidden!r}")
 
@@ -369,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_msum, "enum")
     p_msum.add_argument("--instance", help="instance JSON path (default stdin)")
     p_msum.add_argument(
-        "--verify", action="store_true", help="re-check against brute force"
+        "--verify",
+        action="store_true",
+        help="re-check every solution, and the set against brute force where p^k fits the cap",
     )
     p_msum.set_defaults(func=cmd_solve_msum)
 

@@ -356,11 +356,25 @@ def matrix_sum(b: int, g: SemidirectGroup):
 
     Scalar mod N for the cyclic family, matrix mod p for the vector
     family; M^(0) is the zero map.  For a unipotent Jordan block the
-    (i, j) entry is binom(b, j-i+1) mod p.
+    (i, j) entry is binom(b, j-i+1) mod p.  Computed in O(log b) products
+    from M^(2c) = (1 + mu^c) M^(c) and M^(c+1) = 1 + mu M^(c); nothing of
+    size b is built.
     """
     if b < 0:
         raise ValueError(f"matrix_sum needs b >= 0, got {b}")
-    return next(itertools.islice(_running_sums(g), b, None))
+    ag = g.a_group
+    if isinstance(ag, CyclicGroup):
+        zero, one = 0, 1
+        add, mul = (lambda u, v: (u + v) % ag.n), (lambda u, v: u * v % ag.n)
+    else:
+        zero, one = tuple((0,) * ag.r for _ in range(ag.r)), mat_identity(ag.r)
+        add, mul = (lambda u, v: mat_add(u, v, g.p)), (lambda u, v: mat_mul(u, v, g.p))
+    total, power = zero, one  # M^(c) and mu^c, from c = 0
+    for bit in bin(b)[2:]:
+        total, power = mul(add(one, power), total), mul(power, power)
+        if bit == "1":
+            total, power = add(one, mul(g.mu, total)), mul(power, g.mu)
+    return total
 
 
 @lru_cache(maxsize=16)

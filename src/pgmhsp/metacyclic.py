@@ -17,6 +17,12 @@ each trial its two laws in O(N) by relabelling that run:
 * the outcome law of (d, x) at y is the law of (d, x) = (0, 1) at
   x*(y - d) mod N.
 
+A trial draws from the inverse cdf of each law.  The x-law depends on d
+alone and the outcome law on (d, x), so the estimate keeps each cdf it
+builds, as N doubles, until the kept cdfs reach _CDF_MEMO_BYTES (4 KiB);
+beyond that a cdf is built for its trial and dropped.  N = 7 keeps every
+law, larger N a few, and memory stays O(N p) plus the budget.
+
 Requires gcd(mu - 1, N) = 1 so the erasure identity
 (mu - 1) M^(b) = mu^b - 1 determines b from x*M^(b).
 """
@@ -24,6 +30,7 @@ Requires gcd(mu - 1, N) = 1 so the erasure identity
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,6 +41,9 @@ from .msum import discrete_log_bsgs
 from .states import _phase_roots
 
 WILSON_Z_99 = 2.5758293035489004
+# Bytes of cdfs the Monte Carlo estimate keeps between trials: every law
+# at N = 7 (N + N phi(N) = 49 cdfs, 2744 bytes).
+_CDF_MEMO_BYTES = 4 * 1024
 
 
 def _validate(n: int, p: int, mu: int) -> SemidirectGroup:
@@ -88,12 +98,19 @@ class SimTranscript:
     success: bool | None = None
 
 
-def _draw(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """rng.choice(len(weights), p=weights / weights.sum()), computed as
-    Generator.choice does: one rng.random() against the normalised cdf."""
+def _cdf(weights: np.ndarray) -> memoryview:
+    """The normalised cdf Generator.choice draws against, as a view of its
+    float64 array, which bisect reads as Python floats."""
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return memoryview(cdf)
+
+
+def _draw(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """rng.choice(len(weights), p=weights / weights.sum()), computed as
+    Generator.choice does: one rng.random() against the normalised cdf
+    (bisect_right is searchsorted(side="right"))."""
+    return bisect_right(_cdf(weights), rng.random())
 
 
 def run_stripped_algorithm(
@@ -283,20 +300,32 @@ def estimate_success_rate(
         raise AssertionError("some d fails to generate an order-p subgroup")
     x_law, outcome_law = _base_laws(n, p, msum_table(g))
     labels = np.arange(n)
+    cdfs: dict = {}  # x-law cdfs keyed by d, outcome-law cdfs by (d, x)
+    room = _CDF_MEMO_BYTES // (8 * n)  # cdfs the byte budget keeps
+
+    def cdf_for(key, weights):
+        cdf = cdfs.get(key)
+        if cdf is None:
+            cdf = _cdf(weights())
+            if len(cdfs) < room:
+                cdfs[key] = cdf
+        return cdf
+
     checked: set[int] = set()
     successes = 0
     records = []
     for trial in range(trials):
         d = valid_d[int(rng.integers(len(valid_d)))]
         ell = int(rng.integers(n))  # a global phase: neither law depends on it
-        x = _draw(x_law[labels * d % n], rng)
+        x = bisect_right(cdf_for(d, lambda: x_law[labels * d % n]), rng.random())
         accepted = math.gcd(x, n) == 1
         outcome = None
         if accepted:
             if x not in checked:
                 _ancilla_values(x, p, mu, n)  # the erasure round trip for x
                 checked.add(x)
-            outcome = _draw(outcome_law[(labels - d) * x % n], rng)
+            cdf = cdf_for((d, x), lambda: outcome_law[(labels - d) * x % n])
+            outcome = bisect_right(cdf, rng.random())
         success = outcome == d
         successes += success
         if collect:

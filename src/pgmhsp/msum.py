@@ -43,6 +43,8 @@ from .groups import (
     mat_identity,
     mat_mul,
     mat_transpose,
+    mat_vec,
+    matrix_sum,
     msum_table,
 )
 
@@ -88,6 +90,27 @@ def check_enumeration(p: int, k: int, cap: int | None = None) -> None:
     limit = enum_cap(cap)
     if p**k > limit:
         raise CapExceeded(f"p^k = {p**k} exceeds enumeration cap {limit}")
+
+
+def check_solutions(inst: MSumInstance, solutions) -> None:
+    """Raise AssertionError unless every b given lies in Z_p^k and solves
+    the instance, sum_j M^(b_j) x_j = w.  Each M^(b_j) is computed by
+    groups.matrix_sum, in O(log b_j) products, once per (j, b_j), so the
+    check builds nothing of size p and shares no step with the solvers."""
+    g, a, k = inst.group, inst.group.a_group, inst.k
+    terms: dict[tuple[int, int], object] = {}
+    for b in solutions:
+        if len(b) != k or not all(0 <= bj < g.p for bj in b):
+            raise AssertionError(f"b = {b} is not in Z_{g.p}^{k}")
+        total = a.zero
+        for j, bj in enumerate(b):
+            if (j, bj) not in terms:
+                m = matrix_sum(bj, g)
+                xj = inst.x[j]
+                terms[j, bj] = m * xj % a.n if isinstance(a, CyclicGroup) else mat_vec(m, xj, g.p)
+            total = a.add(total, terms[j, bj])
+        if total != inst.w:
+            raise AssertionError(f"b = {b} maps to {total}, not w = {inst.w}")
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,10 @@ def test_solve_msum_cap_exceeded():
     assert proc.returncode == 3
 
 
-def test_solve_msum_large_prime_under_default_caps():
-    # p^k = 1009^3 exceeds the enumeration cap; the polynomial route checks
-    # the 1009^2 points left by the linear layer
-    from pgmhsp.groups import parse_group_spec
+def _large_prime_instance():
+    """zpr p=1009 jordan=3 at k = 3 with b = (5, 6, 7) planted: p^k = 1009^3
+    exceeds the enumeration cap; the polynomial route checks the 1009^2
+    points left by the linear layer."""
     from pgmhsp.msum import MSumInstance
 
     from oracles import instance_residual
@@ -108,7 +108,16 @@ def test_solve_msum_large_prime_under_default_caps():
     g = parse_group_spec("zpr p=1009 jordan=3")
     x = ((1, 2, 3), (4, 5, 6), (7, 8, 10))
     w = instance_residual(MSumInstance(g, x, g.a_group.zero), (5, 6, 7))
-    doc = {"group": "zpr p=1009 jordan=3", "k": 3, "x": [list(v) for v in x], "w": list(w)}
+    return {"group": "zpr p=1009 jordan=3", "k": 3, "x": [list(v) for v in x], "w": list(w)}
+
+
+def test_solve_msum_large_prime_under_default_caps():
+    from pgmhsp.msum import MSumInstance
+
+    from oracles import instance_residual
+
+    doc = _large_prime_instance()
+    g, x, w = parse_group_spec(doc["group"]), tuple(map(tuple, doc["x"])), tuple(doc["w"])
     start = time.monotonic()
     proc = run_cli(["solve-msum"], stdin_text=json.dumps(doc))
     assert proc.returncode == 0, proc.stderr
@@ -117,6 +126,12 @@ def test_solve_msum_large_prime_under_default_caps():
     assert [5, 6, 7] in solutions
     for b in solutions:
         assert instance_residual(MSumInstance(g, x, w), tuple(b)) == w
+    # --verify re-checks each b by its residual, with no brute force over p^k
+    start = time.monotonic()
+    verified = run_cli(["solve-msum", "--verify"], stdin_text=json.dumps(doc))
+    assert verified.returncode == 0, verified.stderr
+    assert time.monotonic() - start < 10
+    assert verified.stdout == proc.stdout
 
 
 def test_solve_msum_large_work_exits_3_quickly():
@@ -175,8 +190,9 @@ BAD_SPECS = [
     "zn N=7 p=3 mu=2.5", "zpr p=3 r=2 jordan=2", 5, None, ["zn N=7 p=3 mu=2"], {},
 ]
 BAD_ELEMENTS = {
-    "zn N=7 p=3 mu=2": ["1", 1.5, None, [1], {}, [[1]]],
-    "zpr p=3 jordan=2": [1, "12", [1], [1, 2, 3], ["a", 1], [1.0, 2], [[1], [2]], None, {}],
+    "zn N=7 p=3 mu=2": ["1", 1.5, None, [1], {}, [[1]], True],
+    "zpr p=3 jordan=2": [1, "12", [1], [1, 2, 3], ["a", 1], [1.0, 2], [[1], [2]], None, {},
+                         [True, 0]],
 }
 NOT_JSON = ["{nope", "", "[1,", "{'x': [1]}", "nan?", "{\"x\": [1],}", "\u00ff\u00fe"]
 
@@ -201,7 +217,7 @@ def fuzzed_instance(rng):
     elif kind == 4:
         doc["w"] = rng.choice(BAD_ELEMENTS[spec])
     elif kind == 5:
-        doc["k"] = rng.choice([k + 1, 0, -1, "2", None, [k]])
+        doc["k"] = rng.choice([k + 1, 0, -1, "2", None, [k], True])
     elif kind == 6:
         del doc[rng.choice(["x", "w", "group"])]
     elif kind == 7:
@@ -225,6 +241,97 @@ def test_solve_msum_fuzzed_inputs_exit_2(tmp_path, capsys):
         argv, text = fuzzed_instance(rng)
         proc = run_cli(argv, stdin_text=text)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, (argv, text)
+
+
+SMALL_INSTANCE = {"group": "zpr p=3 jordan=2", "k": 2, "x": [[1, 2], [0, 1]], "w": [1, 0]}
+
+
+@pytest.mark.parametrize(
+    "doc,returned",
+    [
+        # a b that does not solve the instance, caught by its residual
+        (SMALL_INSTANCE, lambda right: [(0, 2)] if (0, 2) not in right else [(1, 1)]),
+        (_large_prime_instance(), lambda right: [(5, 6, 8)]),
+        # a b outside Z_p^k
+        (_large_prime_instance(), lambda right: [(5, 6, 1016)]),
+        # a dropped solution, caught by brute force where p^k fits the cap
+        (SMALL_INSTANCE, lambda right: right[1:]),
+    ],
+    ids=["wrong-b-small", "wrong-b-large-p", "b-out-of-range", "dropped-b"],
+)
+def test_solve_msum_verify_catches_wrong_solutions(tmp_path, monkeypatch, capsys, doc, returned):
+    from pgmhsp import msum
+
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve-msum", "--verify", "--instance", str(path)]) == 0
+    right = [tuple(b) for b in json.loads(capsys.readouterr().out)["solutions"]]
+    assert right
+    monkeypatch.setattr(msum, "solve_auto", lambda inst, cap=None: msum.SolutionSet(
+        tuple(returned(right))))
+    assert main(["solve-msum", "--instance", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve-msum", "--verify", "--instance", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("internal invariant violated: ")
+
+
+FIXTURE_GROUPS = {"zn N=7 p=3 mu=2": 1, "zpr p=3 jordan=2": [1, 1]}
+
+
+def fuzzed_fixture(rng):
+    """One malformed run-hsp fixture document, as JSON text."""
+    spec = rng.choice(sorted(FIXTURE_GROUPS))
+    element = FIXTURE_GROUPS[spec]
+    doc = {"group": spec, "labeling": "canonical-coset",
+           "hidden": {"generators": [{"a": element, "b": 1}]}}
+    gens = doc["hidden"]["generators"]
+    kind = rng.randrange(10)
+    if kind == 0:
+        doc["group"] = rng.choice(BAD_SPECS)
+    elif kind == 1:
+        del doc["group"]
+    elif kind == 2:
+        doc["labeling"] = rng.choice(["canonical", "", 5, None, ["canonical-coset"]])
+    elif kind == 3:
+        doc["hidden"] = rng.choice(
+            ["nontrivial", "", 3, None, [], {}, {"h": 1}, {"generator": []}]
+        )
+    elif kind == 4:
+        doc["hidden"] = {"d": rng.choice(BAD_ELEMENTS[spec])}
+    elif kind == 5:
+        doc["hidden"]["generators"] = rng.choice([3, "ab", None, {}, {"a": element, "b": 1}])
+    elif kind == 6:
+        gens.insert(rng.randrange(2), rng.choice([3, "g", None, [element, 1], [], 1.5]))
+    elif kind == 7:
+        del gens[0][rng.choice(["a", "b"])]
+    elif kind == 8:
+        gens[0]["a"] = rng.choice(BAD_ELEMENTS[spec])
+    else:
+        gens[0]["b"] = rng.choice([1.5, 1.0, "1", None, [1], {}, True])
+    if rng.random() < 0.1:
+        return json.dumps(rng.choice([[doc], 7, "doc", None]))
+    if rng.random() < 0.05:
+        return rng.choice(NOT_JSON)
+    return json.dumps(doc)
+
+
+def test_run_hsp_fuzzed_fixtures_exit_2(tmp_path, capsys):
+    rng = random.Random(2025)
+    path = tmp_path / "fixture.json"
+    argv = ["run-hsp", "--algo", "pgm", "--fixture", str(path), "--seed", "1", "--k", "1"]
+    for trial in range(400):
+        text = fuzzed_fixture(rng)
+        path.write_text(text, encoding="utf-8")
+        assert main(argv) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "", text
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err, (
+            text, captured.err)
+    # the two documents that used to end in a traceback, through a child process
+    for doc in ({"group": 5}, {"group": "zn N=7 p=3 mu=2", "hidden": {"generators": 3}}):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli(argv)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, (doc, proc.stderr)
 
 
 def test_pgm_report_z7():

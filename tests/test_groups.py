@@ -11,6 +11,7 @@ from pgmhsp.groups import (
     GroupElement,
     PhaseValue,
     VectorGroup,
+    _running_sums,
     character_eval,
     element_inv,
     element_mul,
@@ -215,6 +216,36 @@ def test_msum_table_equals_power_sums(g):
             for i in range(b):
                 expected = mat_add(expected, mat_pow(g.mu, i, g.p), g.p)
         assert m == expected == matrix_sum(b, g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Z7,
+        HEIS3,
+        semidirect_jordan(5, (3,)),
+        semidirect_jordan(3, (2, 1)),
+        semidirect_jordan(2, (2,)),
+        _conjugated_jordan3(5),
+        semidirect_zn(31, 5, 2),
+    ],
+    ids=format_group_spec,
+)
+def test_matrix_sum_equals_running_sums(g):
+    # doubling against the running sums M^(b+1) = M^(b) + mu^b, past b = p
+    sums = _running_sums(g)
+    for b in range(4 * g.p + 3):
+        assert matrix_sum(b, g) == next(sums), b
+    with pytest.raises(ValueError):
+        matrix_sum(-1, g)
+
+
+def test_matrix_sum_at_large_p():
+    # Heisenberg: M^(b) = ((b, b(b-1)/2), (0, b)) mod p, with no table of size p
+    p = 999999937
+    g = heisenberg_group(p)
+    for b in (0, 1, 2, 12345, p - 2, p - 1, p, 3 * p + 7):
+        assert matrix_sum(b, g) == ((b % p, b * (b - 1) // 2 % p), (0, b % p))
 
 
 def _order_p_mu(n: int, p: int) -> int:

@@ -335,3 +335,54 @@ def test_estimate_memory_stays_linear_in_n():
         tracemalloc.stop()
     assert est.trials == 500
     assert peak < 8 * 2**20
+
+
+def _counting_cdf(monkeypatch):
+    """Wrap metacyclic._cdf; returns the list of the sizes it was called on."""
+    built, cdf = [], metacyclic._cdf
+
+    def counting(weights):
+        built.append(len(weights))
+        return cdf(weights)
+
+    monkeypatch.setattr(metacyclic, "_cdf", counting)
+    return built
+
+
+@pytest.mark.parametrize("n,p,mu,trials", [(7, 3, 2, 10**4), (31, 5, 2, 2000), (101, 5, 36, 300)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_estimate_without_kept_cdfs_equals_default(monkeypatch, n, p, mu, trials, seed):
+    kept = estimate_success_rate(n, p, mu, trials, seed=seed, collect=True)
+    built = _counting_cdf(monkeypatch)
+    monkeypatch.setattr(metacyclic, "_CDF_MEMO_BYTES", 0)
+    fresh = estimate_success_rate(n, p, mu, trials, seed=seed, collect=True)
+    assert fresh.trial_records == kept.trial_records
+    assert (fresh.successes, fresh.passed) == (kept.successes, kept.passed)
+    # with nothing kept, every draw builds its cdf
+    accepted = sum(rec["accepted"] for rec in fresh.trial_records)
+    assert built == [n] * (trials + accepted)
+
+
+def test_estimate_builds_each_law_once_at_small_n(monkeypatch):
+    # the x-law depends on d alone and the outcome law on (d, unit x)
+    built = _counting_cdf(monkeypatch)
+    est = estimate_success_rate(7, 3, 2, 10**4, seed=5, collect=True)
+    assert len(built) <= 7 + 7 * 6
+    laws = {rec["d"] for rec in est.trial_records}
+    laws |= {(rec["d"], rec["measured_x"]) for rec in est.trial_records if rec["accepted"]}
+    assert len(built) == len(laws)
+
+
+def test_estimate_keeps_cdfs_within_the_byte_budget(monkeypatch):
+    # a budget of three cdfs at N = 31: the first three laws seen are kept,
+    # every other one is rebuilt on each draw
+    built = _counting_cdf(monkeypatch)
+    monkeypatch.setattr(metacyclic, "_CDF_MEMO_BYTES", 3 * 8 * 31 + 7)
+    est = estimate_success_rate(31, 5, 2, 2000, seed=8, collect=True)
+    seen = []
+    for rec in est.trial_records:
+        seen.append(rec["d"])
+        if rec["accepted"]:
+            seen.append((rec["d"], rec["measured_x"]))
+    first = list(dict.fromkeys(seen))[:3]
+    assert len(built) == len(first) + sum(1 for key in seen if key not in first)

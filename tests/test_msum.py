@@ -75,6 +75,27 @@ def test_bruteforce_soundness_random():
             assert instance_residual(inst, b) == inst.w
 
 
+@pytest.mark.parametrize(
+    "g", [Z7, semidirect_zn(31, 5, 2), HEIS3, semidirect_jordan(5, (3,)), semidirect_jordan(3, (2, 1))]
+)
+def test_check_solutions_accepts_exactly_the_solutions(g):
+    # every b of Z_p^2, for seeded instances: accepted iff brute force finds it
+    rng = random.Random(9)
+    a = g.a_group
+    for _ in range(10):
+        inst = MSumInstance(g, tuple(a.element(rng.randrange(a.order)) for _ in range(2)),
+                            a.element(rng.randrange(a.order)))
+        solutions = solve_bruteforce(inst).solutions
+        msum.check_solutions(inst, solutions)
+        for b in itertools.product(range(g.p), repeat=2):
+            if b not in solutions:
+                with pytest.raises(AssertionError, match="not w"):
+                    msum.check_solutions(inst, [*solutions, b])
+    for b in [(0,), (0, 0, 0), (g.p, 0), (-1, 0)]:
+        with pytest.raises(AssertionError, match="is not in"):
+            msum.check_solutions(inst, [b])
+
+
 def test_discrete_log_bsgs():
     assert discrete_log_bsgs(2, 1, 3, 7) == 0
     assert discrete_log_bsgs(2, 4, 3, 7) == 2
