@@ -1,6 +1,22 @@
 """Exact desk-scale simulator for pretty-good-measurement hidden subgroup
-algorithms over semidirect products A x| Z_p (A = Z_N or Z_p^r)."""
+algorithms over semidirect products A x| Z_p (A = Z_N or Z_p^r).
 
+``import pgmhsp`` loads ``caps``, ``groups`` and ``msum``, which every CLI
+command uses.  The layers ``states``, ``pgm``, ``pipeline`` and
+``metacyclic`` are bound as lazy modules: each runs on the first access to
+one of its attributes, so a command loads only the layers it calls.
+``pgmhsp.X``, ``from pgmhsp import X`` and ``from pgmhsp.pgm import X`` work
+as if every layer were imported eagerly.
+"""
+
+import importlib.util
+import sys
+
+# caps, groups and msum load eagerly: every command uses them.  msum must
+# stay eager for a second reason.  A large module compiled after numpy is
+# resident raises the process's peak RSS; loading msum (883 lines) lazily,
+# after numpy, raised it by about 1 MB on pgm-report and run-hsp, while
+# this order stays at or below importing every layer eagerly.
 from .caps import CapExceeded
 from .groups import (
     CyclicGroup,
@@ -32,37 +48,107 @@ from .msum import (
     solve_metacyclic_dlog,
     solve_polynomial,
 )
-from .pgm import (
-    POVM,
-    build_neumark,
-    build_pgm,
-    lemma2_bounds,
-    quantum_sample_vector,
-    success_probability_formula,
-    success_probability_trace,
-    verify_optimality,
-)
-from .pipeline import (
-    HidingFunction,
-    SubgroupDescription,
-    abelian_hsp_solve,
-    check_h1_normal,
-    coset_hiding_function,
-    detect_trivial_vs_order_p,
-    reduce_to_cyclic,
-    run_pgm_hsp,
-    solve_hsp,
-)
-from .states import (
-    coset_state,
-    fourier_coset_state,
-    state_vectors,
-)
-from .metacyclic import (
-    estimate_success_rate,
-    exact_success_rate,
-    perfect_state_overlap,
-    run_stripped_algorithm,
-)
 
 __version__ = "0.1.0"
+
+# Lazy layer -> the names the package exports from it.
+_LAZY_EXPORTS = {
+    "pgm": (
+        "POVM",
+        "build_neumark",
+        "build_pgm",
+        "lemma2_bounds",
+        "quantum_sample_vector",
+        "success_probability_formula",
+        "success_probability_trace",
+        "verify_optimality",
+    ),
+    "pipeline": (
+        "HidingFunction",
+        "SubgroupDescription",
+        "abelian_hsp_solve",
+        "check_h1_normal",
+        "coset_hiding_function",
+        "detect_trivial_vs_order_p",
+        "reduce_to_cyclic",
+        "run_pgm_hsp",
+        "solve_hsp",
+    ),
+    "states": (
+        "coset_state",
+        "fourier_coset_state",
+        "state_vectors",
+    ),
+    "metacyclic": (
+        "estimate_success_rate",
+        "exact_success_rate",
+        "perfect_state_overlap",
+        "run_stripped_algorithm",
+    ),
+}
+
+
+def _lazy_layer(name: str):
+    """Register ``pgmhsp.<name>`` in sys.modules, to execute on first access.
+
+    A LazyLoader module, unlike a name looked up on demand, is in
+    sys.modules from the start, so code that walks the package's loaded
+    modules sees every layer, and its first ``getattr`` loads the layer.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+states = _lazy_layer("states")
+pgm = _lazy_layer("pgm")
+pipeline = _lazy_layer("pipeline")
+metacyclic = _lazy_layer("metacyclic")
+
+_LAZY_HOME = {name: layer for layer, names in _LAZY_EXPORTS.items() for name in names}
+
+__all__ = [
+    "CapExceeded",
+    "CyclicGroup",
+    "GroupElement",
+    "PhaseValue",
+    "SemidirectGroup",
+    "VectorGroup",
+    "character_eval",
+    "element_inv",
+    "element_mul",
+    "format_group_spec",
+    "heisenberg_group",
+    "matrix_sum",
+    "parse_group_spec",
+    "phi_sum",
+    "semidirect_jordan",
+    "semidirect_zn",
+    "semidirect_zpr",
+    "subgroup_order",
+    "EtaStats",
+    "MSumInstance",
+    "SolutionSet",
+    "discrete_log_bsgs",
+    "eta_statistics",
+    "solve_auto",
+    "solve_bruteforce",
+    "solve_metacyclic_dlog",
+    "solve_polynomial",
+    *_LAZY_HOME,
+]
+
+
+def __getattr__(name: str):
+    layer = _LAZY_HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[layer], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_HOME))

@@ -830,6 +830,29 @@ def eta_orbits(g: SemidirectGroup, k: int, enumeration_cap: int | None = None):
         raise AssertionError(f"orbit weights sum to {total}, not |A|^k = {a.order**k}")
 
 
+def _uniform_draws(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """``[rng.randrange(n) for _ in range(count)]`` as an int64 array.
+
+    For n < 2^32, ``randrange(n)`` takes one 32-bit word per try, keeps its
+    top ``n.bit_length()`` bits and rejects values >= n.  This does the same
+    to words drawn in blocks, so it accepts the same sequence; words drawn
+    past the last accepted value go unused.
+    """
+    if n >= 1 << 32:
+        return np.array([rng.randrange(n) for _ in range(count)], dtype=np.int64)
+    bits = n.bit_length()
+    parts, have = [], 0
+    while have < count:
+        # the expected number of words for the values still missing, plus slack
+        m = ((count - have) << bits) // n + 64
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        kept = words >> (32 - bits)
+        kept = kept[kept < n]
+        parts.append(kept)
+        have += kept.size
+    return np.concatenate(parts)[:count].astype(np.int64)
+
+
 def eta_statistics(
     g: SemidirectGroup,
     k: int,
@@ -866,13 +889,10 @@ def eta_statistics(
             raise ValueError("sampled mode requires a seed")
         if not samples or samples < 1:
             raise ValueError("sampled mode requires a positive sample count")
-        rng = random.Random(seed)
         hist = np.zeros(size, dtype=np.int64)
         # Row: x_1..x_k then w, drawn in that order for each sample.
-        draws = np.array(
-            [[rng.randrange(a.order) for _ in range(k + 1)] for _ in range(samples)],
-            dtype=np.int64,
-        )
+        draws = _uniform_draws(random.Random(seed), a.order, samples * (k + 1))
+        draws = draws.reshape(samples, k + 1)
         step = max(1, _CHUNK // g.p**k)
         for lo in range(0, samples, step):
             batch = draws[lo : lo + step]

@@ -1,0 +1,136 @@
+"""The package's import graph: which layers each entry point executes.
+
+``import pgmhsp`` loads caps, groups and msum; states, pgm, pipeline and
+metacyclic are lazy modules that execute on first attribute access.  Each
+case runs in a fresh interpreter, since any earlier import in this process
+would already have loaded the layers.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+LAYERS = ("states", "pgm", "pipeline", "metacyclic")
+
+# Prints, as JSON, the exit code of one CLI command (argv in sys.argv[1])
+# and the lazy layers that have executed by its end.
+COMMAND_PROBE = f"""
+import contextlib, io, json, sys, types
+import pgmhsp.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pgmhsp.cli.main(json.loads(sys.argv[1]))
+loaded = [m for m in {LAYERS!r} if type(sys.modules["pgmhsp." + m]) is types.ModuleType]
+print(json.dumps([code, loaded]))
+"""
+
+
+def run_python(code, *args, stdin_text=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_executes_no_layer():
+    out = run_python(
+        f"""
+import sys, types
+import pgmhsp, pgmhsp.cli
+for m in {LAYERS!r}:
+    module = sys.modules["pgmhsp." + m]
+    # bound as a package attribute, and not yet executed
+    assert pgmhsp.__dict__[m] is module, m
+    assert type(module) is not types.ModuleType, m
+print("ok")
+"""
+    )
+    assert out.strip() == "ok"
+
+
+@pytest.mark.parametrize(
+    "argv,stdin_text,expected",
+    [
+        (["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "1"], None, []),
+        (
+            ["solve-msum"],
+            '{"group": "zn N=7 p=3 mu=2", "k": 1, "x": [1], "w": 3}',
+            [],
+        ),
+        (
+            ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2",
+             "--trials", "10", "--seed", "1"],
+            None,
+            ["states", "metacyclic"],
+        ),
+        (["pgm-report", "--group", "zn N=7 p=3 mu=2", "--k", "1"], None, ["states", "pgm"]),
+        (
+            ["run-hsp", "--algo", "pgm", "--fixture", "{fixture}", "--k", "1", "--seed", "1"],
+            None,
+            ["states", "pgm", "pipeline"],
+        ),
+    ],
+    ids=["eta-stats", "solve-msum", "run-hsp-stripped", "pgm-report", "run-hsp-pgm"],
+)
+def test_command_executes_only_its_layers(tmp_path, argv, stdin_text, expected):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text('{"group": "zn N=7 p=3 mu=2", "hidden": {"d": 1}}')
+    argv = [arg.format(fixture=fixture) for arg in argv]
+    code, loaded = json.loads(run_python(COMMAND_PROBE, json.dumps(argv), stdin_text=stdin_text))
+    assert code == 0
+    assert loaded == expected
+
+
+def test_getattr_loads_the_layer():
+    # A tracer that wraps functions found in sys.modules relies on this:
+    # the lazy module is there before any command runs, and its first
+    # getattr executes it in place.
+    out = run_python(
+        """
+import sys, types
+import pgmhsp
+module = sys.modules["pgmhsp.pgm"]
+fn = getattr(module, "verify_optimality")
+assert type(module) is types.ModuleType
+assert sys.modules["pgmhsp.pgm"] is module and pgmhsp.pgm is module
+assert vars(module)["verify_optimality"] is fn
+assert fn.__module__ == "pgmhsp.pgm"
+assert module.__file__.endswith("pgm.py")
+print("ok")
+"""
+    )
+    assert out.strip() == "ok"
+
+
+def test_exported_names_are_their_home_objects():
+    out = run_python(
+        """
+import importlib, json
+import pgmhsp
+homes = {}
+for name in pgmhsp.__all__:
+    obj = getattr(pgmhsp, name)
+    home = importlib.import_module(obj.__module__)
+    assert obj.__module__.startswith("pgmhsp."), name
+    assert getattr(home, name) is obj, name
+    homes[name] = obj.__module__
+assert set(pgmhsp.__all__) <= set(dir(pgmhsp))
+namespace = {}
+exec("from pgmhsp import *", namespace)
+assert {n for n in namespace if n != "__builtins__"} == set(pgmhsp.__all__)
+try:
+    pgmhsp.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown name did not raise AttributeError")
+print(json.dumps(homes))
+"""
+    )
+    homes = json.loads(out)
+    assert set(homes.values()) == {f"pgmhsp.{m}" for m in ("caps", "groups", "msum", *LAYERS)}

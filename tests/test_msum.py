@@ -315,6 +315,20 @@ def test_eta_statistics_sampled():
         eta_statistics(heisenberg_group(11), 3, cap=1000)
 
 
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 7, 8, 125, 128, 1030301, 2**31, 2**32 - 1, 2**32, 2**40 + 3]
+)
+def test_uniform_draws_match_randrange(n):
+    # The block draw must accept exactly randrange's sequence: the sampled
+    # census is seeded, and its output is pinned by seed.
+    for seed in (0, 1, 42, 2**31 - 1):
+        rng = random.Random(seed)
+        expected = [rng.randrange(n) for _ in range(2000)]
+        got = msum._uniform_draws(random.Random(seed), n, 2000)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+
+
 def test_eta_stats_probability_helpers():
     stats = EtaStats({0: 3, 1: 4, 2: 3}, 10, "exhaustive")
     assert stats.probability_at_least(1) == Fraction(7, 10)
