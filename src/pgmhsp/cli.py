@@ -357,14 +357,19 @@ def _run_hsp_pgm(args) -> int:
 # Parser
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type for an integer >= low; what names the range in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", help="group spec, e.g. 'zn N=7 p=3 mu=2'")
         p.add_argument("--out", help="output path (default stdout)")
         for cap in caps:
-            p.add_argument(f"--{cap}-cap", type=int, default=None)
+            p.add_argument(f"--{cap}-cap", type=_int_at_least(1, "positive"), default=None)
 
     p_msum = sub.add_parser("solve-msum", help="solve one matrix sum instance")
     common(p_msum, "enum")
@@ -409,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run, "enum", "pop")
     p_run.add_argument("--algo", choices=["pgm", "stripped"], default="pgm")
     p_run.add_argument("--k", type=int, default=1)
-    p_run.add_argument("--trials", type=_nonnegative_int, default=None)
+    p_run.add_argument("--trials", type=_int_at_least(0, "non-negative"), default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--exact", action="store_true", help="full-branch aggregation")
     p_run.add_argument("--fixture", help="oracle fixture JSON path")

@@ -5,7 +5,10 @@ The PGM for the k-copy ensemble is block diagonal over x in A^k; each
 block element is the rank-one projector onto
 |e^x_j> = |A|^(-1/2) sum_w chi_w(j) |S^x_w>.  The ensemble sum is
 diagonal in the (x, S^x_w) basis, so its inverse square root is written
-down directly rather than through a generic matrix function.
+down directly rather than through a generic matrix function.  A POVM is
+held by the factors F of its blocks, E^x_j = F F^dagger, and the trace
+and the optimality check are computed from those factors without forming
+any p^k x p^k block of an element.
 """
 
 from __future__ import annotations
@@ -33,21 +36,16 @@ OPTIMALITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class POVM:
-    """Block-diagonal POVM over outcomes j in A.
+    """Block-diagonal POVM over outcomes j in A, held in factored form.
 
-    ``block_matrices[xi, ji]`` is the x-block of E_j, a stack of shape
-    (|A|^k, |A|, p^k, p^k).  For the PGM proper, ``block_vectors[xi]``
-    holds the rank-one vectors |e^x_j> as rows (None after perturbation).
+    ``factors`` has shape (|A|^k, |A|, p^k, R): with F = ``factors[xi, ji]``
+    the x-block of E_j is F F^dagger.  The PGM is rank one on every block,
+    so R = 1 and the single column of F is |e^x_j>.
     """
 
     group: SemidirectGroup
     k: int
-    block_matrices: np.ndarray
-    block_vectors: np.ndarray | None = None
-
-    @property
-    def outcomes(self) -> int:
-        return self.group.a_group.order
+    factors: np.ndarray
 
 
 def build_pgm(
@@ -64,8 +62,7 @@ def build_pgm(
     eta = np.take_along_axis(eta_rows(images, a.order), images, axis=1)
     norms = np.sqrt(a.order * eta)
     vectors = np.stack([characters(a, j)[images] / norms for j in a.elements()], axis=1)
-    matrices = np.einsum("xja,xjb->xjab", vectors, vectors.conj())
-    return POVM(g, k, matrices, vectors)
+    return POVM(g, k, vectors[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +116,14 @@ def success_probability_trace(
     enumeration_cap: int | None = None,
     povm: POVM | None = None,
 ) -> float:
-    """tr(E_d rho_d^(x)k) = sum_x <v_d^x|E_d^x|v_d^x>, block by block, for the
-    PGM or a prebuilt block POVM."""
+    """tr(E_d rho_d^(x)k) = sum_x ||F_d^x^dagger v_d^x||^2, block by block,
+    for the PGM or a prebuilt block POVM."""
     if povm is None:
         povm = build_pgm(k, g, cap, enumeration_cap)
     a = g.a_group
     v = state_vectors(g, d, block_images(g, k, enumeration_cap))
-    e_d = povm.block_matrices[:, a.index(a.reduce(d))]
-    value = np.einsum("xa,xab,xb->", v.conj(), e_d, v)
-    if abs(value.imag) > 1e-10:
-        raise AssertionError(f"trace has non-negligible imaginary part {value.imag}")
-    return float(value.real)
+    amps = np.einsum("xar,xa->xr", povm.factors[:, a.index(a.reduce(d))].conj(), v)
+    return float((amps.real**2 + amps.imag**2).sum())
 
 
 def outcome_distribution(
@@ -259,21 +253,27 @@ def verify_optimality(
     T = sum_j sigma_j E_j is Hermitian (equals sum_j E_j sigma_j) and
     dominates every sigma_j.
 
-    Every operator is block diagonal over x, so both conditions are
-    checked on the stacked p^k x p^k x-blocks, with one batched eigvalsh
-    over the blocks T^x - sigma_j^x of every (x, j).
+    Every operator is block diagonal over x, with sigma_j^x = |v_j^x><v_j^x|
+    and E_j^x = F_j F_j^dagger, so T^x = sum_j |v_j>(<v_j|F_j) F_j^dagger
+    is formed from the vectors and factors alone.  The margin takes one
+    batched eigvalsh over x of T^x - sigma_j^x for each j.
     """
     check_dim(g, k, cap)
     if povm is None:
         povm = build_pgm(k, g, cap, enumeration_cap)
     images = block_images(g, k, enumeration_cap)
     v = np.stack([state_vectors(g, j, images) for j in g.a_group.elements()], axis=1)
-    sigma = np.einsum("xja,xjb->xjab", v, v.conj())
-    t = np.einsum("xjab,xjbc->xac", sigma, povm.block_matrices)
+    overlaps = np.einsum("xja,xjar->xjr", v.conj(), povm.factors)
+    rows = np.einsum("xjr,xjbr->xjb", overlaps, povm.factors.conj())
+    t = np.einsum("xja,xjb->xab", v, rows)
     t_dag = t.conj().transpose(0, 2, 1)
     commutator_residual = float(np.abs(t - t_dag).max())
-    np.subtract(((t + t_dag) / 2)[:, None], sigma, out=sigma)
-    margin = float(np.linalg.eigvalsh(sigma).min())
+    t_h = (t + t_dag) / 2
+    margin = math.inf
+    for v_j in v.transpose(1, 0, 2):
+        # t's storage now holds sigma_j, then T_h - sigma_j, stacked over x
+        np.einsum("xa,xb->xab", v_j, v_j.conj(), out=t)
+        margin = min(margin, float(np.linalg.eigvalsh(np.subtract(t_h, t, out=t)).min()))
     return OptimalityReport(commutator_residual, margin)
 
 

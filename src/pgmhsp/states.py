@@ -42,14 +42,6 @@ def check_dim(g: SemidirectGroup, k: int, cap: int | None = None) -> int:
     return dim
 
 
-def a_tuple_from_index(a_group: AbelianGroup, i: int, k: int) -> tuple:
-    out = []
-    for _ in range(k):
-        i, c = divmod(i, a_group.order)
-        out.append(a_group.element(c))
-    return tuple(out)
-
-
 @lru_cache(maxsize=16)
 def _phase_roots(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)

@@ -38,7 +38,6 @@ from pgmhsp.pgm import POVM, UNITARITY_TOL, OptimalityReport, build_neumark, bui
 from pgmhsp.pipeline import HidingFunction, ReducedProblem, subgroup_closure
 from pgmhsp.states import (
     _phase_roots,
-    a_tuple_from_index,
     block_images,
     characters,
     check_dim,
@@ -137,6 +136,15 @@ def a_tuple_index(a_group: AbelianGroup, x: tuple) -> int:
     for xj in reversed(x):
         i = i * a_group.order + a_group.index(xj)
     return i
+
+
+def a_tuple_from_index(a_group: AbelianGroup, i: int, k: int) -> tuple:
+    """The x in A^k with idx_A(x) = i, inverse of a_tuple_index."""
+    out = []
+    for _ in range(k):
+        i, c = divmod(i, a_group.order)
+        out.append(a_group.element(c))
+    return tuple(out)
 
 
 def b_tuple_index(p: int, b: tuple[int, ...]) -> int:
@@ -391,9 +399,10 @@ def tensor_power_grouped(mat: np.ndarray, k: int, dim_a: int, dim_b: int) -> np.
 
 
 def dense_element(povm: POVM, j) -> np.ndarray:
-    """E_j as a dense |G|^k x |G|^k matrix."""
+    """E_j as a dense |G|^k x |G|^k matrix, rebuilt from its block factors."""
     a = povm.group.a_group
-    return block_diagonal(povm.block_matrices[:, a.index(a.reduce(j))])
+    f = povm.factors[:, a.index(a.reduce(j))]
+    return block_diagonal(np.einsum("xar,xbr->xab", f, f.conj()))
 
 
 def pgm_from_inverse_sqrt(
@@ -420,13 +429,21 @@ def pgm_from_inverse_sqrt(
 def perturb_with_uniform(povm: POVM, eps: float) -> POVM:
     """Mix every element with the uniform POVM on the ensemble support.
 
-    Keeps completeness but destroys optimality; the negative control for
-    the optimality check.
+    (1 - eps) E_j + (eps / |A|) P_x in factored form: the factors of E_j
+    scaled by sqrt(1 - eps), next to sqrt(eps / |A|) |S^x_w> for every w in
+    A.  Keeps completeness but destroys optimality; the negative control
+    for the optimality check.
     """
-    blocks = support_blocks(povm.group, povm.k)
-    a = povm.group.a_group
-    matrices = (1 - eps) * povm.block_matrices + (eps / a.order) * blocks[:, None]
-    return POVM(povm.group, povm.k, matrices, None)
+    g = povm.group
+    a = g.a_group
+    images = block_images(g, povm.k)
+    eta = np.take_along_axis(eta_rows(images, a.order), images, axis=1)
+    solutions = (images[:, :, None] == np.arange(a.order)) / np.sqrt(eta[:, :, None])
+    uniform = np.broadcast_to(solutions[:, None], (*povm.factors.shape[:3], a.order))
+    factors = np.concatenate(
+        [math.sqrt(1 - eps) * povm.factors, math.sqrt(eps / a.order) * uniform], axis=-1
+    )
+    return POVM(g, povm.k, factors)
 
 
 def dense_verify_optimality(

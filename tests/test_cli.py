@@ -15,12 +15,14 @@ from pgmhsp.jsonio import dumps
 from oracles import eta_histogram_all_x
 
 
-def run_cli(args, stdin_text=None):
+def run_cli(args, stdin_text=None, env=None):
+    """Run the CLI in a child process; env adds variables to the environment."""
     proc = subprocess.run(
         [sys.executable, "-m", "pgmhsp.cli", *args],
         input=stdin_text,
         capture_output=True,
         text=True,
+        env=None if env is None else dict(os.environ, **env),
     )
     return proc
 
@@ -389,6 +391,41 @@ def test_unapplied_cap_flags_are_not_accepted():
          "--dim-cap", "10"],
     ):
         assert main(argv) == 2, argv
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "ten"])
+@pytest.mark.parametrize("cap", ["dim", "enum", "pop"])
+def test_cap_flags_must_be_positive(cap, value, capsys):
+    # a cap flag must be a positive integer, as its environment variable must
+    assert main(["pgm-report", "--group", "zn N=7 p=3 mu=2", f"--{cap}-cap", value]) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+    if cap != "dim":
+        assert main(["eta-stats", "--group", "zn N=7 p=3 mu=2", f"--{cap}-cap", value]) == 2
+
+
+ETA_Z7 = ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "2"]
+
+
+@pytest.mark.parametrize(
+    "env,argv,code",
+    [
+        ({"PGMHSP_POP_CAP": "10"}, ETA_Z7, 3),
+        # a flag wins over the environment
+        ({"PGMHSP_POP_CAP": "10"}, [*ETA_Z7, "--pop-cap", "100000000"], 0),
+        ({"PGMHSP_DIM_CAP": "10"}, ["pgm-report", "--group", "zn N=7 p=3 mu=2"], 3),
+        ({"PGMHSP_ENUM_CAP": "abc"}, ETA_Z7, 2),
+        ({"PGMHSP_ENUM_CAP": "0"}, ETA_Z7, 2),
+    ],
+    ids=["pop-env", "pop-flag-wins", "dim-env", "enum-env-not-int", "enum-env-zero"],
+)
+def test_cap_environment_variables(env, argv, code):
+    proc = run_cli(argv, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 3:
+        assert "cap exceeded" in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error:") and next(iter(env)) in proc.stderr
 
 
 def test_stripped_run_large_n_in_1_gib():

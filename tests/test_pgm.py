@@ -8,6 +8,7 @@ import pytest
 from pgmhsp.groups import heisenberg_group, semidirect_zn
 from pgmhsp.msum import eta_rows, eta_statistics
 from pgmhsp.pgm import (
+    POVM,
     PSD_TOL,
     UNITARITY_TOL,
     best_certified_lower_bound,
@@ -22,9 +23,10 @@ from pgmhsp.pgm import (
     trivial_state_outcome_distribution,
     verify_optimality,
 )
-from pgmhsp.states import a_tuple_from_index, block_images
+from pgmhsp.states import block_images
 
 from oracles import (
+    a_tuple_from_index,
     dense_element,
     dense_verify_optimality,
     hidden_subgroup_state,
@@ -62,7 +64,7 @@ def test_pgm_matches_inverse_sqrt_route():
 def test_pgm_block_j0_x0_uniform():
     # j = 0 on the x = 0 block: rank one with uniform entries
     povm = build_pgm(1, Z7)
-    vec = povm.block_vectors[0][0]
+    vec = povm.factors[0, 0, :, 0]
     nonzero = vec[np.abs(vec) > 1e-14]
     assert np.allclose(nonzero, nonzero[0])
 
@@ -201,16 +203,25 @@ def test_block_optimality_matches_dense_oracle(g, k, perturbed):
         assert abs(success_probability_trace(k, g, d) - direct) < 1e-12
 
 
-def test_pgm_report_heisenberg_k2_peak_memory():
-    # one dense 729 x 729 complex matrix alone takes 8.1 MiB
+@pytest.mark.parametrize(
+    "g,cap,bound_mib",
+    [
+        # one dense 729 x 729 complex matrix alone takes 8.1 MiB
+        (HEIS3, None, 8),
+        # a (|A|^k, |A|, p^k, p^k) complex stack alone takes 149 MiB
+        (heisenberg_group(5), 20000, 96),
+    ],
+    ids=["heis3", "heis5"],
+)
+def test_pgm_report_heisenberg_k2_peak_memory(g, cap, bound_mib):
     tracemalloc.start()
     try:
-        report = pgm_report(2, HEIS3)
+        report = pgm_report(2, g, cap)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.optimality.passed
-    assert peak < 8 * 2**20
+    assert peak < bound_mib * 2**20
 
 
 def test_pgm_report_builds_pgm_once(monkeypatch):
@@ -246,6 +257,21 @@ def test_perturbed_povm_fails_optimality():
     report = verify_optimality(1, Z7, perturbed)
     assert not report.passed
     assert report.min_eig_margin < -1e-8
+
+
+@pytest.mark.parametrize("g", [Z7, HEIS3], ids=["z7", "heis3"])
+def test_optimality_margin_covers_every_outcome(g):
+    # the PGM and its perturbation are covariant, so every j gives the same
+    # margin; zeroing the last element breaks that and moves the minimum
+    # to one j alone
+    factors = build_pgm(1, g).factors.copy()
+    factors[:, -1] = 0
+    dropped = POVM(g, 1, factors)
+    block = verify_optimality(1, g, dropped)
+    dense = dense_verify_optimality(1, g, dropped)
+    assert abs(block.min_eig_margin - dense.min_eig_margin) < 1e-12
+    assert abs(block.commutator_residual - dense.commutator_residual) < 1e-12
+    assert not block.passed
 
 
 def test_neumark_unitarity_and_columns():

@@ -13,7 +13,6 @@ from pgmhsp.msum import eta_rows
 from pgmhsp.pgm import build_pgm, quantum_sample_vector, verify_optimality
 from pgmhsp.states import (
     _phase_roots,
-    a_tuple_from_index,
     block_images,
     characters,
     coset_state,
@@ -22,6 +21,7 @@ from pgmhsp.states import (
 )
 
 from oracles import (
+    a_tuple_from_index,
     a_tuple_index,
     b_tuple_index,
     coset_mixture_density,
