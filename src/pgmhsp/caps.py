@@ -7,6 +7,7 @@ call, via CLI flags, or via the environment variables named below.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 ENV_DIM_CAP = "PGMHSP_DIM_CAP"
 ENV_ENUM_CAP = "PGMHSP_ENUM_CAP"
@@ -21,6 +22,7 @@ class CapExceeded(RuntimeError):
     """A requested computation exceeds the configured resource cap."""
 
 
+@lru_cache(maxsize=8)  # each variable is read once per process
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:

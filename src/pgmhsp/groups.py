@@ -450,13 +450,6 @@ def character_eval(x, y, a_group: AbelianGroup) -> PhaseValue:
 # Group enumeration and index conventions
 
 
-def group_elements(g: SemidirectGroup):
-    """All of G in index order (A index major, Z_p index minor)."""
-    for a in g.a_group.elements():
-        for b in range(g.p):
-            yield GroupElement(a, b)
-
-
 def element_index(x: GroupElement, g: SemidirectGroup) -> int:
     return g.a_group.index(x.a) * g.p + x.b
 

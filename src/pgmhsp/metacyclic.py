@@ -57,23 +57,14 @@ def _validate(n: int, p: int, mu: int) -> SemidirectGroup:
     return g
 
 
-def repeated_squaring_msum(b: int, mu: int, n: int) -> int:
-    """M^(b) mod N via the doubling identity M^(2b) = (1 + mu^b) M^(b)."""
-    if b == 0:
-        return 0
-    half = repeated_squaring_msum(b // 2, mu, n)
-    value = ((1 + pow(mu, b // 2, n)) * half) % n
-    if b % 2:
-        value = (1 + mu * value) % n  # M^(b+1) = 1 + mu * M^(b)
-    return value
-
-
-def _ancilla_values(x: int, p: int, mu: int, n: int) -> list[int]:
+def _ancilla_values(x: int, g: SemidirectGroup) -> list[int]:
     """x*M^(b) for b = 0..p-1, each checked to erase: the discrete-log round
-    trip mu^b = 1 + (mu - 1) x^(-1) x*M^(b) must recover b."""
+    trip mu^b = 1 + (mu - 1) x^(-1) x*M^(b) must recover b.  M^(b) comes
+    from groups.matrix_sum, not from the msum_table the coset states use."""
+    p, mu, n = g.p, g.mu, g.a_group.n
     values = []
     for b in range(p):
-        value = (x * repeated_squaring_msum(b, mu, n)) % n
+        value = (x * matrix_sum(b, g)) % n
         power = (1 + (mu - 1) * value * pow(x, -1, n)) % n
         if discrete_log_bsgs(mu, power, p, n) != b:
             raise AssertionError(f"erasure round trip failed at b={b}")
@@ -159,7 +150,7 @@ def run_stripped_algorithm(
     # Then erase b, which the ancilla determines (checked by _ancilla_values).
     joint = np.zeros(p * n, dtype=complex)
     erased = np.zeros(n, dtype=complex)
-    for b, value in enumerate(_ancilla_values(x, p, mu, n)):
+    for b, value in enumerate(_ancilla_values(x, g)):
         joint[b * n + value] = b_state[b]
         erased[value] = b_state[b]
     t.steps["post_compute"] = joint
@@ -225,7 +216,7 @@ def exact_success_rate(n: int, p: int, mu: int) -> Fraction:
     table = np.array(msum_table(g))
     roots = _phase_roots(n)
     units = np.array([x for x in range(n) if math.gcd(x, n) == 1])
-    values = np.array([_ancilla_values(int(x), p, mu, n) for x in units])
+    values = np.array([_ancilla_values(int(x), g) for x in units])
     # d values per chunk: about 2^18 amplitudes psi[d, x, b] at a time
     step = max(1, (1 << 18) // values.size)
     for lo in range(0, n, step):
@@ -322,7 +313,7 @@ def estimate_success_rate(
         outcome = None
         if accepted:
             if x not in checked:
-                _ancilla_values(x, p, mu, n)  # the erasure round trip for x
+                _ancilla_values(x, g)  # the erasure round trip for x
                 checked.add(x)
             cdf = cdf_for((d, x), lambda: outcome_law[(labels - d) * x % n])
             outcome = bisect_right(cdf, rng.random())

@@ -12,8 +12,9 @@ tabulating Z_p.  Every specialized solver returns exactly the brute-force
 solution set; the tests check both against an independent pure-Python
 enumeration.
 
-The exact eta histogram walks one x per symmetry orbit (eta_orbits), with
-the orbit size as its weight.  A scalar unit c commutes with every M^(b),
+Every exhaustive sum over A^k (the eta histogram here, and the success
+formula and the outcome laws in pgm) walks one x per symmetry orbit
+(eta_orbits), with the orbit size as its weight.  A scalar unit c commutes with every M^(b),
 so eta^(cx)_(cw) = eta^x_w: copy 1 takes one representative per unit class
 (the divisors d of N, of weight phi(N/d), for Z_N; 0 and the vectors whose
 leading nonzero coordinate is 1, of weight p - 1, for Z_p^r).  Permuting
@@ -638,9 +639,9 @@ class EtaStats:
 # idx_b(b); eta^x_w is the number of entries equal to w in row x.
 
 
-def x_tuples(a_order: int, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Per-copy A-indices, shape (rows, k), of the x with idx_A in [start, stop)."""
-    flat = np.arange(start, a_order**k if stop is None else stop, dtype=np.int64)
+def x_tuples(a_order: int, k: int) -> np.ndarray:
+    """Per-copy A-indices, shape (|A|^k, k), of every x in idx_A order."""
+    flat = np.arange(a_order**k, dtype=np.int64)
     return flat[:, None] // a_order ** np.arange(k, dtype=np.int64) % a_order
 
 
@@ -684,18 +685,6 @@ def eta_rows(images: np.ndarray, a_order: int) -> np.ndarray:
     rows = images.shape[0]
     flat = (images + a_order * np.arange(rows, dtype=np.int64)[:, None]).ravel()
     return np.bincount(flat, minlength=rows * a_order).reshape(rows, a_order)
-
-
-def eta_chunks(g: SemidirectGroup, k: int, enumeration_cap: int | None = None):
-    """eta rows of every x in idx_A order, a chunk of about _CHUNK elements at a time."""
-    check_enumeration(g.p, k, enumeration_cap)
-    a_order = g.a_group.order
-    codes = _codes_of_a(g, k)
-    step = max(1, _CHUNK // max(g.p**k, a_order))
-    total = a_order**k
-    for start in range(0, total, step):
-        xs = x_tuples(a_order, k, start, min(start + step, total))
-        yield eta_rows(image_table(g, xs, enumeration_cap, codes), a_order)
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +750,24 @@ def _unit_classes(a, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(nonzero, powers[e] + ranks - starts[e], 0), np.where(nonzero, p - 1, 1)
 
 
+def class_means(a, laws) -> np.ndarray:
+    """Sum the per-element arrays ``laws`` over each unit class of A, and
+    spread every class total evenly over its members, in A-index order."""
+    j = np.arange(a.order, dtype=np.int64)
+    if isinstance(a, CyclicGroup):
+        reps = np.gcd(j, a.n) % a.n
+    else:
+        # scale each vector by the inverse of its leading nonzero coordinate
+        digits = index_digits(j, a.p, a.r)
+        lead = np.take_along_axis(digits, (digits != 0).argmax(axis=1)[:, None], axis=1)
+        inverses = np.array([0] + [pow(c, -1, a.p) for c in range(1, a.p)], dtype=np.int64)
+        reps = digits * inverses[lead] % a.p @ a.p ** np.arange(a.r - 1, -1, -1)
+    # class ranks: _unit_classes lists representatives in ascending A-index
+    ranks = np.searchsorted(_unit_classes(a, np.arange(_unit_class_count(a)))[0], reps)
+    totals = sum(np.bincount(ranks, weights=law) for law in laws)
+    return (totals / np.bincount(ranks))[ranks]
+
+
 def _colex_tables(n: int, m: int) -> list[np.ndarray]:
     """tables[j][c] = C(c, j + 1) for c in [0, n + m - 1): the combinatorial
     number system of m-element subsets of [0, n + m - 1)."""
@@ -806,13 +813,17 @@ def eta_orbits(g: SemidirectGroup, k: int, enumeration_cap: int | None = None):
 
     Summing weight times any function of the row's eta multiset gives its
     sum over all of A^k.  Weights are int64 while |A|^(k+1) < 2^63 and
-    Python ints beyond that."""
+    Python ints beyond that.  The caps are checked on the call, not lazily."""
     check_enumeration(g.p, k, enumeration_cap)
-    a = g.a_group
-    multisets = math.comb(a.order + k - 2, k - 1)
-    rows = _unit_class_count(a) * multisets
+    multisets = math.comb(g.a_group.order + k - 2, k - 1)
+    rows = _unit_class_count(g.a_group) * multisets
     if rows >= 2**63:
         raise CapExceeded(f"{rows} orbit rows exceed int64")
+    return _orbit_chunks(g, k, enumeration_cap, multisets, rows)
+
+
+def _orbit_chunks(g: SemidirectGroup, k: int, enumeration_cap, multisets: int, rows: int):
+    a = g.a_group
     dtype = np.int64 if a.order ** (k + 1) < 2**63 else object
     tables = _colex_tables(a.order, k - 1)
     codes = _codes_of_a(g, k)

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import SemidirectGroup
-from .msum import EtaStats, eta_chunks, eta_orbits, eta_rows, eta_statistics, image_table
+from .groups import SemidirectGroup, format_group_spec
+from .msum import EtaStats, class_means, eta_orbits, eta_rows, eta_statistics, image_table
 from .states import (
     block_images,
     characters,
@@ -69,15 +69,13 @@ def build_pgm(
 # Success probability
 
 
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = c^2 * s with s squarefree; returns (c, s)."""
-    c, s, d = 1, 1, 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-            c *= d
-        d += 1
-    return c, s * n
+def _square_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, s) with n = c^2 s and s squarefree, for n = 0..m; c[n] is the
+    largest d with d^2 | n, and c[0] = s[0] = 0."""
+    c = np.zeros(m + 1, dtype=np.int64)
+    for d in range(1, math.isqrt(m) + 1):
+        c[d * d :: d * d] = d
+    return c, np.arange(m + 1) // np.maximum(c, 1) ** 2
 
 
 def success_probability_formula(
@@ -87,25 +85,27 @@ def success_probability_formula(
 ) -> Fraction | float:
     """Pr(success) = (p / |G|^(k+1)) sum_x (sum_w sqrt(eta^x_w))^2.
 
-    Exact Fraction when every block sum squares to a rational (the etas
-    of each block share one squarefree part), float otherwise.
+    A block's term depends on x only through its eta multiset, so the sum
+    runs over the symmetry orbits of A^k (msum.eta_orbits).  Exact Fraction
+    when every block sum squares to a rational (the nonzero etas of each
+    row, eta = c^2 s, share one squarefree part s), float otherwise.
     """
-    exact_total = Fraction(0)
-    float_total = 0.0
-    all_exact = True
-    for chunk in eta_chunks(g, k, enumeration_cap):
-        for row in chunk:
-            etas = row[row > 0].tolist()
-            parts = [_squarefree_split(eta) for eta in etas]
-            if len({s for _c, s in parts}) <= 1:
-                exact_total += Fraction(sum(c for c, _s in parts)) ** 2 * parts[0][1]
-            else:
-                all_exact = False
-            float_total += sum(math.sqrt(eta) for eta in etas) ** 2
+    orbits = eta_orbits(g, k, enumeration_cap)
+    c, s = _square_parts(g.p**k)
+    exact_total, all_exact, float_sums = 0, True, []
+    for weights, eta in orbits:
+        if all_exact:
+            parts = s[eta]
+            part = parts.max(axis=1)
+            all_exact = bool(((parts == part[:, None]) | (eta == 0)).all())
+            if all_exact:
+                squares = c[eta].sum(axis=1) ** 2 * part
+                exact_total += sum(w * v for w, v in zip(weights.tolist(), squares.tolist()))
+        float_sums.append(math.fsum((weights * np.sqrt(eta).sum(axis=1) ** 2).tolist()))
     scale = Fraction(g.p, g.order ** (k + 1))
     if all_exact:
         return scale * exact_total
-    return float(scale) * float_total
+    return float(scale * Fraction(math.fsum(float_sums)))
 
 
 def success_probability_trace(
@@ -134,16 +134,17 @@ def outcome_distribution(
 ) -> np.ndarray:
     """Exact outcome probabilities tr(E_j rho_d^(x)k) over j in A-index order.
 
-    Blockwise: Pr(j) = (1/(|G|^k |A|)) sum_x |sum_w chi_w(d - j) sqrt(eta)|^2,
-    the squared Fourier transform over A of each row sqrt(eta^x_.): a
-    length-N FFT for Z_N, a (p,)*r FFT for Z_p^r.
+    Blockwise: Pr(j) = S[d - j] / (|G|^k |A|), with S = sum_x P_x and
+    P_x = |FFT_A(sqrt(eta^x_.))|^2 (a length-N FFT for Z_N, a (p,)*r FFT
+    for Z_p^r).  A unit c gives P_(cx)[j] = P_x[c j], so S is constant on
+    each unit class of j, and the sum of P_x over a class depends on x only
+    through its eta multiset: it is summed over the symmetry orbits of A^k
+    (msum.eta_orbits) and spread evenly over the class.
     """
     a = g.a_group
     d = a.reduce(d)
-    power = np.zeros(a.order)
-    for eta in eta_chunks(g, k, enumeration_cap):
-        amps = fft_over_a(a, np.sqrt(eta))
-        power += (amps.real**2 + amps.imag**2).sum(axis=0)
+    amps = ((w, fft_over_a(a, np.sqrt(eta))) for w, eta in eta_orbits(g, k, enumeration_cap))
+    power = class_means(a, (w.astype(float) @ (f.real**2 + f.imag**2) for w, f in amps))
     shifts = [a.index(a.add(d, a.neg(j))) for j in a.elements()]
     return power[shifts] / (g.order**k * a.order)
 
@@ -388,8 +389,7 @@ def pgm_report(
     enumeration_cap: int | None = None,
     population_cap: int | None = None,
 ) -> PGMReport:
-    from .groups import format_group_spec
-
+    check_dim(g, k, cap)  # before the formula's walk over A^k, which it bounds
     formula = success_probability_formula(k, g, enumeration_cap)
     exact = formula if isinstance(formula, Fraction) else None
     povm = build_pgm(k, g, cap, enumeration_cap)

@@ -26,7 +26,6 @@ from .groups import (
     SemidirectGroup,
     element_index,
     element_mul,
-    group_elements,
     phi_apply,
     semidirect_zn,
     semidirect_zpr,
@@ -95,7 +94,9 @@ def coset_hiding_function(
 
     ``hidden=d`` plants H = <(d, 1)>; ``generators`` plants an arbitrary
     subgroup; passing neither plants the trivial subgroup.  Labels are
-    the least element index of each left coset.
+    the least element index of each left coset, computed on the first
+    query into the coset and kept for all of its elements, so G is never
+    labelled up front.
     """
     if hidden is not None and generators is not None:
         raise ValueError("pass either hidden=d or generators, not both")
@@ -107,14 +108,14 @@ def coset_hiding_function(
         gens = []
     subgroup = subgroup_closure(gens, g)
     labels: dict[GroupElement, int] = {}
-    for elem in group_elements(g):
-        if elem in labels:
-            continue
-        coset = [element_mul(elem, h, g) for h in subgroup]
-        label = min(element_index(c, g) for c in coset)
-        for c in coset:
-            labels[c] = label
-    return HidingFunction(g, labels.__getitem__, frozenset(subgroup))
+
+    def label(elem: GroupElement) -> int:
+        if elem not in labels:
+            coset = [element_mul(elem, h, g) for h in subgroup]
+            labels.update(dict.fromkeys(coset, min(element_index(c, g) for c in coset)))
+        return labels[elem]
+
+    return HidingFunction(g, label, frozenset(subgroup))
 
 
 # ---------------------------------------------------------------------------

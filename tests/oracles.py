@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,17 +23,18 @@ from pgmhsp.groups import (
     SemidirectGroup,
     VectorGroup,
     conj_apply,
+    element_index,
     element_mul,
-    group_elements,
     heisenberg_group,
+    parse_group_spec,
 )
 from pgmhsp.msum import (
     MSumInstance,
     SolutionSet,
-    eta_chunks,
     eta_rows,
     image_table,
     solve_bruteforce,
+    x_tuples,
 )
 from pgmhsp.pgm import POVM, UNITARITY_TOL, OptimalityReport, build_neumark, build_pgm
 from pgmhsp.pipeline import HidingFunction, ReducedProblem, subgroup_closure
@@ -47,6 +49,13 @@ from pgmhsp.states import (
 
 # ---------------------------------------------------------------------------
 # Groups and the matrix sum problem
+
+
+def group_elements(g: SemidirectGroup):
+    """All of G in index order (A index major, Z_p index minor)."""
+    for a in g.a_group.elements():
+        for b in range(g.p):
+            yield GroupElement(a, b)
 
 
 def element_pow(x, e: int, g: SemidirectGroup):
@@ -91,13 +100,85 @@ def solve_all_w(g: SemidirectGroup, x: tuple) -> dict:
     return buckets
 
 
+TABLE_GROUPS = [
+    "zn N=7 p=3 mu=2",
+    "zn N=9 p=3 mu=4",
+    "zpr p=3 jordan=2",
+    "zpr p=3 jordan=3",
+    "zpr p=3 r=2 mu=1,0;1,1",  # not in Jordan form
+]
+# (spec, k) where the pure-Python oracle enumerates at most 20000 (x, b) pairs
+TABLE_CASES = [
+    (spec, k)
+    for spec in TABLE_GROUPS
+    for k in (1, 2, 3)
+    if (parse_group_spec(spec).order) ** k <= 20_000
+]
+
+
+def eta_rows_all_x(g: SemidirectGroup, k: int) -> np.ndarray:
+    """eta rows of all |A|^k x in idx_A order, from one image table."""
+    a = g.a_group
+    return eta_rows(image_table(g, x_tuples(a.order, k)), a.order)
+
+
 def eta_histogram_all_x(g: SemidirectGroup, k: int) -> dict[int, int]:
     """eta value -> number of (x, w) pairs, from the eta rows of all |A|^k x
     (the reference for the histogram over symmetry orbits)."""
-    hist = np.zeros(g.p**k + 1, dtype=np.int64)
-    for eta in eta_chunks(g, k):
-        hist += np.bincount(eta.ravel(), minlength=hist.size)
+    hist = np.bincount(eta_rows_all_x(g, k).ravel(), minlength=g.p**k + 1)
     return {int(eta): int(c) for eta, c in enumerate(hist) if c}
+
+
+def squarefree_split(n: int) -> tuple[int, int]:
+    """n = c^2 * s with s squarefree, by trial division; returns (c, s)."""
+    c, d = 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            c *= d
+        d += 1
+    return c, n
+
+
+def success_probability_formula_all_x(k: int, g: SemidirectGroup) -> Fraction | float:
+    """(p / |G|^(k+1)) sum_x (sum_w sqrt(eta^x_w))^2 row by row over all
+    |A|^k x, each eta split by trial division; exact where every row's
+    etas share one squarefree part (the reference for the orbit sum)."""
+    exact_total, float_total, all_exact = Fraction(0), 0.0, True
+    for row in eta_rows_all_x(g, k):
+        etas = row[row > 0].tolist()
+        parts = [squarefree_split(eta) for eta in etas]
+        if len({s for _c, s in parts}) <= 1:
+            exact_total += Fraction(sum(c for c, _s in parts)) ** 2 * parts[0][1]
+        else:
+            all_exact = False
+        float_total += sum(math.sqrt(eta) for eta in etas) ** 2
+    scale = Fraction(g.p, g.order ** (k + 1))
+    if all_exact:
+        return scale * exact_total
+    return float(scale) * float_total
+
+
+def success_probability_decimal(k: int, g: SemidirectGroup, digits: int = 50) -> Decimal:
+    """The same sum over all x with ``digits``-digit decimal square roots."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        roots: dict[int, Decimal] = {}
+        total = Decimal(0)
+        for row in eta_rows_all_x(g, k):
+            block = sum(roots.setdefault(eta, Decimal(eta).sqrt()) for eta in row.tolist())
+            total += block * block
+        return total * g.p / Decimal(g.order) ** (k + 1)
+
+
+def outcome_distribution_all_x(k: int, g: SemidirectGroup, d) -> np.ndarray:
+    """Pr(j) = (1/(|G|^k |A|)) sum_x |FFT_A(sqrt(eta^x))[d - j]|^2, one FFT
+    per row over all |A|^k x (the reference for the sum over orbits)."""
+    a = g.a_group
+    amps = fft_over_a(a, np.sqrt(eta_rows_all_x(g, k)))
+    power = (amps.real**2 + amps.imag**2).sum(axis=0)
+    shifts = [a.index(a.add(a.reduce(d), a.neg(j))) for j in a.elements()]
+    return power[shifts] / (g.order**k * a.order)
 
 
 def heisenberg_eta_distribution(p: int) -> dict[int, Fraction]:
@@ -153,6 +234,20 @@ def b_tuple_index(p: int, b: tuple[int, ...]) -> int:
     for bj in reversed(b):
         i = i * p + bj
     return i
+
+
+def eager_coset_labels(g: SemidirectGroup, subgroup) -> dict[GroupElement, int]:
+    """Every element of G mapped to the least element index of its left
+    coset, labelling all of G up front (the reference for the lazy oracle)."""
+    labels: dict[GroupElement, int] = {}
+    for elem in group_elements(g):
+        if elem in labels:
+            continue
+        coset = [element_mul(elem, h, g) for h in subgroup]
+        label = min(element_index(c, g) for c in coset)
+        for c in coset:
+            labels[c] = label
+    return labels
 
 
 def quotient_well_defined(f: HidingFunction, g: SemidirectGroup, reduced: ReducedProblem) -> bool:

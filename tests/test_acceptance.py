@@ -18,7 +18,6 @@ from pgmhsp.groups import (
     conj_apply,
     element_inv,
     element_mul,
-    group_elements,
     heisenberg_group,
     mat_add,
     mat_identity,
@@ -59,6 +58,7 @@ from pgmhsp.metacyclic import (
 
 from oracles import (
     dense_element,
+    group_elements,
     heisenberg_eta_distribution,
     hidden_subgroup_state,
     perturb_with_uniform,

@@ -351,6 +351,28 @@ def test_pgm_report_dim_cap():
     assert proc.returncode == 3
 
 
+def test_pgm_report_rejects_nonpositive_k(capsys):
+    assert main(["pgm-report", "--group", "zpr p=101 jordan=2", "--k", "-1"]) == 2
+    assert "need k >= 1 copies" in capsys.readouterr().err
+
+
+def test_pgm_report_enumeration_cap_exits_3_before_tabulating():
+    # p^k = 101^4 > the default enumeration cap of 1e7; a table sized p^k
+    # would not fit in the child's 1 GiB and end in a MemoryError instead
+    proc = run_cli_in_1_gib(
+        ["pgm-report", "--group", "zpr p=101 jordan=2", "--k", "4", "--dim-cap", str(10**40)]
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "exceeds enumeration cap" in proc.stderr
+
+
+def test_pgm_report_dim_cap_exits_3_before_the_formula():
+    # |G|^k = 29791^3: the formula alone would walk 15 million orbit rows
+    proc = run_cli(["pgm-report", "--group", "zpr p=31 jordan=2", "--k", "3"])
+    assert proc.returncode == 3
+    assert "exceeds dimension cap" in proc.stderr
+
+
 def test_pgm_report_population_cap():
     proc = run_cli(
         ["pgm-report", "--group", "zn N=7 p=3 mu=2", "--k", "1", "--pop-cap", "10"]
@@ -426,6 +448,23 @@ def test_cap_environment_variables(env, argv, code):
         assert "cap exceeded" in proc.stderr
     if code == 2:
         assert proc.stderr.startswith("error:") and next(iter(env)) in proc.stderr
+
+
+def test_cap_environment_read_once_per_process(monkeypatch):
+    from pgmhsp import caps
+
+    caps._env_int.cache_clear()
+    try:
+        monkeypatch.setenv("PGMHSP_ENUM_CAP", "123")
+        assert caps.enum_cap() == 123
+        # a later change of the variable is not seen, a per-call value is
+        monkeypatch.setenv("PGMHSP_ENUM_CAP", "456")
+        assert caps.enum_cap() == 123
+        assert caps.enum_cap(789) == 789
+    finally:
+        monkeypatch.undo()
+        caps._env_int.cache_clear()
+    assert caps.enum_cap() == caps.DEFAULT_ENUM_CAP
 
 
 def test_stripped_run_large_n_in_1_gib():

@@ -16,7 +16,6 @@ from pgmhsp.groups import (
     element_inv,
     element_mul,
     format_group_spec,
-    group_elements,
     heisenberg_group,
     jordan_matrix,
     mat_add,
@@ -33,7 +32,7 @@ from pgmhsp.groups import (
     subgroup_order,
 )
 
-from oracles import element_from_index, element_pow, is_heisenberg
+from oracles import element_from_index, element_pow, group_elements, is_heisenberg
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)
@@ -228,14 +227,19 @@ def test_msum_table_equals_power_sums(g):
         semidirect_jordan(2, (2,)),
         _conjugated_jordan3(5),
         semidirect_zn(31, 5, 2),
+        semidirect_zn(15, 2, 14),
+        semidirect_zn(31, 3, 5),
     ],
     ids=format_group_spec,
 )
 def test_matrix_sum_equals_running_sums(g):
     # doubling against the running sums M^(b+1) = M^(b) + mu^b, past b = p
+    # (for Z_N, also against sum_{i<b} mu^i mod N with each power on its own)
     sums = _running_sums(g)
     for b in range(4 * g.p + 3):
         assert matrix_sum(b, g) == next(sums), b
+        if isinstance(g.a_group, CyclicGroup):
+            assert matrix_sum(b, g) == sum(pow(g.mu, i, g.a_group.n) for i in range(b)) % g.a_group.n
     with pytest.raises(ValueError):
         matrix_sum(-1, g)
 

@@ -10,7 +10,6 @@ from pgmhsp.metacyclic import (
     estimate_success_rate,
     exact_success_rate,
     perfect_state_overlap,
-    repeated_squaring_msum,
     run_stripped_algorithm,
     success_bound,
     wilson_interval,
@@ -34,13 +33,6 @@ def test_precondition_validation():
     with pytest.raises(ValueError):
         run_stripped_algorithm(7, 3, 3, 1, 0, seed=0)  # mu^p != 1
     run_stripped_algorithm(7, 3, 2, 1, 0, seed=0)
-
-
-def test_repeated_squaring_matches_direct_sum():
-    for n, mu in [(7, 2), (15, 14), (31, 5)]:
-        for b in range(12):
-            direct = sum(pow(mu, i, n) for i in range(b)) % n
-            assert repeated_squaring_msum(b, mu, n) == direct
 
 
 def test_transcript_steps_and_norms():
@@ -147,9 +139,10 @@ def test_exact_success_rate():
 
 
 def test_exact_success_rate_detects_wrong_msum_table(monkeypatch):
-    # M^(b) mod 7 for mu = 2 is 0, 1, 3; both tables below differ at b = 2
-    monkeypatch.setattr(metacyclic, "repeated_squaring_msum", lambda b, mu, n: b * b % n)
-    with pytest.raises(AssertionError):
+    # M^(b) mod 7 for mu = 2 is 0, 1, 3; both tables below differ at b = 2.
+    # The wrong sums keep M^(p) = 0, so only the erasure check can fail.
+    monkeypatch.setattr(metacyclic, "matrix_sum", lambda b, g: b * b % g.a_group.n * (b < g.p))
+    with pytest.raises(AssertionError, match="erasure round trip failed at b=2"):
         exact_success_rate(7, 3, 2)
     monkeypatch.undo()
     # wrong coset-state phases: the erasure still works, the aggregate does not

@@ -36,6 +36,8 @@ from pgmhsp.msum import (
 )
 
 from oracles import (
+    TABLE_CASES,
+    TABLE_GROUPS,
     b_tuple_index,
     eta_histogram_all_x,
     heisenberg_eta_distribution,
@@ -358,22 +360,6 @@ def test_eta_statistics_large_jordan_exhaustive():
     assert stats.probability_of(1) + stats.probability_of(2) >= Fraction(1, 4)
 
 
-TABLE_GROUPS = [
-    "zn N=7 p=3 mu=2",
-    "zn N=9 p=3 mu=4",
-    "zpr p=3 jordan=2",
-    "zpr p=3 jordan=3",
-    "zpr p=3 r=2 mu=1,0;1,1",  # not in Jordan form
-]
-# (spec, k) where the pure-Python oracle enumerates at most 20000 (x, b) pairs
-TABLE_CASES = [
-    (spec, k)
-    for spec in TABLE_GROUPS
-    for k in (1, 2, 3)
-    if (parse_group_spec(spec).order) ** k <= 20_000
-]
-
-
 def check_table_against_enumeration(g, k):
     a = g.a_group
     xs = x_tuples(a.order, k)
@@ -425,14 +411,20 @@ def test_unit_classes_partition_a(spec):
         units = [lambda v, c=c: tuple(c * t % a.p for t in v) for c in range(1, a.p)]
     else:
         units = [lambda v, c=c: c * v % a.n for c in range(1, a.n) if math.gcd(c, a.n) == 1]
-    classes = {}
+    classes, rep_of = {}, []
     for x in a.elements():
         rep = min(a.index(unit(x)) for unit in units)
         classes[rep] = classes.get(rep, 0) + 1
+        rep_of.append(rep)
     count = msum._unit_class_count(a)
     reps, sizes = msum._unit_classes(a, np.arange(count))
     assert dict(zip(reps.tolist(), sizes.tolist())) == classes
     assert reps.tolist() == sorted(classes)
+    # class_means spreads an element's mass evenly over exactly its class
+    for x, rep in enumerate(rep_of):
+        spread = msum.class_means(a, [np.eye(a.order)[x]])
+        assert np.flatnonzero(spread).tolist() == [y for y in range(a.order) if rep_of[y] == rep]
+        assert np.allclose(spread[spread > 0], 1 / classes[rep])
 
 
 @pytest.mark.parametrize("spec,k", [("zn N=21 p=3 mu=4", 4), ("zpr p=3 jordan=3", 4),

@@ -1,12 +1,16 @@
 import math
+import pathlib
+import re
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pgmhsp.groups import heisenberg_group, semidirect_zn
-from pgmhsp.msum import eta_rows, eta_statistics
+from pgmhsp import msum, pgm
+from pgmhsp.groups import heisenberg_group, parse_group_spec, semidirect_jordan, semidirect_zn
+from pgmhsp.msum import EtaStats, eta_rows, eta_statistics
 from pgmhsp.pgm import (
     POVM,
     PSD_TOL,
@@ -26,13 +30,19 @@ from pgmhsp.pgm import (
 from pgmhsp.states import block_images
 
 from oracles import (
+    TABLE_CASES,
     a_tuple_from_index,
     dense_element,
     dense_verify_optimality,
+    eta_histogram_all_x,
     hidden_subgroup_state,
+    outcome_distribution_all_x,
     perturb_with_uniform,
     pgm_from_inverse_sqrt,
     simulate_neumark_outcomes,
+    squarefree_split,
+    success_probability_decimal,
+    success_probability_formula_all_x,
     support_projector,
 )
 
@@ -86,6 +96,98 @@ def test_formula_vs_trace_all_order_p_labels():
         formula = float(success_probability_formula(k, g))
         for d in g.a_group.elements():
             assert abs(formula - success_probability_trace(k, g, d)) < 1e-10
+
+
+# the table groups plus a composite N with four divisor classes and a
+# Z_p^3 group that is not a single Jordan block
+ORBIT_SUM_CASES = TABLE_CASES + [
+    (spec, k)
+    for spec in ("zn N=21 p=3 mu=4", "zpr p=3 r=3 mu=1,1,0;0,1,0;0,0,1")
+    for k in (1, 2, 3)
+]
+
+
+def test_square_parts_match_trial_division():
+    from pgmhsp.pgm import _square_parts
+
+    c, s = _square_parts(2000)
+    assert (c[0], s[0]) == (0, 0)
+    assert list(zip(c[1:].tolist(), s[1:].tolist())) == [squarefree_split(n) for n in range(1, 2001)]
+
+
+@pytest.mark.parametrize("spec,k", ORBIT_SUM_CASES)
+def test_orbit_formula_matches_all_x_oracle(spec, k):
+    g = parse_group_spec(spec)
+    value = success_probability_formula(k, g)
+    reference = success_probability_formula_all_x(k, g)
+    assert type(value) is type(reference)
+    if isinstance(reference, Fraction):
+        assert value == reference
+    else:
+        assert abs(Decimal(value) - success_probability_decimal(k, g)) < Decimal("1e-15")
+
+
+@pytest.mark.parametrize("spec,k", ORBIT_SUM_CASES)
+def test_orbit_outcome_law_matches_all_x_oracle(spec, k):
+    g = parse_group_spec(spec)
+    a = g.a_group
+    for d in (a.zero, a.element(a.order - 1)):
+        law = outcome_distribution(k, g, d)
+        assert np.abs(law - outcome_distribution_all_x(k, g, d)).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec,k", [("zn N=21 p=3 mu=4", 3), ("zpr p=3 jordan=3", 3)])
+def test_formula_and_outcome_law_walk_the_orbit_rows(monkeypatch, spec, k):
+    g = parse_group_spec(spec)
+    rows = []
+    image_table = msum.image_table
+
+    def counting_image_table(g, xs, *args):
+        rows.append(len(xs))
+        return image_table(g, xs, *args)
+
+    monkeypatch.setattr(msum, "image_table", counting_image_table)
+    success_probability_formula(k, g)
+    assert sum(rows) == msum.orbit_rows(g.a_group, k)
+    rows.clear()
+    outcome_distribution(k, g, g.a_group.zero)
+    assert sum(rows) == msum.orbit_rows(g.a_group, k)
+
+
+@pytest.mark.parametrize("k", [4, -1])
+def test_formula_checks_caps_before_its_square_table(monkeypatch, k):
+    # the (c, s) table is sized p^k, so an over-cap or invalid k must be
+    # refused before it is built
+    def fail(m):
+        raise AssertionError("square table built before the cap check")
+
+    monkeypatch.setattr(pgm, "_square_parts", fail)
+    with pytest.raises(msum.CapExceeded if k > 0 else ValueError):
+        success_probability_formula(k, HEIS3, enumeration_cap=3**4 - 1)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize(
+    "label,g",
+    [
+        ("Heisenberg | 3", heisenberg_group(3)),
+        ("Heisenberg | 5", heisenberg_group(5)),
+        ("`jordan=3` | 3", semidirect_jordan(3, (3,))),
+    ],
+    ids=["heisenberg-3", "heisenberg-5", "jordan3-3"],
+)
+def test_readme_headline_rows_match_all_x_oracle(label, g):
+    # each cell is "Pr_success (certified lower bound)" to four places
+    row = next(line for line in README.read_text().splitlines() if line.startswith(f"| {label} |"))
+    cells = [cell.strip("* ") for cell in row.split("|")[3:-1]]
+    for k, cell in enumerate(cells, start=1):
+        value = float(success_probability_formula_all_x(k, g))
+        stats = EtaStats(eta_histogram_all_x(g, k), g.a_group.order ** (k + 1), "exhaustive")
+        lower = float(best_certified_lower_bound(k, g, stats).lower)
+        assert re.fullmatch(r"\d\.\d{4} \(\d\.\d{4}\)", cell), cell
+        assert cell == f"{value:.4f} ({lower:.4f})"
 
 
 def test_success_probability_independent_of_d():
@@ -225,8 +327,6 @@ def test_pgm_report_heisenberg_k2_peak_memory(g, cap, bound_mib):
 
 
 def test_pgm_report_builds_pgm_once(monkeypatch):
-    from pgmhsp import pgm
-
     calls = []
 
     def counting_build_pgm(*args, **kwargs):

@@ -1,8 +1,9 @@
+import random
+
 import pytest
 
 from pgmhsp.groups import (
     GroupElement,
-    group_elements,
     heisenberg_group,
     semidirect_jordan,
     semidirect_zn,
@@ -20,7 +21,7 @@ from pgmhsp.pipeline import (
     subgroup_closure,
 )
 
-from oracles import quotient_well_defined
+from oracles import eager_coset_labels, group_elements, quotient_well_defined
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)
@@ -40,6 +41,31 @@ def test_hiding_function_labels_cosets():
     for members in labels.values():
         assert len(members) == 3
     assert f.hidden_d == 2
+
+
+@pytest.mark.parametrize(
+    "g,kwargs",
+    [
+        (Z7, {"hidden": 2}),
+        (HEIS3, {"hidden": (1, 2)}),
+        (semidirect_jordan(3, (3,)), {"hidden": (0, 1, 2)}),
+        (Z7, {}),
+        (HEIS3, {}),
+        (semidirect_zn(8, 2, 3), {"generators": [GroupElement(2, 0)]}),
+        (HEIS3, {"generators": [GroupElement((1, 0), 0)]}),
+        (Z22, {"generators": [GroupElement((1, 1), 0), GroupElement((0, 0), 1)]}),
+    ],
+    ids=["z7-planted", "heis3-planted", "jordan3-planted", "z7-trivial", "heis3-trivial",
+         "z8-generators", "heis3-nonnormal", "z22-generators"],
+)
+def test_lazy_labels_match_eager_labelling(g, kwargs):
+    f = coset_hiding_function(g, **kwargs)
+    eager = eager_coset_labels(g, f.hidden_subgroup)
+    # every element twice, in a shuffled order: labels are fixed at first query
+    elements = list(group_elements(g))
+    order = elements + random.Random(5).sample(elements, len(elements))
+    assert [f(e.a, e.b) for e in order] == [eager[e] for e in order]
+    assert f.queries == len(order)
 
 
 def test_hiding_function_query_counter():
