@@ -8,20 +8,18 @@ every accepted x the observation lands on d with probability exactly
 p/N, giving an overall success rate of phi(N) * p / N^2.
 
 ``run_stripped_algorithm`` records every step of one run.  The Monte Carlo
-estimate runs the statevector once, for d = 1, ell = 0 and x = 1, and gives
-each trial its two laws in O(N) by relabelling that run:
+estimate gives each trial its two laws in O(N) from closed forms:
 
-* the coset offset ell only multiplies the state by a global phase, and the
-  post-QFT state of label d is psi_d[x, b] = omega^(x M^(b) d) / sqrt(Np),
-  the d = 1 state with row x relabelled to x*d mod N;
-* the outcome law of (d, x) at y is the law of (d, x) = (0, 1) at
-  x*(y - d) mod N.
+* the x-law is uniform for every (d, ell): each column b of the coset state
+  is one basis vector, whose Fourier transform has modulus 1/sqrt(N);
+* ell only multiplies the state by a global phase, and the outcome law of
+  (d, x) at y is the law of (d, x) = (0, 1) at x*(y - d) mod N: one
+  length-N FFT of the x = 1 row omega^(M^(b)) / sqrt(Np) of label d = 1.
 
-A trial draws from the inverse cdf of each law.  The x-law depends on d
-alone and the outcome law on (d, x), so the estimate keeps each cdf it
-builds, as N doubles, until the kept cdfs reach _CDF_MEMO_BYTES (4 KiB);
-beyond that a cdf is built for its trial and dropped.  N = 7 keeps every
-law, larger N a few, and memory stays O(N p) plus the budget.
+A trial draws by bisection in each law's inverse cdf: one x-law cdf serves
+every trial, and the outcome cdfs of (d, x) are kept until they fill
+_CDF_MEMO_BYTES (4 KiB), then built for their trial and dropped.  N = 7
+keeps every law, and memory stays O(N + p) plus the budget.
 
 Requires gcd(mu - 1, N) = 1 so the erasure identity
 (mu - 1) M^(b) = mu^b - 1 determines b from x*M^(b).
@@ -37,13 +35,14 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import SemidirectGroup, matrix_sum, msum_table, semidirect_zn
-from .msum import discrete_log_bsgs
 from .states import _phase_roots
 
 WILSON_Z_99 = 2.5758293035489004
-# Bytes of cdfs the Monte Carlo estimate keeps between trials: every law
-# at N = 7 (N + N phi(N) = 49 cdfs, 2744 bytes).
+# Bytes of outcome cdfs the Monte Carlo estimate keeps between trials: with
+# its x-law cdf, every law at N = 7 (1 + N phi(N) = 43 cdfs, 2408 bytes).
 _CDF_MEMO_BYTES = 4 * 1024
+# Amplitudes psi[d, x, b] exact_success_rate holds at a time (4 MiB).
+_EXACT_CHUNK = 1 << 18
 
 
 def _validate(n: int, p: int, mu: int) -> SemidirectGroup:
@@ -57,19 +56,31 @@ def _validate(n: int, p: int, mu: int) -> SemidirectGroup:
     return g
 
 
-def _ancilla_values(x: int, g: SemidirectGroup) -> list[int]:
-    """x*M^(b) for b = 0..p-1, each checked to erase: the discrete-log round
-    trip mu^b = 1 + (mu - 1) x^(-1) x*M^(b) must recover b.  M^(b) comes
-    from groups.matrix_sum, not from the msum_table the coset states use."""
-    p, mu, n = g.p, g.mu, g.a_group.n
-    values = []
-    for b in range(p):
-        value = (x * matrix_sum(b, g)) % n
-        power = (1 + (mu - 1) * value * pow(x, -1, n)) % n
-        if discrete_log_bsgs(mu, power, p, n) != b:
-            raise AssertionError(f"erasure round trip failed at b={b}")
-        values.append(value)
-    return values
+def _power_logs(mu: int, n: int, p: int, targets) -> np.ndarray:
+    """For each target t, the b < p with mu^b = t (mod n), or -1 where there
+    is none: a binary search in the sorted table of the p powers of mu."""
+    powers = [1]
+    for _ in range(p - 1):
+        powers.append(powers[-1] * mu % n)
+    powers = np.array(powers)
+    order = np.argsort(powers, kind="stable")
+    table = powers[order]
+    targets = np.asarray(targets)
+    at = np.searchsorted(table, targets).clip(max=p - 1)
+    return np.where(table[at] == targets, order[at], -1)
+
+
+def _erasure_table(g: SemidirectGroup) -> np.ndarray:
+    """M^(b) for b < p from groups.matrix_sum, not the msum_table the coset
+    states use, checked once for every x: the round trip through
+    mu^b = 1 + (mu - 1) x^(-1) x*M^(b) must recover b, and x^(-1) cancels x."""
+    n, p, mu = g.a_group.n, g.p, g.mu
+    sums = [matrix_sum(b, g) for b in range(p)]
+    logs = _power_logs(mu, n, p, [(1 + (mu - 1) * m) % n for m in sums])
+    wrong = np.flatnonzero(logs != np.arange(p))
+    if wrong.size:
+        raise AssertionError(f"erasure round trip failed at b={wrong[0]}")
+    return np.array(sums)
 
 
 @dataclass
@@ -147,12 +158,12 @@ def run_stripped_algorithm(
 
     # Drop the measured register; compute |b, x M^(b)> on (b, ancilla).
     b_state = collapsed.reshape(n, p)[x]
-    # Then erase b, which the ancilla determines (checked by _ancilla_values).
+    # Then erase b, which the ancilla determines (checked by _erasure_table).
+    values = x * _erasure_table(g) % n
     joint = np.zeros(p * n, dtype=complex)
+    joint[np.arange(p) * n + values] = b_state
     erased = np.zeros(n, dtype=complex)
-    for b, value in enumerate(_ancilla_values(x, g)):
-        joint[b * n + value] = b_state[b]
-        erased[value] = b_state[b]
+    erased[values] = b_state
     t.steps["post_compute"] = joint
     t.steps["post_erasure"] = erased
 
@@ -167,33 +178,27 @@ def run_stripped_algorithm(
     return t
 
 
-def _base_laws(n: int, p: int, table: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The x-law of label d = 1 and the outcome law of (d, x) = (0, 1), from
-    one run of the statevector steps with d = 1, ell = 0 and x = 1."""
-    values = np.array(table)
-    psi = np.zeros((n, p), dtype=complex)
-    psi[values, np.arange(p)] = 1 / math.sqrt(p)
-    psi = np.fft.ifft(psi, axis=0, norm="ortho")
-    x_law = (np.abs(psi) ** 2).sum(axis=1)
-    # Collapse onto x = 1, whose ancilla values are M^(b) themselves.
+def _base_laws(n: int, p: int, table) -> tuple[np.ndarray, np.ndarray]:
+    """The x-law, uniform for every label, and the outcome law of
+    (d, x) = (0, 1), in closed form from the p values M^(b) in ``table``."""
+    values = np.asarray(table)
+    # The collapsed x = 1 row of label d = 1, omega^(M^(b)) / sqrt(Np)
+    # renormalised, erased onto its ancilla values M^(b).
     erased = np.zeros(n, dtype=complex)
-    erased[values] = psi[1] / np.linalg.norm(psi[1])
+    erased[values] = _phase_roots(n)[values] / math.sqrt(p)
     outcome_law = np.abs(np.fft.fft(erased, norm="ortho")) ** 2
     # The law of (1, 1) at y is the law of (0, 1) at y - 1.
-    return x_law, np.roll(outcome_law, -1)
+    return np.full(n, 1 / n), np.roll(outcome_law, -1)
 
 
 def perfect_state_overlap(n: int, p: int, mu: int, d: int, x: int) -> float:
-    """|<d~|actual>| for an accepted x; equals sqrt(p/N) when the p
-    ancilla values x*M^(b) are distinct."""
+    """|<d~|actual>| for an accepted x; equals sqrt(p/N) as the p ancilla
+    values x*M^(b) are distinct (the erasure check recovers b from each)."""
     g = _validate(n, p, mu)
     if math.gcd(x, n) != 1:
         raise ValueError(f"x={x} is not a unit mod {n}")
     d %= n
-    table = msum_table(g)
-    values = x * np.array(table) % n
-    if len(np.unique(values)) != p:
-        raise AssertionError("ancilla values collide despite unit mu - 1")
+    values = x * _erasure_table(g) % n
     roots = _phase_roots(n)
     actual = np.zeros(n, dtype=complex)
     actual[values] = roots[values * d % n] / math.sqrt(p)
@@ -214,26 +219,31 @@ def exact_success_rate(n: int, p: int, mu: int) -> Fraction:
     g = _validate(n, p, mu)
     bound = success_bound(n, p)
     table = np.array(msum_table(g))
+    erasure = _erasure_table(g)
     roots = _phase_roots(n)
-    units = np.array([x for x in range(n) if math.gcd(x, n) == 1])
-    values = np.array([_ancilla_values(int(x), g) for x in units])
-    # d values per chunk: about 2^18 amplitudes psi[d, x, b] at a time
-    step = max(1, (1 << 18) // values.size)
-    for lo in range(0, n, step):
-        d = np.arange(lo, min(lo + step, n))[:, None, None]
-        # psi[d, x, b]: the Fourier-transformed coset state (0, d) at (x, b),
-        # omega^(x a) / sqrt(N p) with a = M^(b) d.
-        psi = roots[units[:, None] * (table * d % n) % n] / math.sqrt(n * p)
-        pr_x = (np.abs(psi) ** 2).sum(axis=2)
-        # The collapsed b register, erased onto the ancilla values and
-        # inverse Fourier transformed, read at the outcome d.
-        final_d = (roots.conj()[values * d % n] * psi).sum(axis=2) / np.sqrt(n * pr_x)
-        rates = (pr_x * np.abs(final_d) ** 2).sum(axis=1)
-        for di, rate in zip(d.ravel().tolist(), rates.tolist()):
-            if abs(rate - float(bound)) > 1e-12:
-                raise AssertionError(
-                    f"aggregated success rate {rate!r} at d={di} differs from {bound}"
-                )
+    amplitudes, inverse = roots / math.sqrt(n * p), roots.conj()
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    # chunks of at most _EXACT_CHUNK amplitudes psi[d, x, b], or one (d, x) row
+    x_step = max(1, min(len(units), _EXACT_CHUNK // p))
+    d_step = max(1, _EXACT_CHUNK // (x_step * p))
+    rates = np.zeros(n)
+    for x_lo in range(0, len(units), x_step):
+        x = units[x_lo : x_lo + x_step, None]
+        # x a for the coset state (0, 1) with a = M^(b), and the ancilla values
+        phases, values = x * table % n, x * erasure % n
+        for lo in range(0, n, d_step):
+            d = np.arange(lo, min(lo + d_step, n))[:, None, None]
+            # psi[d, x, b]: the Fourier-transformed coset state (0, d) at
+            # (x, b), omega^(x a) / sqrt(N p) with a = M^(b) d.
+            psi = amplitudes[phases * d % n]
+            pr_x = (np.abs(psi) ** 2).sum(axis=2)
+            # The collapsed b register, erased onto the ancilla values x M^(b)
+            # and inverse Fourier transformed, read at the outcome d.
+            final_d = (inverse[values * d % n] * psi).sum(axis=2) / np.sqrt(n * pr_x)
+            rates[lo : lo + d_step] += (pr_x * np.abs(final_d) ** 2).sum(axis=1)
+    for d, rate in enumerate(rates.tolist()):
+        if abs(rate - float(bound)) > 1e-12:
+            raise AssertionError(f"aggregated success rate {rate!r} at d={d} differs from {bound}")
     return bound
 
 
@@ -284,38 +294,27 @@ def estimate_success_rate(
     if trials == 0:
         return SuccessEstimate(n, p, mu, 0, 0, None, None, bound, None, seed)
     rng = np.random.default_rng(seed)
-    from .groups import subgroup_order
-
-    valid_d = [d for d in range(n) if subgroup_order(d, g) == p]
-    if len(valid_d) != n:
-        raise AssertionError("some d fails to generate an order-p subgroup")
-    x_law, outcome_law = _base_laws(n, p, msum_table(g))
+    # M^(p) = 0 (checked by _validate) gives every (d, 1) order p, so d is
+    # uniform over Z_N.
+    x_law, outcome_law = _base_laws(n, p, _erasure_table(g))
+    x_cdf = _cdf(x_law)
     labels = np.arange(n)
-    cdfs: dict = {}  # x-law cdfs keyed by d, outcome-law cdfs by (d, x)
+    cdfs: dict = {}  # outcome-law cdfs keyed by (d, x)
     room = _CDF_MEMO_BYTES // (8 * n)  # cdfs the byte budget keeps
-
-    def cdf_for(key, weights):
-        cdf = cdfs.get(key)
-        if cdf is None:
-            cdf = _cdf(weights())
-            if len(cdfs) < room:
-                cdfs[key] = cdf
-        return cdf
-
-    checked: set[int] = set()
     successes = 0
     records = []
     for trial in range(trials):
-        d = valid_d[int(rng.integers(len(valid_d)))]
+        d = int(rng.integers(n))
         ell = int(rng.integers(n))  # a global phase: neither law depends on it
-        x = bisect_right(cdf_for(d, lambda: x_law[labels * d % n]), rng.random())
+        x = bisect_right(x_cdf, rng.random())
         accepted = math.gcd(x, n) == 1
         outcome = None
         if accepted:
-            if x not in checked:
-                _ancilla_values(x, g)  # the erasure round trip for x
-                checked.add(x)
-            cdf = cdf_for((d, x), lambda: outcome_law[(labels - d) * x % n])
+            cdf = cdfs.get((d, x))
+            if cdf is None:
+                cdf = _cdf(outcome_law[(labels - d) * x % n])
+                if len(cdfs) < room:
+                    cdfs[d, x] = cdf
             outcome = bisect_right(cdf, rng.random())
         success = outcome == d
         successes += success

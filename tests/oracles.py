@@ -393,6 +393,23 @@ def stripped_inverse_qft(erased: np.ndarray, n: int) -> np.ndarray:
     return qft_matrix(CyclicGroup(n)).conj().T @ erased
 
 
+def stripped_base_laws(n: int, p: int, table: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The x-law of label d = 1 and the outcome law of (d, x) = (0, 1), from
+    one run of the statevector steps with d = 1, ell = 0 and x = 1: the
+    route metacyclic._base_laws replaces by closed forms."""
+    values = np.array(table)
+    psi = np.zeros((n, p), dtype=complex)
+    psi[values, np.arange(p)] = 1 / math.sqrt(p)
+    psi = np.fft.ifft(psi, axis=0, norm="ortho")
+    x_law = (np.abs(psi) ** 2).sum(axis=1)
+    # Collapse onto x = 1, whose ancilla values are M^(b) themselves.
+    erased = np.zeros(n, dtype=complex)
+    erased[values] = psi[1] / np.linalg.norm(psi[1])
+    outcome_law = np.abs(np.fft.fft(erased, norm="ortho")) ** 2
+    # The law of (1, 1) at y is the law of (0, 1) at y - 1.
+    return x_law, np.roll(outcome_law, -1)
+
+
 # ---------------------------------------------------------------------------
 # Dense states and ensemble operators
 

@@ -15,7 +15,7 @@ from pgmhsp.metacyclic import (
     wilson_interval,
 )
 
-from oracles import stripped_inverse_qft, stripped_qft
+from oracles import stripped_base_laws, stripped_inverse_qft, stripped_qft
 
 STEP_NAMES = [
     "coset",
@@ -104,6 +104,45 @@ def test_erasure_round_trip_exhaustive():
                 assert discrete_log_bsgs(mu, power, p, n) == b
 
 
+def test_power_logs_match_bsgs():
+    # the sorted-powers inversion against baby-step/giant-step on every
+    # admissible group with N <= 50 and every residue as target
+    from pgmhsp.msum import discrete_log_bsgs
+
+    groups = 0
+    for n in range(3, 51):
+        for p in (q for q in range(2, n) if all(q % r for r in range(2, q))):
+            for mu in range(2, n):
+                if pow(mu, p, n) != 1 or math.gcd(mu - 1, n) != 1:
+                    continue
+                groups += 1
+                logs = metacyclic._power_logs(mu, n, p, np.arange(n)).tolist()
+                for t in range(n):
+                    b = discrete_log_bsgs(mu, t, p, n)
+                    assert logs[t] == (-1 if b is None else b), (n, p, mu, t)
+                g = semidirect_zn(n, p, mu)
+                assert metacyclic._erasure_table(g).tolist() == list(msum_table(g))
+    assert groups > 50
+
+
+@pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (13, 3, 3), (31, 5, 2), (101, 5, 36)])
+def test_every_d_has_order_p(n, p, mu):
+    # why the estimate draws d uniformly from Z_N: M^(p) = 0 makes every
+    # (d, 1) of order p, here checked by iterating the group law on the
+    # groups the suite runs the stripped algorithm on
+    from pgmhsp.groups import subgroup_order
+
+    g = semidirect_zn(n, p, mu)
+    assert [subgroup_order(d, g) for d in range(n)] == [p] * n
+
+
+@pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (31, 5, 2)])
+def test_closed_form_laws_match_statevector_oracle(n, p, mu):
+    table = msum_table(semidirect_zn(n, p, mu))
+    for law, reference in zip(metacyclic._base_laws(n, p, table), stripped_base_laws(n, p, table)):
+        assert np.abs(law - reference).max() < 1e-12
+
+
 def test_perfect_state_overlap_values():
     for x in range(1, 7):
         for d in range(7):
@@ -149,6 +188,25 @@ def test_exact_success_rate_detects_wrong_msum_table(monkeypatch):
     monkeypatch.setattr(metacyclic, "msum_table", lambda g: (0, 1, 2))
     with pytest.raises(AssertionError, match="differs"):
         exact_success_rate(7, 3, 2)
+
+
+def test_exact_success_rate_chunks_over_d_and_x(monkeypatch):
+    # with the chunk bound at 10 amplitudes, one d and 2 of the 30 units of
+    # N = 31 fill a chunk; the aggregate is the same, and the peak stays
+    # under 11 KiB (about 7 KiB; 14 KiB when a chunk holds all 30 units,
+    # 232 KiB in one chunk)
+    import tracemalloc
+
+    full = exact_success_rate(31, 5, 2)
+    monkeypatch.setattr(metacyclic, "_EXACT_CHUNK", 10)
+    tracemalloc.start()
+    try:
+        chunked = exact_success_rate(31, 5, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chunked == full == success_bound(31, 5)
+    assert peak < 11 * 1024
 
 
 def test_exact_rate_cross_checked_by_float_aggregation():
@@ -213,24 +271,23 @@ def test_estimate_reproducible():
 
 @pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (31, 5, 2)])
 def test_estimate_sets_up_once_and_equals_single_runs(monkeypatch, n, p, mu):
-    calls = {"_validate": 0, "_ancilla_values": []}
-    validate, ancilla_values = metacyclic._validate, metacyclic._ancilla_values
+    calls = {"_validate": 0, "_erasure_table": 0}
+    validate, erasure_table = metacyclic._validate, metacyclic._erasure_table
 
     def counting_validate(*args):
         calls["_validate"] += 1
         return validate(*args)
 
-    def counting_ancilla_values(x, *args):
-        calls["_ancilla_values"].append(x)
-        return ancilla_values(x, *args)
+    def counting_erasure_table(*args):
+        calls["_erasure_table"] += 1
+        return erasure_table(*args)
 
     monkeypatch.setattr(metacyclic, "_validate", counting_validate)
-    monkeypatch.setattr(metacyclic, "_ancilla_values", counting_ancilla_values)
+    monkeypatch.setattr(metacyclic, "_erasure_table", counting_erasure_table)
     trials = 300
     est = estimate_success_rate(n, p, mu, trials, seed=21, collect=True)
-    assert calls["_validate"] == 1
-    accepted = [rec["measured_x"] for rec in est.trial_records if rec["accepted"]]
-    assert sorted(calls["_ancilla_values"]) == sorted(set(accepted))
+    # one erasure check serves every measured x
+    assert calls == {"_validate": 1, "_erasure_table": 1}
 
     # The same records from one run_stripped_algorithm per trial, drawing
     # (d, ell) and the measurements from one generator in the same order.
@@ -316,18 +373,53 @@ def test_relabelled_laws_match_transcripts(monkeypatch, n, p, mu):
 
 
 def test_estimate_memory_stays_linear_in_n():
-    # the statevector of one run is N x p complex amplitudes (0.45 MiB at
-    # N = 9901); a cache of laws per d alone would take N^2 floats (748 MiB)
+    # the laws are N floats each (78 KiB at N = 9901); an N x p statevector
+    # would take 764 MiB at N = 10007, a cache of laws per d alone N^2 floats
+    import tracemalloc
+
+    for n, p, mu in [(9901, 3, 99), (10007, 5003, 4)]:
+        tracemalloc.start()
+        try:
+            est = estimate_success_rate(n, p, mu, 500, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 500
+        assert peak < 8 * 2**20, n
+
+
+def test_estimate_in_the_efficient_regime():
+    # N/p about 2, so the rate phi(N) p / N^2 is about 1/2
     import tracemalloc
 
     tracemalloc.start()
     try:
-        est = estimate_success_rate(9901, 3, 99, 500, seed=1)
+        est = estimate_success_rate(1019, 509, 4, 2000, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert est.trials == 500
+    bound = float(success_bound(1019, 509))
+    assert abs(est.successes - 2000 * bound) <= 5 * math.sqrt(2000 * bound * (1 - bound))
     assert peak < 8 * 2**20
+
+
+def test_estimate_sums_m_b_at_most_p_plus_one_times(monkeypatch):
+    # the p sums of the erasure check and M^(p) in _validate, whatever the
+    # trial count
+    calls = []
+    matrix_sum = metacyclic.matrix_sum
+
+    def counting_matrix_sum(b, g):
+        calls.append(b)
+        return matrix_sum(b, g)
+
+    monkeypatch.setattr(metacyclic, "matrix_sum", counting_matrix_sum)
+    counts = []
+    for trials in (10, 3000):
+        calls.clear()
+        estimate_success_rate(31, 5, 2, trials, seed=4)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 5 + 1
 
 
 def _counting_cdf(monkeypatch):
@@ -351,31 +443,27 @@ def test_estimate_without_kept_cdfs_equals_default(monkeypatch, n, p, mu, trials
     fresh = estimate_success_rate(n, p, mu, trials, seed=seed, collect=True)
     assert fresh.trial_records == kept.trial_records
     assert (fresh.successes, fresh.passed) == (kept.successes, kept.passed)
-    # with nothing kept, every draw builds its cdf
+    # with nothing kept, the one x-law cdf is built and then every outcome
+    # draw builds its cdf
     accepted = sum(rec["accepted"] for rec in fresh.trial_records)
-    assert built == [n] * (trials + accepted)
+    assert built == [n] * (1 + accepted)
 
 
 def test_estimate_builds_each_law_once_at_small_n(monkeypatch):
-    # the x-law depends on d alone and the outcome law on (d, unit x)
+    # one uniform x-law, and an outcome law per (d, unit x)
     built = _counting_cdf(monkeypatch)
     est = estimate_success_rate(7, 3, 2, 10**4, seed=5, collect=True)
-    assert len(built) <= 7 + 7 * 6
-    laws = {rec["d"] for rec in est.trial_records}
-    laws |= {(rec["d"], rec["measured_x"]) for rec in est.trial_records if rec["accepted"]}
-    assert len(built) == len(laws)
+    assert len(built) <= 1 + 7 * 6
+    laws = {(rec["d"], rec["measured_x"]) for rec in est.trial_records if rec["accepted"]}
+    assert len(built) == 1 + len(laws)
 
 
 def test_estimate_keeps_cdfs_within_the_byte_budget(monkeypatch):
-    # a budget of three cdfs at N = 31: the first three laws seen are kept,
-    # every other one is rebuilt on each draw
+    # a budget of three cdfs at N = 31: beside the x-law, the first three
+    # outcome laws seen are kept, every other one is rebuilt on each draw
     built = _counting_cdf(monkeypatch)
     monkeypatch.setattr(metacyclic, "_CDF_MEMO_BYTES", 3 * 8 * 31 + 7)
     est = estimate_success_rate(31, 5, 2, 2000, seed=8, collect=True)
-    seen = []
-    for rec in est.trial_records:
-        seen.append(rec["d"])
-        if rec["accepted"]:
-            seen.append((rec["d"], rec["measured_x"]))
+    seen = [(rec["d"], rec["measured_x"]) for rec in est.trial_records if rec["accepted"]]
     first = list(dict.fromkeys(seen))[:3]
-    assert len(built) == len(first) + sum(1 for key in seen if key not in first)
+    assert len(built) == 1 + len(first) + sum(1 for key in seen if key not in first)

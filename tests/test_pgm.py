@@ -110,9 +110,31 @@ ORBIT_SUM_CASES = TABLE_CASES + [
 def test_square_parts_match_trial_division():
     from pgmhsp.pgm import _square_parts
 
-    c, s = _square_parts(2000)
+    c, s = _square_parts(np.arange(2001))
     assert (c[0], s[0]) == (0, 0)
     assert list(zip(c[1:].tolist(), s[1:].tolist())) == [squarefree_split(n) for n in range(1, 2001)]
+
+
+def test_formula_square_parts_follow_the_rows_walked():
+    # p^k = 17161 is 65 times |A| = 263, yet the formula's peak stays within
+    # 10 % of the orbit walk's own; a (c, s) table over 0..p^k added 25 %
+    g = parse_group_spec("zn N=263 p=131 mu=4")
+    success_probability_formula(2, g)  # fills the walk's caches
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def walk():
+        for weights, eta in msum.eta_orbits(g, 2):
+            del weights, eta
+
+    assert peak(walk) > 2**20
+    assert peak(lambda: success_probability_formula(2, g)) < 1.1 * peak(walk)
 
 
 @pytest.mark.parametrize("spec,k", ORBIT_SUM_CASES)
