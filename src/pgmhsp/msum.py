@@ -1,16 +1,19 @@
 """Solvers and statistics for the matrix sum problem.
 
 An instance is (x, w) with x a k-tuple over A and w in A; the task is to
-find every b in Z_p^k with  sum_j conj_apply(b_j, x_j) = w.  Three solvers
-are provided: brute force (Z_N with k > 1), a discrete-log route for Z_N
-with k = 1, and the polynomial route for every Z_p^r group, where
-M^(b) = sum_l C(b, l+1) (mu - I)^l makes the system triangular in b: it
-eliminates the linear layer over F_p, then checks the points of the affine
-family left against the same integer image codes the eta table is built
-from, or, for p beyond a few thousand, root-finds along its lines without
-tabulating Z_p.  Every specialized solver returns exactly the brute-force
-solution set; the tests check both against an independent pure-Python
-enumeration.
+find every b in Z_p^k with  sum_j conj_apply(b_j, x_j) = w.  solve_auto
+takes Z_N with k = 1 to a discrete-log route.  Every other instance with
+|A| p <= _CHUNK, p^(k-1) <= _PY_GRID and p^k within the enumeration cap
+is solved by residual lookup: for each prefix (b_1..b_(k-1)) the residual
+w - sum_(j<k) M^(b_j) x_j, in Python ints, is looked up among the p images
+of the last copy.  Beyond that, Z_N goes to brute force and Z_p^r to the
+polynomial route, where M^(b) = sum_l C(b, l+1) (mu - I)^l makes the
+system triangular in b: it eliminates the linear layer over F_p, then
+checks the points of the affine family left against the same integer
+image codes the eta table is built from, or, for p beyond a few thousand,
+root-finds along its lines without tabulating Z_p.  Every specialized
+solver returns exactly the brute-force solution set; the tests check both
+against an independent pure-Python enumeration.
 
 Every exhaustive sum over A^k (the eta histogram here, and the success
 formula and the outcome laws in pgm) walks one x per symmetry orbit
@@ -130,7 +133,7 @@ def check_solutions(inst: MSumInstance, solutions) -> None:
 # 1.5x slower) and keeps batches small.
 _CHUNK = 1 << 16
 _LUT_BITS = 16
-# Points up to which the polynomial solver checks a grid in Python ints.
+# Prefixes (b_1..b_(k-1)) up to which _solve_lookup walks residuals in Python ints.
 _PY_GRID = 64
 
 
@@ -372,27 +375,6 @@ def _line_cost(p: int, degree: int) -> int:
     return 50 * degree * degree * p.bit_length()
 
 
-@lru_cache(maxsize=16)
-def _tables(g: SemidirectGroup, k: int) -> tuple:
-    """(codes, rows, linear, decode) for the x of every A-index i: codes[i]
-    from _codes_of_a, rows[i] the same in Python ints, linear[i] = y.x over
-    the linear layer, and decode maps sums of k codes to A-indices; all None
-    when A's codes exceed _CHUNK."""
-    codes = _codes_of_a(g, k)
-    if codes is None:
-        return None, None, None, None
-    p, r = g.p, g.a_group.r
-    lut, bits, width, _ = _decoder(p, r, k)
-    lut, mask = lut.tolist(), lut.size - 1
-    parts = [(bits * q, p**q) for q in range(0, r, width)]
-    decode = lut.__getitem__ if len(parts) == 1 else (lambda u: sum(
-        lut[u >> shift & mask] * scale for shift, scale in parts))
-    basis, linear, _ = _layers(g)
-    ys = np.array(basis[:linear], dtype=np.int64)
-    values = index_digits(np.arange(g.a_group.order), p, r) @ ys.T % p
-    return codes, codes.tolist(), list(map(tuple, values.tolist())), decode
-
-
 def _trim(poly: list) -> list:
     while poly and not poly[-1]:
         poly.pop()
@@ -474,10 +456,10 @@ def _first_nonvanishing(c: tuple, v: tuple, coefficients: list, offsets: list, p
 
 
 def solve_polynomial(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
-    """Z_p^r solver: eliminate the linear layer over F_p, leaving an affine
-    family with f free coordinates.  For p up to _line_cost, check its p^f
-    points against the image codes, in Python ints up to _PY_GRID points
-    and a block at a time beyond; for larger p walk p^(f-1) lines c + t v
+    """Z_p^r solver: small instances by _solve_lookup; otherwise eliminate
+    the linear layer over F_p, leaving an affine family with f free
+    coordinates.  For p up to _line_cost, check its p^f points against the
+    image codes a block at a time; for larger p walk p^(f-1) lines c + t v
     and check the roots in t of the first functional (in layer order) not
     vanishing on each, a line with none being all solutions.  The cap
     bounds that work, counted in grid points, and the solutions written
@@ -487,16 +469,12 @@ def solve_polynomial(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
     if not isinstance(a, VectorGroup):
         raise ValueError("polynomial solver needs A = Z_p^r")
     limit = enum_cap(cap)
+    found = _solve_lookup(inst, limit)
+    if found is not None:
+        return found
     basis, linear, powers = _layers(g)
     line = _line_cost(p, len(powers))
-    codes, rows, linear_values, decode = _tables(g, k) if p <= line else (None,) * 4
-    target = a.index(inst.w)
-    if linear_values is None:
-        columns = [[sum(map(operator.mul, y, v)) for y in basis[:linear]]
-                   for v in (*inst.x, inst.w)]
-    else:
-        indices = [a.index(xj) for xj in inst.x]
-        columns = [linear_values[i] for i in (*indices, target)]
+    columns = [[sum(map(operator.mul, y, v)) for y in basis[:linear]] for v in (*inst.x, inst.w)]
     family = _eliminate(tuple(zip(*columns)), k, p)
     if family is None:
         return SolutionSet(())
@@ -506,11 +484,9 @@ def solve_polynomial(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
     walked = max(p**f, p) if p <= line else p ** max(f - 1, 0) * line
     if walked > limit:
         raise CapExceeded(f"{walked} grid points of work exceed enumeration cap {limit}")
-    if p <= line and rows is not None and p**f <= _PY_GRID:
-        return _small_grid([rows[i] for i in indices], decode, target, base, directions, free, p)
     if p <= line:
-        codes = _codes(g, np.array(inst.x), k) if codes is None else codes[indices]
-        return _grid_scan(g, codes, target, base, directions, free)
+        codes = _codes(g, np.array(inst.x), k)
+        return _grid_scan(g, codes, a.index(inst.w), base, directions, free)
     # coefficients[j][l][i] = (basis N^l x_j)_i over the functionals above the linear layer
     coefficients = [
         [[sum(map(operator.mul, y, xj)) for y in power[linear:]] for power in powers]
@@ -541,36 +517,10 @@ def solve_polynomial(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
     return SolutionSet(tuple(hits))
 
 
-def _small_grid(rows: list, decode, target: int, base: tuple, directions: tuple,
-                free: tuple, p: int) -> SolutionSet:
-    """The points b = base + sum_i s_i directions[i] of the family whose
-    image, decode(sum_j rows[j][b_j]), is target, over s in
-    itertools.product order in Python ints: the codes of the free copies
-    (b = s_i) and the b of the other moving copies (base_j plus a term
-    below p per direction) are folded one free coordinate at a time."""
-    k, f = len(base), len(free)
-    moving = {j: [base[j]] for j in range(k) if j not in free and any(d[j] for d in directions)}
-    sums = [sum(rows[j][base[j]] for j in range(k) if j not in free and j not in moving)]
-    for j, d in zip(free, directions):
-        sums = [u + e for u in sums for e in rows[j]]
-        for i, seq in moving.items():
-            step = [s * d[i] % p for s in range(p)]
-            moving[i] = [u + e for u in seq for e in step]
-    for j, seq in moving.items():
-        row = rows[j] * (f + 1)
-        sums = [u + row[b] for u, b in zip(sums, seq)]
-    found = [n for n, image in enumerate(map(decode, sums)) if image == target]
-    coords = [[base[j]] * len(found) for j in range(k)]
-    for j, seq in moving.items():
-        coords[j] = [seq[n] % p for n in found]
-    for i, j in enumerate(free):
-        coords[j] = [n // p ** (f - 1 - i) % p for n in found]
-    return SolutionSet(tuple(zip(*coords)))
-
-
 def _grid_scan(g: SemidirectGroup, codes: np.ndarray, target: int, base: tuple,
                directions: tuple, free: tuple) -> SolutionSet:
-    """_small_grid as one numpy scan over blocks of the free copies'
+    """The points b = base + sum_i s_i directions[i] of the family whose
+    image is target, by one numpy scan over blocks of the free copies'
     columns (_column_blocks); each other copy adds codes[j, b_j] with b_j
     summed over the same blocks from s_i directions[i][j]."""
     p, (k, _), f = g.p, codes.shape, len(free)
@@ -590,13 +540,63 @@ def _grid_scan(g: SemidirectGroup, codes: np.ndarray, target: int, base: tuple,
     return SolutionSet(tuple(map(tuple, b.tolist())))
 
 
+# ---------------------------------------------------------------------------
+# Residual lookup (small instances of either family)
+
+
+@lru_cache(maxsize=16)
+def _tables(g: SemidirectGroup, k: int) -> tuple:
+    """(codes, decode) for Z_p^r: codes[i] from _codes_of_a for the x of
+    A-index i, and decode maps a Python-int sum of k codes to its A-index."""
+    codes = _codes_of_a(g, k)
+    p, r = g.p, g.a_group.r
+    lut, bits, width, _ = _decoder(p, r, k)
+    lut, mask = lut.tolist(), lut.size - 1
+    parts = [(bits * q, p**q) for q in range(0, r, width)]
+    decode = lut.__getitem__ if len(parts) == 1 else (lambda u: sum(
+        lut[u >> shift & mask] * scale for shift, scale in parts))
+    return codes, decode
+
+
+def _solve_lookup(inst: MSumInstance, cap: int | None = None) -> SolutionSet | None:
+    """Solutions of a small instance, or None unless |A| p <= _CHUNK,
+    p^(k-1) <= _PY_GRID and p^k is within the cap (so no other route could
+    exceed it).  The residual w - sum_(j<k) M^(b_j) x_j of each prefix, in
+    itertools.product order, is a Python int (mod N, or w's code plus the
+    codes of -x_j, decoded) looked up among the images M^(b) x_k, so the b
+    come out sorted."""
+    g, k, p = inst.group, inst.k, inst.group.p
+    a = g.a_group
+    if a.order * p > _CHUNK or p ** (k - 1) > _PY_GRID or p**k > enum_cap(cap):
+        return None
+    if isinstance(a, CyclicGroup):
+        table, decode = msum_table(g), a.n.__rmod__
+        rows = [[-xj * m for m in table] for xj in inst.x[:-1]]
+        last, start = [inst.x[-1] * m % a.n for m in table], inst.w
+    else:
+        codes, decode = _tables(g, k)
+        rows = [codes[a.index(a.neg(xj))].tolist() for xj in inst.x[:-1]]
+        last = list(map(decode, codes[a.index(inst.x[-1])].tolist()))
+        start = int(codes[a.index(inst.w), 1])  # M^(1) = I: the code of w
+    sums = [start]
+    for row in rows:
+        sums = [u + c for u in sums for c in row]
+    inverse: dict[int, list[int]] = {}
+    for b, image in enumerate(last):
+        inverse.setdefault(image, []).append(b)
+    prefixes = itertools.product(range(p), repeat=k - 1)
+    return SolutionSet(tuple((*prefix, b) for prefix, image in zip(prefixes, map(decode, sums))
+                             if image in inverse for b in inverse[image]))
+
+
 def solve_auto(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
     """Route an instance to the most specific solver for its group shape."""
     if isinstance(inst.group.a_group, VectorGroup):
         return solve_polynomial(inst, cap)
     if inst.k == 1:
         return solve_metacyclic_dlog(inst, cap)
-    return solve_bruteforce(inst, cap)
+    found = _solve_lookup(inst, cap)
+    return solve_bruteforce(inst, cap) if found is None else found
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,18 @@ def test_solve_msum_all_of_z_p_k_hits_the_cap(cap, code):
         assert json.loads(proc.stdout)["eta"] == 27
 
 
+@pytest.mark.parametrize("cap,code", [("26", 3), ("27", 0)])
+def test_solve_msum_lookup_keeps_the_brute_force_cap(cap, code):
+    # p^k = 27: the residual lookup runs only within the cap, so below it
+    # brute force still exits 3
+    doc = '{"group": "zn N=7 p=3 mu=2", "x": [1,2,3], "w": 3}'
+    proc = run_cli(["solve-msum", "--enum-cap", cap, "--verify"], stdin_text=doc)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        solutions = [[0, 0, 1], [1, 0, 2], [1, 1, 0], [1, 2, 1], [2, 0, 0]]
+        assert json.loads(proc.stdout)["solutions"] == solutions
+
+
 def test_solve_msum_cap_bounds_walked_candidates_not_p_k():
     # one linear equation in three copies leaves 9 of the 27 b to walk: a cap
     # of 10 is below p^k and exited 3 before the polynomial route

@@ -290,6 +290,75 @@ def test_solve_auto_routing():
     assert solve_auto(inst_zn2).solutions == solve_bruteforce(inst_zn2).solutions
 
 
+@pytest.fixture
+def handed_over(monkeypatch):
+    """The b-tuples each solver hands to SolutionSet, before it sorts them."""
+    seen = []
+
+    class Recording(SolutionSet):
+        def __post_init__(self) -> None:
+            seen.append(self.solutions)
+            super().__post_init__()
+
+    monkeypatch.setattr(msum, "SolutionSet", Recording)
+    return seen
+
+
+def check_lookup(inst, expected, handed_over):
+    # the route is taken, and its b come out sorted without duplicates,
+    # through msum._solve_lookup itself and through each solver that calls it
+    solvers = [msum._solve_lookup, solve_auto]
+    if isinstance(inst.group.a_group, VectorGroup):
+        solvers.append(solve_polynomial)
+    for solve in solvers:
+        assert solve(inst).solutions == expected
+        assert handed_over[-1] == tuple(sorted(set(handed_over[-1])))
+    assert solve_bruteforce(inst).solutions == expected
+
+
+@pytest.mark.parametrize("spec,k", [("zn N=7 p=3 mu=2", 2), ("zn N=7 p=3 mu=2", 3),
+                                    ("zn N=9 p=3 mu=4", 2), ("zn N=9 p=3 mu=4", 3),
+                                    ("zpr p=3 jordan=2", 2)])
+def test_lookup_matches_enumeration_exhaustive(handed_over, spec, k):
+    # every (x, w); at N = 9 some x and mu - 1 are not units
+    g = parse_group_spec(spec)
+    a = g.a_group
+    for x in itertools.product(list(a.elements()), repeat=k):
+        buckets = solve_all_w(g, x)
+        for w in a.elements():
+            check_lookup(MSumInstance(g, x, w), tuple(buckets.get(w, ())), handed_over)
+
+
+def test_lookup_decodes_digits_in_groups(handed_over):
+    # r = 5 digits of 4 bits each at k = 3: the decode takes two lut lookups
+    g = parse_group_spec("zpr p=5 jordan=5")
+    a = g.a_group
+    assert msum._decoder(g.p, a.r, 3)[2] < a.r
+    rng = random.Random(5)
+    for _ in range(40):
+        x = tuple(a.element(rng.randrange(a.order)) for _ in range(3))
+        buckets = solve_all_w(g, x)
+        for w in [*list(buckets)[:3], a.element(rng.randrange(a.order)), a.zero]:
+            check_lookup(MSumInstance(g, x, w), tuple(buckets.get(w, ())), handed_over)
+
+
+def test_lookup_builds_no_table_over_a():
+    # |A| = 9901: a table per element of A would cost megabytes; b = (1, 2)
+    # is planted, M^(1) = 1 and M^(2) = 1 + mu = 100
+    g = parse_group_spec("zn N=9901 p=3 mu=99")
+    inst = MSumInstance(g, (5, 9900), (5 - 100) % 9901)
+    tracemalloc.start()
+    try:
+        found = solve_auto(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (1, 2) in found.solutions
+    assert msum._solve_lookup(inst) is not None
+    assert found.solutions == solve_bruteforce(inst).solutions
+
+
 def test_eta_statistics_exhaustive_moments():
     for g, k in [(Z7, 1), (HEIS3, 1), (HEIS3, 2)]:
         stats = eta_statistics(g, k)
@@ -501,11 +570,12 @@ def test_solvers_match_enumeration_across_blocks(monkeypatch, spec, k):
 
 @pytest.fixture
 def route(monkeypatch, request):
-    """Force a route of solve_polynomial: "grid" as routed (Python ints on
-    small grids), "scan" the numpy block scan in blocks of 9 columns with the
-    codes built per instance, "lines" the line walk whenever f > 0."""
-    if request.param == "scan":
+    """Force a route of solve_polynomial: "grid" as routed (the residual
+    lookup on small instances), "scan" the numpy block scan in blocks of 9
+    columns, "lines" the line walk whenever f > 0."""
+    if request.param != "grid":
         monkeypatch.setattr(msum, "_PY_GRID", 0)
+    if request.param == "scan":
         monkeypatch.setattr(msum, "_CHUNK", 9)
     if request.param == "lines":
         monkeypatch.setattr(msum, "_line_cost", lambda p, degree: 0)
