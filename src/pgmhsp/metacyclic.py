@@ -8,18 +8,19 @@ every accepted x the observation lands on d with probability exactly
 p/N, giving an overall success rate of phi(N) * p / N^2.
 
 ``run_stripped_algorithm`` records every step of one run.  The Monte Carlo
-estimate gives each trial its two laws in O(N) from closed forms:
+estimate gives every trial its two laws from closed forms built once:
 
 * the x-law is uniform for every (d, ell): each column b of the coset state
   is one basis vector, whose Fourier transform has modulus 1/sqrt(N);
 * ell only multiplies the state by a global phase, and the outcome law of
-  (d, x) at y is the law of (d, x) = (0, 1) at x*(y - d) mod N: one
-  length-N FFT of the x = 1 row omega^(M^(b)) / sqrt(Np) of label d = 1.
+  (d, x) at y is the base law L of (d, x) = (0, 1) at z = x*(y - d) mod N:
+  one length-N FFT of the x = 1 row omega^(M^(b)) / sqrt(Np) of label d = 1.
 
-A trial draws by bisection in each law's inverse cdf: one x-law cdf serves
-every trial, and the outcome cdfs of (d, x) are kept until they fill
-_CDF_MEMO_BYTES (4 KiB), then built for their trial and dropped.  N = 7
-keeps every law, and memory stays O(N + p) plus the budget.
+So a trial draws z from L and observes y = d + z*x^(-1) mod N, which is d
+exactly when z = 0.  The trials run in blocks of at most _BLOCK: each
+block draws d, ell, x and z as four arrays, x and z by searchsorted in the
+cdf of the uniform x-law and of L, the only two cdfs an estimate builds.
+Memory stays O(N + p) plus the block, whatever the trial count.
 
 Requires gcd(mu - 1, N) = 1 so the erasure identity
 (mu - 1) M^(b) = mu^b - 1 determines b from x*M^(b).
@@ -38,9 +39,9 @@ from .groups import SemidirectGroup, matrix_sum, msum_table, semidirect_zn
 from .states import _phase_roots
 
 WILSON_Z_99 = 2.5758293035489004
-# Bytes of outcome cdfs the Monte Carlo estimate keeps between trials: with
-# its x-law cdf, every law at N = 7 (1 + N phi(N) = 43 cdfs, 2408 bytes).
-_CDF_MEMO_BYTES = 4 * 1024
+# Trials the Monte Carlo estimate draws and decides at a time: each of its
+# per-block arrays holds at most 32 KiB.
+_BLOCK = 4096
 # Amplitudes psi[d, x, b] exact_success_rate holds at a time (4 MiB).
 _EXACT_CHUNK = 1 << 18
 
@@ -70,12 +71,21 @@ def _power_logs(mu: int, n: int, p: int, targets) -> np.ndarray:
     return np.where(table[at] == targets, order[at], -1)
 
 
+def _erasure_sums(n: int, p: int, mu: int) -> list[int]:
+    """M^(b) for b < p by M^(b+1) = 1 + mu M^(b) mod N, a recurrence apart
+    from msum_table's M^(b+1) = M^(b) + mu^b."""
+    sums = [0]
+    for _ in range(p - 1):
+        sums.append((1 + mu * sums[-1]) % n)
+    return sums
+
+
 def _erasure_table(g: SemidirectGroup) -> np.ndarray:
-    """M^(b) for b < p from groups.matrix_sum, not the msum_table the coset
+    """M^(b) for b < p from _erasure_sums, not the msum_table the coset
     states use, checked once for every x: the round trip through
     mu^b = 1 + (mu - 1) x^(-1) x*M^(b) must recover b, and x^(-1) cancels x."""
     n, p, mu = g.a_group.n, g.p, g.mu
-    sums = [matrix_sum(b, g) for b in range(p)]
+    sums = _erasure_sums(n, p, mu)
     logs = _power_logs(mu, n, p, [(1 + (mu - 1) * m) % n for m in sums])
     wrong = np.flatnonzero(logs != np.arange(p))
     if wrong.size:
@@ -297,39 +307,25 @@ def estimate_success_rate(
     # M^(p) = 0 (checked by _validate) gives every (d, 1) order p, so d is
     # uniform over Z_N.
     x_law, outcome_law = _base_laws(n, p, _erasure_table(g))
-    x_cdf = _cdf(x_law)
-    labels = np.arange(n)
-    cdfs: dict = {}  # outcome-law cdfs keyed by (d, x)
-    room = _CDF_MEMO_BYTES // (8 * n)  # cdfs the byte budget keeps
+    x_cdf, z_cdf = _cdf(x_law), _cdf(outcome_law)
+    unit = np.gcd(np.arange(n), n) == 1
     successes = 0
     records = []
-    for trial in range(trials):
-        d = int(rng.integers(n))
-        ell = int(rng.integers(n))  # a global phase: neither law depends on it
-        x = bisect_right(x_cdf, rng.random())
-        accepted = math.gcd(x, n) == 1
-        outcome = None
-        if accepted:
-            cdf = cdfs.get((d, x))
-            if cdf is None:
-                cdf = _cdf(outcome_law[(labels - d) * x % n])
-                if len(cdfs) < room:
-                    cdfs[d, x] = cdf
-            outcome = bisect_right(cdf, rng.random())
-        success = outcome == d
-        successes += success
+    for lo in range(0, trials, _BLOCK):
+        m = min(_BLOCK, trials - lo)
+        d = rng.integers(n, size=m)
+        ell = rng.integers(n, size=m)  # a global phase: neither law depends on it
+        x = np.searchsorted(x_cdf, rng.random(m), side="right")
+        z = np.searchsorted(z_cdf, rng.random(m), side="right")
+        accepted = unit[x]
+        successes += int((accepted & (z == 0)).sum())
         if collect:
-            records.append(
-                {
-                    "trial": trial,
-                    "d": d,
-                    "ell": ell,
-                    "measured_x": x,
-                    "accepted": accepted,
-                    "outcome": outcome,
-                    "success": success,
-                }
-            )
+            rows = zip(d.tolist(), ell.tolist(), x.tolist(), accepted.tolist(), z.tolist())
+            for i, (d_t, ell_t, x_t, ok, z_t) in enumerate(rows):
+                # y = d + z x^(-1), the label whose outcome probability is L[z]
+                y = (d_t + z_t * pow(x_t, -1, n)) % n if ok else None
+                records.append({"trial": lo + i, "d": d_t, "ell": ell_t, "measured_x": x_t,
+                                "accepted": ok, "outcome": y, "success": y == d_t})
     rate = successes / trials
     interval = wilson_interval(successes, trials)
     return SuccessEstimate(

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -179,8 +180,9 @@ def test_exact_success_rate():
 
 def test_exact_success_rate_detects_wrong_msum_table(monkeypatch):
     # M^(b) mod 7 for mu = 2 is 0, 1, 3; both tables below differ at b = 2.
-    # The wrong sums keep M^(p) = 0, so only the erasure check can fail.
-    monkeypatch.setattr(metacyclic, "matrix_sum", lambda b, g: b * b % g.a_group.n * (b < g.p))
+    # _validate's M^(p) = 0 does not read the wrong erasure sums, so only
+    # the erasure check can fail.
+    monkeypatch.setattr(metacyclic, "_erasure_sums", lambda n, p, mu: [b * b % n for b in range(p)])
     with pytest.raises(AssertionError, match="erasure round trip failed at b=2"):
         exact_success_rate(7, 3, 2)
     monkeypatch.undo()
@@ -269,6 +271,16 @@ def test_estimate_reproducible():
     assert a.successes == b.successes
 
 
+class _Uniforms:
+    """Stands in for a Generator: random() returns the given numbers in turn."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
 @pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (31, 5, 2)])
 def test_estimate_sets_up_once_and_equals_single_runs(monkeypatch, n, p, mu):
     calls = {"_validate": 0, "_erasure_table": 0}
@@ -284,28 +296,37 @@ def test_estimate_sets_up_once_and_equals_single_runs(monkeypatch, n, p, mu):
 
     monkeypatch.setattr(metacyclic, "_validate", counting_validate)
     monkeypatch.setattr(metacyclic, "_erasure_table", counting_erasure_table)
-    trials = 300
+    trials = 300  # one block
+    assert trials <= metacyclic._BLOCK
     est = estimate_success_rate(n, p, mu, trials, seed=21, collect=True)
     # one erasure check serves every measured x
     assert calls == {"_validate": 1, "_erasure_table": 1}
 
-    # The same records from one run_stripped_algorithm per trial, drawing
-    # (d, ell) and the measurements from one generator in the same order.
+    # The same records from one run_stripped_algorithm per trial: redraw the
+    # block's d, ell and uniform numbers by the same four calls, measure x
+    # from the statevector with u_x, and read the outcome law of the final
+    # distribution in z-order, z = x (y - d), drawing z with u_z.
     rng = np.random.default_rng(21)
+    d, ell = rng.integers(n, size=trials).tolist(), rng.integers(n, size=trials).tolist()
+    u_x, u_z = rng.random(trials).tolist(), rng.random(trials).tolist()
     records = []
     for trial in range(trials):
-        d = int(rng.integers(n))  # every d has order p here, so valid_d is range(n)
-        ell = int(rng.integers(n))
-        t = run_stripped_algorithm(n, p, mu, d, ell, rng=rng)
+        # 0.5 feeds the transcript's own outcome draw, in y-order and unused
+        t = run_stripped_algorithm(n, p, mu, d[trial], ell[trial], rng=_Uniforms(u_x[trial], 0.5))
+        outcome = None
+        if t.accepted:
+            labels = (d[trial] + np.arange(n) * pow(t.measured_x, -1, n)) % n
+            z = bisect_right(metacyclic._cdf(t.final_distribution[labels]), u_z[trial])
+            outcome = int(labels[z])
         records.append(
             {
                 "trial": trial,
-                "d": d,
-                "ell": ell,
+                "d": d[trial],
+                "ell": ell[trial],
                 "measured_x": t.measured_x,
                 "accepted": t.accepted,
-                "outcome": t.measured_outcome,
-                "success": bool(t.success),
+                "outcome": outcome,
+                "success": outcome == d[trial],
             }
         )
     assert list(est.trial_records) == records
@@ -373,18 +394,19 @@ def test_relabelled_laws_match_transcripts(monkeypatch, n, p, mu):
 
 
 def test_estimate_memory_stays_linear_in_n():
-    # the laws are N floats each (78 KiB at N = 9901); an N x p statevector
-    # would take 764 MiB at N = 10007, a cache of laws per d alone N^2 floats
+    # the laws are N floats each (78 KiB at N = 9901) and a block's arrays at
+    # most 32 KiB each, for any number of blocks; an N x p statevector would
+    # take 764 MiB at N = 10007, a cache of laws per d alone N^2 floats
     import tracemalloc
 
-    for n, p, mu in [(9901, 3, 99), (10007, 5003, 4)]:
+    for n, p, mu, trials in [(9901, 3, 99, 500), (10007, 5003, 4, 3 * metacyclic._BLOCK + 1)]:
         tracemalloc.start()
         try:
-            est = estimate_success_rate(n, p, mu, 500, seed=1)
+            est = estimate_success_rate(n, p, mu, trials, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert est.trials == 500
+        assert est.trials == trials
         assert peak < 8 * 2**20, n
 
 
@@ -404,8 +426,8 @@ def test_estimate_in_the_efficient_regime():
 
 
 def test_estimate_sums_m_b_at_most_p_plus_one_times(monkeypatch):
-    # the p sums of the erasure check and M^(p) in _validate, whatever the
-    # trial count
+    # M^(p) in _validate is the one matrix_sum call, whatever the trial count:
+    # the erasure check takes its p sums from a recurrence
     calls = []
     matrix_sum = metacyclic.matrix_sum
 
@@ -418,12 +440,13 @@ def test_estimate_sums_m_b_at_most_p_plus_one_times(monkeypatch):
     for trials in (10, 3000):
         calls.clear()
         estimate_success_rate(31, 5, 2, trials, seed=4)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= 5 + 1
+        counts.append(list(calls))
+    assert counts == [[5], [5]]
 
 
-def _counting_cdf(monkeypatch):
-    """Wrap metacyclic._cdf; returns the list of the sizes it was called on."""
+@pytest.mark.parametrize("trials", [10, 10**4])
+def test_estimate_builds_two_cdfs(monkeypatch, trials):
+    # the uniform x-law and the base outcome law L, whatever the trial count
     built, cdf = [], metacyclic._cdf
 
     def counting(weights):
@@ -431,39 +454,5 @@ def _counting_cdf(monkeypatch):
         return cdf(weights)
 
     monkeypatch.setattr(metacyclic, "_cdf", counting)
-    return built
-
-
-@pytest.mark.parametrize("n,p,mu,trials", [(7, 3, 2, 10**4), (31, 5, 2, 2000), (101, 5, 36, 300)])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_estimate_without_kept_cdfs_equals_default(monkeypatch, n, p, mu, trials, seed):
-    kept = estimate_success_rate(n, p, mu, trials, seed=seed, collect=True)
-    built = _counting_cdf(monkeypatch)
-    monkeypatch.setattr(metacyclic, "_CDF_MEMO_BYTES", 0)
-    fresh = estimate_success_rate(n, p, mu, trials, seed=seed, collect=True)
-    assert fresh.trial_records == kept.trial_records
-    assert (fresh.successes, fresh.passed) == (kept.successes, kept.passed)
-    # with nothing kept, the one x-law cdf is built and then every outcome
-    # draw builds its cdf
-    accepted = sum(rec["accepted"] for rec in fresh.trial_records)
-    assert built == [n] * (1 + accepted)
-
-
-def test_estimate_builds_each_law_once_at_small_n(monkeypatch):
-    # one uniform x-law, and an outcome law per (d, unit x)
-    built = _counting_cdf(monkeypatch)
-    est = estimate_success_rate(7, 3, 2, 10**4, seed=5, collect=True)
-    assert len(built) <= 1 + 7 * 6
-    laws = {(rec["d"], rec["measured_x"]) for rec in est.trial_records if rec["accepted"]}
-    assert len(built) == 1 + len(laws)
-
-
-def test_estimate_keeps_cdfs_within_the_byte_budget(monkeypatch):
-    # a budget of three cdfs at N = 31: beside the x-law, the first three
-    # outcome laws seen are kept, every other one is rebuilt on each draw
-    built = _counting_cdf(monkeypatch)
-    monkeypatch.setattr(metacyclic, "_CDF_MEMO_BYTES", 3 * 8 * 31 + 7)
-    est = estimate_success_rate(31, 5, 2, 2000, seed=8, collect=True)
-    seen = [(rec["d"], rec["measured_x"]) for rec in est.trial_records if rec["accepted"]]
-    first = list(dict.fromkeys(seen))[:3]
-    assert len(built) == 1 + len(first) + sum(1 for key in seen if key not in first)
+    estimate_success_rate(31, 5, 2, trials, seed=5)
+    assert built == [31, 31]
