@@ -2,7 +2,8 @@
 
 Subcommands: solve-msum, pgm-report, eta-stats, run-hsp.  Exit codes:
 0 success, 2 usage or parse error, 3 resource cap exceeded, 4 internal
-invariant violation.  Output is deterministic for a fixed (config, seed):
+invariant violation.  A reader that closes stdout early (``| head``) ends
+the run quietly with 0.  Output is deterministic for a fixed (config, seed):
 sorted keys, %.17g floats.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import jsonio
@@ -429,7 +431,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull so the flush at
+        # interpreter exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -227,12 +227,13 @@ def exact_success_rate(n: int, p: int, mu: int) -> Fraction:
     the closed form phi(N) * p / N^2 to 1e-12, which is returned exactly.
     """
     g = _validate(n, p, mu)
-    bound = success_bound(n, p)
+    unit = _unit_mask(n)
+    bound = success_bound(n, p, unit)
     table = np.array(msum_table(g))
     erasure = _erasure_table(g)
     roots = _phase_roots(n)
     amplitudes, inverse = roots / math.sqrt(n * p), roots.conj()
-    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    units = np.flatnonzero(unit)
     # chunks of at most _EXACT_CHUNK amplitudes psi[d, x, b], or one (d, x) row
     x_step = max(1, min(len(units), _EXACT_CHUNK // p))
     d_step = max(1, _EXACT_CHUNK // (x_step * p))
@@ -257,10 +258,17 @@ def exact_success_rate(n: int, p: int, mu: int) -> Fraction:
     return bound
 
 
-def success_bound(n: int, p: int) -> Fraction:
-    """phi(N) * p / N^2."""
-    phi = sum(1 for x in range(1, n + 1) if math.gcd(x, n) == 1)
-    return Fraction(phi * p, n * n)
+def _unit_mask(n: int) -> np.ndarray:
+    """unit[x] for x in Z_N: whether gcd(x, N) = 1."""
+    return np.gcd(np.arange(n), n) == 1
+
+
+def success_bound(n: int, p: int, unit: np.ndarray | None = None) -> Fraction:
+    """phi(N) * p / N^2, phi(N) counted on ``unit`` (_unit_mask(N)) when the
+    caller already holds it."""
+    if unit is None:
+        unit = _unit_mask(n)
+    return Fraction(int(np.count_nonzero(unit)) * p, n * n)
 
 
 def wilson_interval(
@@ -300,7 +308,8 @@ def estimate_success_rate(
     if trials < 0:
         raise ValueError(f"trials must not be negative, got {trials}")
     g = _validate(n, p, mu)
-    bound = success_bound(n, p)
+    unit = _unit_mask(n)
+    bound = success_bound(n, p, unit)
     if trials == 0:
         return SuccessEstimate(n, p, mu, 0, 0, None, None, bound, None, seed)
     rng = np.random.default_rng(seed)
@@ -308,7 +317,6 @@ def estimate_success_rate(
     # uniform over Z_N.
     x_law, outcome_law = _base_laws(n, p, _erasure_table(g))
     x_cdf, z_cdf = _cdf(x_law), _cdf(outcome_law)
-    unit = np.gcd(np.arange(n), n) == 1
     successes = 0
     records = []
     for lo in range(0, trials, _BLOCK):

@@ -814,6 +814,12 @@ def eta_orbits(g: SemidirectGroup, k: int, enumeration_cap: int | None = None):
     Summing weight times any function of the row's eta multiset gives its
     sum over all of A^k.  Weights are int64 while |A|^(k+1) < 2^63 and
     Python ints beyond that.  The caps are checked on the call, not lazily."""
+    a_order = g.a_group.order
+    return ((w, eta_rows(images, a_order)) for w, images in orbit_images(g, k, enumeration_cap))
+
+
+def orbit_images(g: SemidirectGroup, k: int, enumeration_cap: int | None = None):
+    """(weights, image-table rows) of the eta_orbits walk, chunk by chunk."""
     check_enumeration(g.p, k, enumeration_cap)
     multisets = math.comb(g.a_group.order + k - 2, k - 1)
     rows = _unit_class_count(g.a_group) * multisets
@@ -836,7 +842,7 @@ def _orbit_chunks(g: SemidirectGroup, k: int, enumeration_cap, multisets: int, r
         weights = sizes.astype(dtype) * orderings
         total += int(weights.sum())
         xs = np.column_stack([first, rest])
-        yield weights, eta_rows(image_table(g, xs, enumeration_cap, codes), a.order)
+        yield weights, image_table(g, xs, enumeration_cap, codes)
     if total != a.order**k:
         raise AssertionError(f"orbit weights sum to {total}, not |A|^k = {a.order**k}")
 
@@ -864,6 +870,36 @@ def _uniform_draws(rng: random.Random, n: int, count: int) -> np.ndarray:
     return np.concatenate(parts)[:count].astype(np.int64)
 
 
+class EtaHistogram:
+    """The exhaustive eta histogram, summed chunk by chunk over the eta_orbits
+    walk.  The population cap bounds the (x, w) pairs evaluated, at least |A|
+    of them, and is checked on construction; testing |A| first keeps a
+    large N from being factored."""
+
+    def __init__(self, g: SemidirectGroup, k: int, cap: int | None = None):
+        a = g.a_group
+        self.population = a.order ** (k + 1)
+        self.size = g.p**k + 1
+        self.counts = 0
+        limit = pop_cap(cap)
+        if a.order > limit or orbit_rows(a, k) * a.order > limit:
+            raise CapExceeded(
+                f"(x, w) pairs over the symmetry orbits of population {self.population} "
+                f"exceed cap {limit}"
+            )
+
+    def add(self, weights: np.ndarray, eta: np.ndarray) -> None:
+        """Add weight times each row's own histogram of eta over w."""
+        rows, size = len(eta), self.size
+        flat = (eta + size * np.arange(rows, dtype=np.int64)[:, None]).ravel()
+        counts = np.bincount(flat, minlength=rows * size).reshape(rows, size)
+        self.counts = self.counts + weights @ counts
+
+    def stats(self) -> EtaStats:
+        counts = {int(eta): int(c) for eta, c in enumerate(self.counts) if c}
+        return EtaStats(counts, self.population, "exhaustive")
+
+
 def eta_statistics(
     g: SemidirectGroup,
     k: int,
@@ -876,31 +912,17 @@ def eta_statistics(
     """Exact (exhaustive) or sampled histogram of eta over (x, w) pairs."""
     a = g.a_group
     check_enumeration(g.p, k, enumeration_cap)
-    size = g.p**k + 1
     if mode == "exhaustive":
-        population = a.order ** (k + 1)
-        limit = pop_cap(cap)
-        # The cap bounds the (x, w) pairs evaluated, at least |A| of them;
-        # testing |A| first keeps a large N from being factored.
-        if a.order > limit or orbit_rows(a, k) * a.order > limit:
-            raise CapExceeded(
-                f"(x, w) pairs over the symmetry orbits of population {population} "
-                f"exceed cap {limit}"
-            )
-        hist = 0
+        hist = EtaHistogram(g, k, cap)
         for weights, eta in eta_orbits(g, k, enumeration_cap):
-            # weight times each row's own histogram of eta over w
-            rows = len(eta)
-            flat = (eta + size * np.arange(rows, dtype=np.int64)[:, None]).ravel()
-            hist = hist + weights @ np.bincount(flat, minlength=rows * size).reshape(rows, size)
-        counts_map = {int(eta): int(c) for eta, c in enumerate(hist) if c}
-        return EtaStats(counts_map, population, "exhaustive")
+            hist.add(weights, eta)
+        return hist.stats()
     if mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires a seed")
         if not samples or samples < 1:
             raise ValueError("sampled mode requires a positive sample count")
-        hist = np.zeros(size, dtype=np.int64)
+        hist = np.zeros(g.p**k + 1, dtype=np.int64)
         # Row: x_1..x_k then w, drawn in that order for each sample.
         draws = _uniform_draws(random.Random(seed), a.order, samples * (k + 1))
         draws = draws.reshape(samples, k + 1)

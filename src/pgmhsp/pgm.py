@@ -8,7 +8,9 @@ diagonal in the (x, S^x_w) basis, so its inverse square root is written
 down directly rather than through a generic matrix function.  A POVM is
 held by the factors F of its blocks, E^x_j = F F^dagger, and the trace
 and the optimality check are computed from those factors without forming
-any p^k x p^k block of an element.
+any p^k x p^k block of an element.  That block route checks any given POVM;
+pgm_report checks the PGM itself on one x per symmetry orbit of A^k, building
+no array over all of A^k.
 """
 
 from __future__ import annotations
@@ -20,12 +22,24 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import SemidirectGroup, format_group_spec
-from .msum import EtaStats, class_means, eta_orbits, eta_rows, eta_statistics, image_table
+from .msum import (
+    _CHUNK,
+    EtaHistogram,
+    EtaStats,
+    class_means,
+    eta_orbits,
+    eta_rows,
+    eta_statistics,
+    image_table,
+    orbit_images,
+)
 from .states import (
+    _phase_roots,
     block_images,
     characters,
     check_dim,
     fft_over_a,
+    phase_indices,
     state_vectors,
 )
 
@@ -79,6 +93,37 @@ def _square_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, values // np.maximum(c, 1) ** 2
 
 
+class _SuccessSum:
+    """The success formula's sum over x, added one orbit chunk at a time:
+    exactly, in Python ints, while each row's nonzero etas share one
+    squarefree part (eta = c^2 s), and as a float fsum per chunk always."""
+
+    def __init__(self):
+        self.exact, self.all_exact, self.floats = 0, True, []
+
+    def add(self, weights: np.ndarray, eta: np.ndarray) -> None:
+        if self.all_exact:
+            # split only the distinct etas of the chunk (sorted by hand: np.unique
+            # imports numpy.ma on first use, 13 ms at numpy 2.4)
+            ordered = np.sort(eta, axis=None)
+            distinct = ordered[np.diff(ordered, prepend=-1) != 0]
+            c, s = _square_parts(distinct)
+            at = np.searchsorted(distinct, eta)
+            parts = s[at]
+            part = parts.max(axis=1)
+            self.all_exact = bool(((parts == part[:, None]) | (eta == 0)).all())
+            if self.all_exact:
+                squares = c[at].sum(axis=1) ** 2 * part
+                self.exact += sum(w * v for w, v in zip(weights.tolist(), squares.tolist()))
+        self.floats.append(math.fsum((weights * np.sqrt(eta).sum(axis=1) ** 2).tolist()))
+
+    def probability(self, g: SemidirectGroup, k: int) -> Fraction | float:
+        scale = Fraction(g.p, g.order ** (k + 1))
+        if self.all_exact:
+            return scale * self.exact
+        return float(scale * Fraction(math.fsum(self.floats)))
+
+
 def success_probability_formula(
     k: int,
     g: SemidirectGroup,
@@ -91,26 +136,10 @@ def success_probability_formula(
     when every block sum squares to a rational (the nonzero etas of each
     row, eta = c^2 s, share one squarefree part s), float otherwise.
     """
-    exact_total, all_exact, float_sums = 0, True, []
+    total = _SuccessSum()
     for weights, eta in eta_orbits(g, k, enumeration_cap):
-        if all_exact:
-            # split only the distinct etas of the chunk (sorted by hand: np.unique
-            # imports numpy.ma on first use, 13 ms at numpy 2.4)
-            ordered = np.sort(eta, axis=None)
-            distinct = ordered[np.diff(ordered, prepend=-1) != 0]
-            c, s = _square_parts(distinct)
-            at = np.searchsorted(distinct, eta)
-            parts = s[at]
-            part = parts.max(axis=1)
-            all_exact = bool(((parts == part[:, None]) | (eta == 0)).all())
-            if all_exact:
-                squares = c[at].sum(axis=1) ** 2 * part
-                exact_total += sum(w * v for w, v in zip(weights.tolist(), squares.tolist()))
-        float_sums.append(math.fsum((weights * np.sqrt(eta).sum(axis=1) ** 2).tolist()))
-    scale = Fraction(g.p, g.order ** (k + 1))
-    if all_exact:
-        return scale * exact_total
-    return float(scale * Fraction(math.fsum(float_sums)))
+        total.add(weights, eta)
+    return total.probability(g, k)
 
 
 def success_probability_trace(
@@ -387,6 +416,49 @@ class PGMReport:
         return abs(self.pr_formula - self.pr_trace) < 1e-10
 
 
+def _row_vectors(g: SemidirectGroup, k: int, images: np.ndarray, eta: np.ndarray):
+    """(e, v) of shape (rows, |A|, p^k) for image-table rows and their eta
+    rows: the PGM vectors e^x_j[b] = chi_w(j) / sqrt(|A| eta^x_w) and the
+    state vectors v^x_j[b] = chi_w(j) / sqrt(|G|^k), w the image of b, from
+    one phase-index table over (row, j, b)."""
+    a = g.a_group
+    t = phase_indices(a, images[:, None, :], np.arange(a.order, dtype=np.int64)[:, None])
+    chi = _phase_roots(a.char_denominator)[t]
+    norms = np.sqrt(a.order * np.take_along_axis(eta, images, axis=1))
+    return chi / norms[:, None, :], chi / math.sqrt(g.order**k)
+
+
+def _least_eigenvalues(lam: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of diag(lam) - z z^dagger for each row of c = |z|^2,
+    shape (rows, m, n), with lam of shape (rows, n) ascending.
+
+    Below lam_0 the eigenvalues of the downdate are the roots of
+    psi(mu) = sum_i c_i / (lam_i - mu) = 1 (Bunch, Nielsen and Sorensen,
+    Numer. Math. 1978); its least one is the root there, or lam_0 itself
+    when the c_i at lam_0 vanish and no root lies below.  1/psi - 1 is
+    concave and decreasing there, so Newton steps on it from a point right
+    of the root descend to the root without passing it; the start lam_0 - tol
+    is such a point unless the root lies within tol of lam_0.  Every
+    lam_i - mu stays positive, so a vanishing c_i adds an exact 0.
+    """
+    lam = lam[:, None, :]
+    top = lam[..., 0]
+    tol = 4 * np.finfo(float).eps * np.maximum(np.abs(lam).max(axis=-1), c.sum(axis=-1))
+    mu = top - tol
+    for i in range(64):
+        gap = lam - mu[..., None]
+        psi = (c / gap).sum(axis=-1)
+        right = psi > 1
+        if i == 0:
+            at_top = ~right
+        dpsi = (c / gap**2).sum(axis=-1)
+        shift = np.divide(psi * (psi - 1), dpsi, out=np.zeros_like(psi), where=right)
+        mu -= shift
+        if not (shift > tol).any():
+            break
+    return np.where(at_top, top, mu)
+
+
 def pgm_report(
     k: int,
     g: SemidirectGroup,
@@ -394,14 +466,44 @@ def pgm_report(
     enumeration_cap: int | None = None,
     population_cap: int | None = None,
 ) -> PGMReport:
-    check_dim(g, k, cap)  # before the formula's walk over A^k, which it bounds
-    formula = success_probability_formula(k, g, enumeration_cap)
+    """The success formula, the certified bracket, the d = 0 trace success
+    probability and the optimality check, in one walk over the symmetry
+    orbits of A^k (msum.orbit_images).
+
+    A unit c sends block x to cx with outcome j to cj, and permuting copies
+    2..k permutes b, so the blocks of one orbit have the same residual and
+    the same set of margins, and their d = 0 trace terms agree.  Each orbit
+    row is checked from its vectors, as verify_optimality checks a block:
+    T^x = sum_j |v_j><v_j|e_j><e_j|, its commutator residual, one eigh of
+    T_h^x, and the least eigenvalue of T_h^x - |v_j><v_j| for every j by
+    the secular equation of that rank-one downdate (_least_eigenvalues).
+    """
+    check_dim(g, k, cap)  # before the walk over A^k, which it bounds
+    a = g.a_group
+    walk = orbit_images(g, k, enumeration_cap)  # the enumeration cap first, then the population cap
+    hist, total = EtaHistogram(g, k, population_cap), _SuccessSum()
+    pk = g.p**k
+    step = max(1, _CHUNK // (max(a.order, pk) * pk))
+    trace, residual, margin = 0.0, 0.0, math.inf
+    for weights, images in walk:
+        eta = eta_rows(images, a.order)
+        hist.add(weights, eta)
+        total.add(weights, eta)
+        for lo in range(0, len(images), step):
+            e, v = _row_vectors(g, k, images[lo : lo + step], eta[lo : lo + step])
+            overlaps = np.einsum("xjb,xjb->xj", v.conj(), e)
+            amps = overlaps[:, 0].real ** 2 + overlaps[:, 0].imag ** 2  # d = 0 is A-index 0
+            trace += float(weights[lo : lo + step].astype(float) @ amps)
+            t = (v * overlaps[..., None]).transpose(0, 2, 1) @ e.conj()
+            t_dag = t.conj().transpose(0, 2, 1)
+            residual = max(residual, float(np.abs(t - t_dag).max()))
+            lam, q = np.linalg.eigh((t + t_dag) / 2)
+            z = v @ q.conj()
+            margin = min(margin, float(_least_eigenvalues(lam, z.real**2 + z.imag**2).min()))
+    formula = total.probability(g, k)
     exact = formula if isinstance(formula, Fraction) else None
-    povm = build_pgm(k, g, cap, enumeration_cap)
-    trace = success_probability_trace(k, g, g.a_group.zero, cap, enumeration_cap, povm)
-    stats = eta_statistics(g, k, cap=population_cap, enumeration_cap=enumeration_cap)
-    bracket = best_certified_lower_bound(k, g, stats)
-    optimality = verify_optimality(k, g, povm, cap, enumeration_cap)
+    bracket = best_certified_lower_bound(k, g, hist.stats())
     return PGMReport(
-        format_group_spec(g), k, float(formula), exact, trace, bracket, optimality
+        format_group_spec(g), k, float(formula), exact, trace, bracket,
+        OptimalityReport(residual, margin),
     )

@@ -47,14 +47,19 @@ def _phase_roots(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
+def phase_indices(a_group: AbelianGroup, w: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """t with chi_w(j) = _phase_roots(a_group.char_denominator)[t], for int64
+    arrays of A-indices w and j broadcast against each other."""
+    if isinstance(a_group, CyclicGroup):
+        return w * j % a_group.n
+    p, r = a_group.p, a_group.r
+    return (index_digits(w, p, r) * index_digits(j, p, r)).sum(axis=-1) % p
+
+
 def characters(a_group: AbelianGroup, d) -> np.ndarray:
     """chi_w(d) for every w in A-index order."""
-    d = a_group.reduce(d)
     w = np.arange(a_group.order, dtype=np.int64)
-    if isinstance(a_group, CyclicGroup):
-        t = w * d % a_group.n
-    else:
-        t = index_digits(w, a_group.p, a_group.r) @ np.array(d, dtype=np.int64) % a_group.p
+    t = phase_indices(a_group, w, np.int64(a_group.index(a_group.reduce(d))))
     return _phase_roots(a_group.char_denominator)[t]
 
 

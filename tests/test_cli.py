@@ -56,6 +56,26 @@ def test_jsonio_formatting():
         dumps(object())
 
 
+def test_closed_stdout_ends_the_run_quietly():
+    # all 3^9 solutions print about 600 kB, far more than a pipe buffers, so
+    # the child is still writing when the reader closes stdout (| head -c 200)
+    instance = '{"group": "zn N=7 p=3 mu=2", "x": [0,0,0,0,0,0,0,0,0], "w": 0}'
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pgmhsp.cli", "solve-msum"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdin.write(instance.encode())
+    proc.stdin.close()
+    assert proc.stdout.read(200).startswith(b"{")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""
+
+
 def test_solve_msum_example():
     proc = run_cli(
         ["solve-msum", "--verify"],

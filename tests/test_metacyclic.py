@@ -333,6 +333,25 @@ def test_estimate_sets_up_once_and_equals_single_runs(monkeypatch, n, p, mu):
     assert est.successes == sum(rec["success"] for rec in records)
 
 
+def test_success_bound_counts_phi_once(monkeypatch):
+    # phi(N) by the gcd count, for N with repeated and with distinct primes
+    for n in list(range(1, 130)) + [1019, 100043]:
+        phi = sum(1 for x in range(1, n + 1) if math.gcd(x, n) == 1)
+        assert success_bound(n, 3) == Fraction(3 * phi, n * n)
+    # the estimate counts it on the unit mask it draws against, built once
+    masks = []
+    unit_mask = metacyclic._unit_mask
+
+    def counting_unit_mask(n):
+        masks.append(n)
+        return unit_mask(n)
+
+    monkeypatch.setattr(metacyclic, "_unit_mask", counting_unit_mask)
+    assert estimate_success_rate(31, 5, 2, 100, seed=1).bound == success_bound(31, 5)
+    assert exact_success_rate(7, 3, 2) == Fraction(18, 49)
+    assert masks == [31, 31, 7]
+
+
 def test_rejected_fraction_matches_unit_density():
     # the x measurement is uniform, so rejections happen at rate 1 - phi(N)/N
     est = estimate_success_rate(7, 3, 2, 3000, seed=2, collect=True)

@@ -334,8 +334,10 @@ def test_block_optimality_matches_dense_oracle(g, k, perturbed):
         (HEIS3, None, 8),
         # a (|A|^k, |A|, p^k, p^k) complex stack alone takes 149 MiB
         (heisenberg_group(5), 20000, 96),
+        # the block route peaked at 606 MB of RSS
+        (heisenberg_group(7), 200000, 16),
     ],
-    ids=["heis3", "heis5"],
+    ids=["heis3", "heis5", "heis7"],
 )
 def test_pgm_report_heisenberg_k2_peak_memory(g, cap, bound_mib):
     tracemalloc.start()
@@ -348,21 +350,131 @@ def test_pgm_report_heisenberg_k2_peak_memory(g, cap, bound_mib):
     assert peak < bound_mib * 2**20
 
 
-def test_pgm_report_builds_pgm_once(monkeypatch):
-    calls = []
+def test_pgm_report_calls_no_block_route(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("pgm_report entered the block route")
 
-    def counting_build_pgm(*args, **kwargs):
-        calls.append(args)
-        return build_pgm(*args, **kwargs)
+    # the block route stays the checker of a POVM a caller supplies, used as given
+    povm = build_pgm(2, HEIS3)
+    monkeypatch.setattr(pgm, "build_pgm", fail)
+    trace = success_probability_trace(2, HEIS3, (0, 0), povm=povm)
+    for name in ("block_images", "success_probability_trace", "verify_optimality"):
+        monkeypatch.setattr(pgm, name, fail)
+    rows = []
+    image_table = msum.image_table
 
-    monkeypatch.setattr(pgm, "build_pgm", counting_build_pgm)
-    report = pgm.pgm_report(1, HEIS3)
-    assert len(calls) == 1
+    def counting_image_table(g, xs, *args):
+        rows.append(len(xs))
+        return image_table(g, xs, *args)
+
+    monkeypatch.setattr(msum, "image_table", counting_image_table)
+    report = pgm.pgm_report(2, HEIS3)
+    assert sum(rows) == msum.orbit_rows(HEIS3.a_group, 2)
     assert report.consistent and report.optimality.passed
-    # a prebuilt POVM is used as given
-    povm = build_pgm(1, HEIS3)
-    assert success_probability_trace(1, HEIS3, (0, 0), povm=povm) == report.pr_trace
-    assert len(calls) == 1
+    assert abs(trace - report.pr_trace) < 1e-12
+
+
+# the pgm-report cases of the benchmark's report workload (bench/workloads.py)
+REPORT_CASES = [
+    ("zn N=7 p=3 mu=2", 1),
+    ("zn N=9 p=3 mu=4", 1),
+    ("zn N=31 p=5 mu=2", 1),
+    ("zpr p=3 jordan=2", 1),
+    ("zpr p=5 jordan=2", 1),
+    ("zpr p=3 jordan=3", 1),
+    ("zpr p=7 jordan=2", 1),
+    ("zn N=7 p=3 mu=2", 2),
+    ("zn N=9 p=3 mu=4", 2),
+    ("zpr p=3 jordan=2", 2),
+]
+
+
+@pytest.mark.parametrize("spec,k", sorted(set(TABLE_CASES + REPORT_CASES)))
+def test_pgm_report_matches_block_route(spec, k):
+    g = parse_group_spec(spec)
+    report = pgm_report(k, g, 20_000)
+    povm = build_pgm(k, g, 20_000)
+    block = verify_optimality(k, g, povm, 20_000)
+    assert abs(report.pr_trace - success_probability_trace(k, g, g.a_group.zero, povm=povm)) < 1e-12
+    assert abs(report.optimality.commutator_residual - block.commutator_residual) < 1e-10
+    assert abs(report.optimality.min_eig_margin - block.min_eig_margin) < 1e-10
+    assert report.optimality.passed == block.passed
+    formula = success_probability_formula(k, g)
+    assert report.pr_formula == float(formula)
+    assert report.pr_formula_exact == (formula if isinstance(formula, Fraction) else None)
+    assert report.bracket == best_certified_lower_bound(k, g, eta_statistics(g, k))
+
+
+@pytest.mark.parametrize("g,k", [(HEIS3, 2), (semidirect_zn(9, 3, 4), 2)], ids=["heis3", "zn9"])
+def test_pgm_report_fails_a_scaled_pgm_vector(monkeypatch, g, k):
+    # the check reads the vectors it is given: scaling one outcome's e^x_j
+    # by 1.1 must fail it, so it is not true by construction
+    assert pgm_report(k, g).optimality.passed
+    row_vectors = pgm._row_vectors
+
+    def scaled(*args):
+        e, v = row_vectors(*args)
+        e[:, 1] *= 1.1
+        return e, v
+
+    monkeypatch.setattr(pgm, "_row_vectors", scaled)
+    assert not pgm_report(k, g).optimality.passed
+
+
+def _downdate_case(rng, n, m, lam=None, zero=()):
+    """(lam, c, matrices): a random Hermitian H = Q diag(lam) Q^dagger and
+    m vectors v with z = Q^dagger v, zeroed at the indices ``zero``."""
+    if lam is None:
+        lam = rng.normal(size=n)
+    lam = np.sort(np.asarray(lam, dtype=float))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    z[:, list(zero)] = 0
+    h = q @ np.diag(lam) @ q.conj().T
+    vs = z @ q.T
+    return lam, np.abs(z) ** 2, [h - np.outer(v, v.conj()) for v in vs]
+
+
+@pytest.mark.parametrize(
+    "lam,zero",
+    [
+        (None, ()),
+        ([-1.0, -1.0, 0.5, 0.5, 0.5, 2.0], ()),  # repeated eigenvalues
+        ([-1.0, -1.0, 0.5, 0.5, 0.5, 2.0], (0, 1)),  # a deflated repeated least one
+        (None, (0, 2, 3)),  # vanishing z-components
+        ([0.0, 0.0, 1e-12, 3.0, 3.0, 7.0], (0, 3)),
+    ],
+    ids=["random", "repeated", "deflated-repeated", "zero-z", "tiny-gap"],
+)
+def test_least_eigenvalues_match_eigvalsh(lam, zero):
+    from pgmhsp.pgm import _least_eigenvalues
+
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        lams, c, mats = _downdate_case(rng, 6, 5, lam, zero)
+        with np.errstate(all="raise"):
+            got = _least_eigenvalues(lams[None], c[None])[0]
+        want = [np.linalg.eigvalsh(mat).min() for mat in mats]
+        assert np.abs(got - want).max() < 1e-13 * max(1.0, np.abs(lams).max() + c.sum(axis=1).max())
+
+
+def test_least_eigenvalue_of_an_exact_zero_margin():
+    from pgmhsp.pgm import _least_eigenvalues
+
+    # sum_i c_i / lam_i = 1 puts a root at 0; the c = 0 at lam = 0 deflates
+    lam = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+    c = np.array([0.0, 0.125, 0.25, 0.5, 1.0])
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    v = q @ np.sqrt(c)
+    want = np.linalg.eigvalsh(q @ np.diag(lam) @ q.conj().T - np.outer(v, v.conj())).min()
+    with np.errstate(all="raise"):
+        got = _least_eigenvalues(lam[None], c[None, None])[0, 0]
+    assert got == 0.0
+    assert abs(want) < 1e-14
+    # the root alone, without the deflated pole at 0
+    with np.errstate(all="raise"):
+        assert abs(_least_eigenvalues(lam[None, 1:], c[None, None, 1:])[0, 0]) < 1e-15
 
 
 def test_perturbed_povm_fails_optimality():
