@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--algo", choices=["pgm", "stripped"], default="pgm")
     p_run.add_argument("--k", type=int, default=1)
     p_run.add_argument("--trials", type=_int_at_least(0, "non-negative"), default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=None)
     p_run.add_argument("--exact", action="store_true", help="full-branch aggregation")
     p_run.add_argument("--fixture", help="oracle fixture JSON path")
     p_run.set_defaults(func=cmd_run_hsp)

@@ -279,6 +279,11 @@ class SemidirectGroup:
                 )
         else:
             raise TypeError(f"unsupported abelian component {a!r}")
+        # every lru_cache keyed by the group hashes it: hash the nested mu once
+        object.__setattr__(self, "_hash", hash((a, self.p, self.mu)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:

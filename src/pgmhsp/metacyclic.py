@@ -57,13 +57,25 @@ def _validate(n: int, p: int, mu: int) -> SemidirectGroup:
     return g
 
 
+def _residue_dtype(n: int):
+    """int64 while a product of two residues mod n fits it, Python ints beyond."""
+    return np.int64 if (n - 1) ** 2 < 2**63 else object
+
+
+def _mu_powers(mu: int, n: int, p: int) -> np.ndarray:
+    """mu^b mod n for b < p, by doubling: the powers known so far, times
+    mu^(their count), extend them."""
+    powers = np.ones(1, dtype=_residue_dtype(n))
+    while powers.size < p:
+        step = pow(mu, powers.size, n)
+        powers = np.concatenate((powers, powers[: p - powers.size] * step % n))
+    return powers
+
+
 def _power_logs(mu: int, n: int, p: int, targets) -> np.ndarray:
     """For each target t, the b < p with mu^b = t (mod n), or -1 where there
     is none: a binary search in the sorted table of the p powers of mu."""
-    powers = [1]
-    for _ in range(p - 1):
-        powers.append(powers[-1] * mu % n)
-    powers = np.array(powers)
+    powers = _mu_powers(mu, n, p)
     order = np.argsort(powers, kind="stable")
     table = powers[order]
     targets = np.asarray(targets)
@@ -85,12 +97,12 @@ def _erasure_table(g: SemidirectGroup) -> np.ndarray:
     states use, checked once for every x: the round trip through
     mu^b = 1 + (mu - 1) x^(-1) x*M^(b) must recover b, and x^(-1) cancels x."""
     n, p, mu = g.a_group.n, g.p, g.mu
-    sums = _erasure_sums(n, p, mu)
-    logs = _power_logs(mu, n, p, [(1 + (mu - 1) * m) % n for m in sums])
+    sums = np.array(_erasure_sums(n, p, mu), dtype=_residue_dtype(n))
+    logs = _power_logs(mu, n, p, (1 + (mu - 1) * sums) % n)
     wrong = np.flatnonzero(logs != np.arange(p))
     if wrong.size:
         raise AssertionError(f"erasure round trip failed at b={wrong[0]}")
-    return np.array(sums)
+    return sums
 
 
 @dataclass

@@ -2,16 +2,20 @@
 
 An instance is (x, w) with x a k-tuple over A and w in A; the task is to
 find every b in Z_p^k with  sum_j conj_apply(b_j, x_j) = w.  solve_auto
-takes Z_N with k = 1 to a discrete-log route.  Every other instance with
-|A| p <= _CHUNK, p^(k-1) <= _PY_GRID and p^k within the enumeration cap
-is solved by residual lookup: for each prefix (b_1..b_(k-1)) the residual
-w - sum_(j<k) M^(b_j) x_j, in Python ints, is looked up among the p images
-of the last copy.  Beyond that, Z_N goes to brute force and Z_p^r to the
-polynomial route, where M^(b) = sum_l C(b, l+1) (mu - I)^l makes the
-system triangular in b: it eliminates the linear layer over F_p, then
-checks the points of the affine family left against the same integer
-image codes the eta table is built from, or, for p beyond a few thousand,
-root-finds along its lines without tabulating Z_p.  Every specialized
+takes Z_N with k = 1 to a discrete-log route when x and mu - 1 are units.
+Every other instance with |A| p <= _CHUNK, p^(k-1) <= _PY_GRID and p^k
+within the enumeration cap is solved by residual lookup: for each prefix
+(b_1..b_(k-1)) the residual w - sum_(j<k) M^(b_j) x_j, in Python ints, is
+looked up among the p images of the last copy.  Both routes keep what
+does not depend on the instance in one context per (group, k) (_Context:
+the decode, the prefixes, the baby steps, and per element of A the codes
+and images the lookup reads), so a call costs about its own arithmetic.
+Beyond that, Z_N goes to brute force and Z_p^r to the polynomial route,
+where M^(b) = sum_l C(b, l+1) (mu - I)^l makes the system triangular in
+b: it eliminates the linear layer over F_p, then checks the points of the
+affine family left against the same integer image codes the eta table is
+built from, or, for p beyond a few thousand, root-finds along its lines
+without tabulating Z_p.  Every specialized
 solver returns exactly the brute-force solution set; the tests check both
 against an independent pure-Python enumeration.
 
@@ -34,7 +38,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,20 +57,22 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MSumInstance:
-    """One matrix sum instance over a fixed group."""
+    """One matrix sum instance over a fixed group, its elements reduced in A."""
 
     group: SemidirectGroup
     x: tuple
     w: object
 
-    def __post_init__(self) -> None:
-        a = self.group.a_group
-        if len(self.x) < 1:
+    def __init__(self, group: SemidirectGroup, x, w) -> None:
+        reduce = group.a_group.reduce
+        x = tuple(map(reduce, x))
+        if not x:
             raise ValueError("instance needs k >= 1 components")
-        object.__setattr__(self, "x", tuple([a.reduce(xj) for xj in self.x]))
-        object.__setattr__(self, "w", a.reduce(self.w))
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "w", reduce(w))
 
     @property
     def k(self) -> int:
@@ -257,14 +263,13 @@ def solve_bruteforce(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
 # Discrete-log route (Z_N, k = 1)
 
 
-def discrete_log_bsgs(base: int, target: int, order: int, modulus: int):
-    """Baby-step/giant-step log in the order-`order` subgroup <base> of Z_N^x.
-
-    Returns b in [0, order) with base^b = target (mod modulus), or None.
-    """
+def _baby_steps(base: int, order: int, modulus: int):
+    """The baby-step/giant-step log in the order-`order` subgroup <base> of
+    Z_N^x, as a function of the target: it returns b in [0, order) with
+    base^b = target (mod modulus), or None.  The baby steps are built here,
+    once; raises ValueError unless base^order = 1."""
     if pow(base, order, modulus) != 1:
         raise ValueError(f"base^order != 1 (base={base}, order={order}, mod={modulus})")
-    target %= modulus
     m = math.isqrt(order - 1) + 1 if order > 1 else 1
     baby: dict[int, int] = {}
     value = 1
@@ -272,22 +277,36 @@ def discrete_log_bsgs(base: int, target: int, order: int, modulus: int):
         baby.setdefault(value, j)
         value = (value * base) % modulus
     giant = pow(base, -m, modulus)
-    y = target
-    for i in range(m):
-        j = baby.get(y)
-        if j is not None:
-            b = (i * m + j) % order
-            if pow(base, b, modulus) == target:
-                return b
-        y = (y * giant) % modulus
-    return None
+
+    def log(target: int):
+        target %= modulus
+        y = target
+        for i in range(m):
+            j = baby.get(y)
+            if j is not None:
+                b = (i * m + j) % order
+                if pow(base, b, modulus) == target:
+                    return b
+            y = (y * giant) % modulus
+        return None
+
+    return log
+
+
+def discrete_log_bsgs(base: int, target: int, order: int, modulus: int):
+    """Baby-step/giant-step log in the order-`order` subgroup <base> of Z_N^x.
+
+    Returns b in [0, order) with base^b = target (mod modulus), or None.
+    """
+    return _baby_steps(base, order, modulus)(target)
 
 
 def solve_metacyclic_dlog(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
     """Z_N, k = 1: reduce M^(b) x = w to the discrete log mu^b = 1 + (mu-1) w/x.
 
-    Requires unit x and unit mu - 1; otherwise falls back to brute force.
-    The solution, when it exists, is unique.
+    Requires unit x and unit mu - 1; otherwise the instance goes to the
+    residual lookup, then brute force.  The solution, when it exists, is
+    unique.  The baby steps are kept in the (group, 1) context.
     """
     g = inst.group
     if not isinstance(g.a_group, CyclicGroup):
@@ -296,13 +315,13 @@ def solve_metacyclic_dlog(inst: MSumInstance, cap: int | None = None) -> Solutio
         raise ValueError("metacyclic solver needs k = 1")
     n = g.a_group.n
     x, w = inst.x[0], inst.w
-    if math.gcd(x, n) != 1 or math.gcd(g.mu - 1, n) != 1:
-        return solve_bruteforce(inst, cap)
-    target = (1 + (g.mu - 1) * w * pow(x, -1, n)) % n
-    b = discrete_log_bsgs(g.mu, target, g.p, n)
+    log = _context(g, 1).log
+    if log is None or math.gcd(x, n) != 1:
+        return _lookup_or_scan(inst, cap)
+    b = log((1 + (g.mu - 1) * w * pow(x, -1, n)) % n)
     if b is None:
         return SolutionSet(())
-    if (msum_table(g)[b] * x) % n != w:
+    if msum_table(g)[b] * x % n != w:
         raise AssertionError("discrete-log route produced an unsound solution")
     return SolutionSet(((b,),))
 
@@ -464,14 +483,14 @@ def solve_polynomial(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
     vanishing on each, a line with none being all solutions.  The cap
     bounds that work, counted in grid points, and the solutions written
     out; nothing of size p is built for the lines."""
-    g, k, p = inst.group, inst.k, inst.group.p
-    a = g.a_group
-    if not isinstance(a, VectorGroup):
+    if not isinstance(inst.group.a_group, VectorGroup):
         raise ValueError("polynomial solver needs A = Z_p^r")
     limit = enum_cap(cap)
     found = _solve_lookup(inst, limit)
     if found is not None:
         return found
+    g, k, p = inst.group, inst.k, inst.group.p
+    a = g.a_group
     basis, linear, powers = _layers(g)
     line = _line_cost(p, len(powers))
     columns = [[sum(map(operator.mul, y, v)) for y in basis[:linear]] for v in (*inst.x, inst.w)]
@@ -544,49 +563,113 @@ def _grid_scan(g: SemidirectGroup, codes: np.ndarray, target: int, base: tuple,
 # Residual lookup (small instances of either family)
 
 
-@lru_cache(maxsize=16)
-def _tables(g: SemidirectGroup, k: int) -> tuple:
-    """(codes, decode) for Z_p^r: codes[i] from _codes_of_a for the x of
-    A-index i, and decode maps a Python-int sum of k codes to its A-index."""
-    codes = _codes_of_a(g, k)
-    p, r = g.p, g.a_group.r
-    lut, bits, width, _ = _decoder(p, r, k)
-    lut, mask = lut.tolist(), lut.size - 1
-    parts = [(bits * q, p**q) for q in range(0, r, width)]
-    decode = lut.__getitem__ if len(parts) == 1 else (lambda u: sum(
-        lut[u >> shift & mask] * scale for shift, scale in parts))
-    return codes, decode
+class _Context:
+    """What the small-instance routes reuse across the instances of one
+    (group, k); _context caches one per pair.
+
+    - size, grid and points: |A| p, p^(k-1) and p^k, which _solve_lookup
+      checks against _CHUNK, _PY_GRID and the cap on every call;
+    - prefixes: the (b_1..b_(k-1)) in itertools.product order;
+    - decode: the A-index of a Python-int sum of k codes;
+    - records, filled per element e of A as instances ask for it (record):
+      the codes of M^(b) (-e) for b < p, a map from each image M^(b) e to
+      its suffixes (b,) in ascending b, and the code of e;
+    - log (Z_N at k = 1): the discrete log to base mu with its baby steps,
+      or None when mu - 1 is not a unit.
+    """
+
+    def __init__(self, g: SemidirectGroup, k: int):
+        self.g, self.k = g, k
+        self.size, self.grid, self.points = g.a_group.order * g.p, g.p ** (k - 1), g.p**k
+        self.records: dict = {}
+
+    @cached_property
+    def prefixes(self) -> tuple:
+        return tuple(itertools.product(range(self.g.p), repeat=self.k - 1))
+
+    @cached_property
+    def suffixes(self) -> tuple:
+        """((b,),) for each b, shared by the images with a single b."""
+        return tuple(((b,),) for b in range(self.g.p))
+
+    @cached_property
+    def decode(self):
+        a = self.g.a_group
+        if isinstance(a, CyclicGroup):
+            # a residual sums k residues: it is below k N
+            return (list(range(a.n)) * self.k).__getitem__
+        # one lut lookup per `width` digits, from the least significant;
+        # each higher group's A-index part is scaled by p^width
+        lut, bits, width, _ = _decoder(a.p, a.r, self.k)
+        lut, mask, shift, scale = lut.tolist(), lut.size - 1, bits * width, a.p**width
+
+        def below(high):
+            return lambda u: lut[u & mask] + high(u >> shift) * scale
+
+        decode = lut.__getitem__
+        for _ in range(width, a.r, width):
+            decode = below(decode)
+        return decode
+
+    @cached_property
+    def log(self):
+        g, n = self.g, self.g.a_group.n
+        return _baby_steps(g.mu, g.p, n) if math.gcd(g.mu - 1, n) == 1 else None
+
+    def record(self, e) -> tuple:
+        found = self.records.get(e)
+        if found is None:
+            a = self.g.a_group
+            codes, negated = _element_codes(
+                self.g, np.array([a.index(e), a.index(a.neg(e))]), self.k
+            ).tolist()
+            inverse: dict[int, tuple] = {}
+            for b, image in enumerate(map(self.decode, codes)):
+                inverse[image] = inverse.get(image, ()) + self.suffixes[b]
+            found = self.records[e] = (tuple(negated), inverse, codes[1])  # M^(1) = I
+        return found
+
+    def solve(self, x: tuple, w) -> SolutionSet:
+        """The residual w - sum_(j<k) M^(b_j) x_j of each prefix, in
+        itertools.product order, is w's code plus the codes of -x_j, decoded
+        and looked up among the images M^(b) x_k, so the b come out sorted."""
+        records = self.records
+        try:
+            sums = [records[w][2]]
+            for xj in x[:-1]:
+                row = records[xj][0]
+                sums = [u + c for u in sums for c in row]
+            last = records[x[-1]][1]
+        except KeyError:
+            for e in (w, *x):
+                self.record(e)
+            return self.solve(x, w)
+        found = list(map(last.get, map(self.decode, sums)))
+        return SolutionSet(tuple([prefix + b for prefix, suffixes in zip(
+            itertools.compress(self.prefixes, found), filter(None, found)) for b in suffixes]))
+
+
+# A context holds at most |A| records: 16 MiB for Z_N and 21 MiB for Z_2^15
+# at |A| p = 2^16, the most the lookup takes (tracemalloc), so the eight
+# kept contexts hold at most about 170 MiB.
+@lru_cache(maxsize=8)
+def _context(g: SemidirectGroup, k: int) -> _Context:
+    return _Context(g, k)
 
 
 def _solve_lookup(inst: MSumInstance, cap: int | None = None) -> SolutionSet | None:
-    """Solutions of a small instance, or None unless |A| p <= _CHUNK,
-    p^(k-1) <= _PY_GRID and p^k is within the cap (so no other route could
-    exceed it).  The residual w - sum_(j<k) M^(b_j) x_j of each prefix, in
-    itertools.product order, is a Python int (mod N, or w's code plus the
-    codes of -x_j, decoded) looked up among the images M^(b) x_k, so the b
-    come out sorted."""
-    g, k, p = inst.group, inst.k, inst.group.p
-    a = g.a_group
-    if a.order * p > _CHUNK or p ** (k - 1) > _PY_GRID or p**k > enum_cap(cap):
+    """Solutions of a small instance (_Context.solve), or None unless
+    |A| p <= _CHUNK, p^(k-1) <= _PY_GRID and p^k is within the cap (so no
+    other route could exceed it)."""
+    context = _context(inst.group, len(inst.x))
+    if context.size > _CHUNK or context.grid > _PY_GRID or context.points > enum_cap(cap):
         return None
-    if isinstance(a, CyclicGroup):
-        table, decode = msum_table(g), a.n.__rmod__
-        rows = [[-xj * m for m in table] for xj in inst.x[:-1]]
-        last, start = [inst.x[-1] * m % a.n for m in table], inst.w
-    else:
-        codes, decode = _tables(g, k)
-        rows = [codes[a.index(a.neg(xj))].tolist() for xj in inst.x[:-1]]
-        last = list(map(decode, codes[a.index(inst.x[-1])].tolist()))
-        start = int(codes[a.index(inst.w), 1])  # M^(1) = I: the code of w
-    sums = [start]
-    for row in rows:
-        sums = [u + c for u in sums for c in row]
-    inverse: dict[int, list[int]] = {}
-    for b, image in enumerate(last):
-        inverse.setdefault(image, []).append(b)
-    prefixes = itertools.product(range(p), repeat=k - 1)
-    return SolutionSet(tuple((*prefix, b) for prefix, image in zip(prefixes, map(decode, sums))
-                             if image in inverse for b in inverse[image]))
+    return context.solve(inst.x, inst.w)
+
+
+def _lookup_or_scan(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
+    found = _solve_lookup(inst, cap)
+    return solve_bruteforce(inst, cap) if found is None else found
 
 
 def solve_auto(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
@@ -595,8 +678,7 @@ def solve_auto(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
         return solve_polynomial(inst, cap)
     if inst.k == 1:
         return solve_metacyclic_dlog(inst, cap)
-    found = _solve_lookup(inst, cap)
-    return solve_bruteforce(inst, cap) if found is None else found
+    return _lookup_or_scan(inst, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,23 @@ def test_run_hsp_rejects_negative_trials(tmp_path):
         assert main(["run-hsp", *argv, "--trials", "0"]) == 0, argv
 
 
+def test_run_hsp_rejects_negative_seed_naming_the_flag(tmp_path):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"group": "zn N=7 p=3 mu=2", "hidden": "trivial"}))
+    for argv in (
+        ["--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--trials", "10"],
+        ["--algo", "pgm", "--fixture", str(fixture)],
+    ):
+        for seed in ("-1", "one"):
+            proc = run_cli(["run-hsp", *argv, "--seed", seed])
+            assert proc.returncode == 2, (argv, seed, proc.stderr)
+            assert "--seed" in proc.stderr and "non-negative" in proc.stderr, proc.stderr
+        assert main(["run-hsp", *argv, "--seed", "0"]) == 0, argv
+    # eta-stats seeds a Python random.Random, which takes any integer
+    argv = ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--mode", "sampled", "--samples", "5"]
+    assert main([*argv, "--seed", "-1"]) == 0
+
+
 # stdout and the sha256 of the --out JSONL of seeded Monte Carlo runs (one
 # block of draws at N = 31, three at N = 7); a change to the trial loop must
 # reproduce them byte for byte

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -418,3 +419,20 @@ def test_every_lru_cache_is_bounded():
                 sizes[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
     assert {"groups.msum_table", "msum._layers", "states._phase_roots"} <= set(sizes)
     assert all(size is not None for size in sizes.values()), sizes
+
+
+@pytest.mark.parametrize("spec", ["zn N=31 p=5 mu=2", "zpr p=3 jordan=3", "zpr p=3 r=2 mu=1,0;1,1"])
+def test_group_hash_is_kept_and_consistent(spec):
+    g, h = parse_group_spec(spec), parse_group_spec(spec)
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert hash(g) == hash((g.a_group, g.p, g.mu))
+    assert {g: 1}[h] == 1
+    same = dataclasses.replace(g)
+    assert same == g and hash(same) == hash(g)
+    # another generator of the same subgroup of automorphisms
+    mu = pow(g.mu, 2, g.a_group.n) if isinstance(g.mu, int) else mat_pow(g.mu, 2, g.p)
+    other = dataclasses.replace(g, mu=mu)
+    assert other != g and other.mu == mu
+    assert hash(other) == hash((other.a_group, other.p, other.mu))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.p = 7

@@ -126,6 +126,22 @@ def test_power_logs_match_bsgs():
     assert groups > 50
 
 
+@pytest.mark.parametrize("n,p,root", [(2**31 - 1, 331, 7), (2**32 + 15, 131, 3)])
+def test_power_logs_at_large_moduli(n, p, root):
+    # the powers by doubling, in int64 below n^2 = 2^63 and in Python ints
+    # above, against a pow loop; mu of order p in the prime field Z_n
+    mu = pow(root, (n - 1) // p, n)
+    expected = [pow(mu, b, n) for b in range(p)]
+    assert len(set(expected)) == p
+    for count in (1, 2, 3, p - 1, p):
+        assert metacyclic._mu_powers(mu, n, count).tolist() == expected[:count]
+    targets = [*expected[::-1], 0, n - 1]  # neither 0 nor -1 is a power of mu
+    logs = metacyclic._power_logs(mu, n, p, targets).tolist()
+    assert logs == [*range(p - 1, -1, -1), -1, -1]
+    g = semidirect_zn(n, p, mu)
+    assert metacyclic._erasure_table(g).tolist() == list(msum_table(g))
+
+
 @pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (13, 3, 3), (31, 5, 2), (101, 5, 36)])
 def test_every_d_has_order_p(n, p, mu):
     # why the estimate draws d uniformly from Z_N: M^(p) = 0 makes every

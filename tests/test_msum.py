@@ -359,6 +359,138 @@ def test_lookup_builds_no_table_over_a():
     assert found.solutions == solve_bruteforce(inst).solutions
 
 
+@pytest.mark.parametrize("spec,k", [("zn N=9 p=3 mu=4", 1), ("zn N=21 p=3 mu=4", 2),
+                                    ("zn N=7 p=3 mu=2", 1), ("zn N=31 p=5 mu=2", 3),
+                                    ("zpr p=3 jordan=2", 2), ("zpr p=5 jordan=2", 3),
+                                    ("zpr p=5 jordan=5", 3), ("zpr p=3 jordan=3,3,3", 4)])
+def test_warm_context_matches_enumeration_in_any_order(spec, k):
+    # the same seeded instances solved cold and then warm, in two shuffled
+    # orders; zpr p=5 jordan=5 at k = 3 decodes in two lut lookups and
+    # jordan=3,3,3 at k = 4 in three; N = 9 and 21 have non-unit mu - 1
+    g = parse_group_spec(spec)
+    a = g.a_group
+    rng = random.Random(17)
+    cases = []
+    for _ in range(60):
+        x = tuple(a.element(rng.randrange(a.order)) for _ in range(k))
+        buckets = solve_all_w(g, x)
+        for w in [*list(buckets)[:2], a.element(rng.randrange(a.order))]:
+            cases.append((MSumInstance(g, x, w), tuple(buckets.get(w, ()))))
+    msum._context.cache_clear()
+    for seed in (1, 2):
+        random.Random(seed).shuffle(cases)
+        for inst, expected in cases:
+            assert solve_auto(inst).solutions == expected
+            assert msum._solve_lookup(inst).solutions == expected
+    for inst, expected in cases[:40]:
+        assert solve_bruteforce(inst).solutions == expected
+
+
+def test_lookup_decode_with_small_luts(monkeypatch):
+    # a 4-bit lut splits every code into one lookup per digit
+    monkeypatch.setattr(msum, "_LUT_BITS", 4)
+    msum._decoder.cache_clear()
+    msum._context.cache_clear()
+    try:
+        rng = random.Random(8)
+        for spec, k in [("zpr p=3 jordan=3", 2), ("zpr p=2 jordan=2,2,1", 3)]:
+            g = parse_group_spec(spec)
+            a = g.a_group
+            for _ in range(100):
+                x = tuple(a.element(rng.randrange(a.order)) for _ in range(k))
+                buckets = solve_all_w(g, x)
+                for w in a.elements():
+                    assert msum._solve_lookup(MSumInstance(g, x, w)).solutions == tuple(
+                        buckets.get(w, ()))
+    finally:
+        msum._decoder.cache_clear()
+        msum._context.cache_clear()
+
+
+def test_equal_groups_share_a_context():
+    g, h = parse_group_spec("zpr p=3 jordan=3"), parse_group_spec("zpr p=3 jordan=3")
+    assert g is not h and msum._context(g, 2) is msum._context(h, 2)
+    assert msum._context(g, 2) is not msum._context(g, 3)
+    c = conjugated(g, 4)
+    assert c != g and msum._context(c, 2) is not msum._context(g, 2)
+    a = g.a_group
+    rng = random.Random(3)
+    for _ in range(50):
+        x = tuple(a.element(rng.randrange(a.order)) for _ in range(2))
+        w = a.element(rng.randrange(a.order))
+        for group in (g, h, c):
+            inst = MSumInstance(group, x, w)
+            assert solve_auto(inst).solutions == solve_bruteforce(inst).solutions
+
+
+def test_discrete_log_context_is_built_once(monkeypatch):
+    built = []
+    baby_steps = msum._baby_steps
+
+    def counting(*args):
+        built.append(args)
+        return baby_steps(*args)
+
+    monkeypatch.setattr(msum, "_baby_steps", counting)
+    msum._context.cache_clear()
+    for spec in ("zn N=31 p=5 mu=2", "zn N=31 p=5 mu=2"):  # parsed twice
+        g = parse_group_spec(spec)
+        for x in range(31):
+            for w in range(31):
+                inst = MSumInstance(g, (x,), w)
+                assert solve_auto(inst).solutions == solve_bruteforce(inst).solutions
+    assert built == [(2, 5, 31)]
+
+
+def test_non_unit_discrete_log_instances_take_the_lookup(monkeypatch):
+    # x = 0 and x sharing a factor with N, and a group whose mu - 1 is no
+    # unit: the residual lookup answers, brute force is never reached
+    cases = [(parse_group_spec("zn N=9901 p=3 mu=99"), (0,)),
+             (parse_group_spec("zn N=91 p=3 mu=16"), (0, 7, 13, 14, 26, 1, 5)),
+             (parse_group_spec("zn N=21 p=3 mu=4"), tuple(range(21)))]
+    expected = {}
+    for g, xs in cases:
+        for x in xs:
+            for w in range(0, g.a_group.n, max(1, g.a_group.n // 40)):
+                inst = MSumInstance(g, (x,), w)
+                expected[inst] = solve_bruteforce(inst).solutions
+
+    def refuse(*args):
+        raise AssertionError("brute force reached")
+
+    monkeypatch.setattr(msum, "solve_bruteforce", refuse)
+    for g, xs in cases:
+        for x in xs:
+            if math.gcd(x, g.a_group.n) == 1 and math.gcd(g.mu - 1, g.a_group.n) == 1:
+                continue
+            for w in range(0, g.a_group.n, max(1, g.a_group.n // 40)):
+                inst = MSumInstance(g, (x,), w)
+                assert solve_metacyclic_dlog(inst).solutions == expected[inst]
+
+
+def test_context_memo_is_bounded_at_the_largest_lookup():
+    # |A| p = 2^16, the most the residual lookup takes, with a record for
+    # every element of A
+    g = parse_group_spec("zn N=32768 p=2 mu=16385")
+    msum._context.cache_clear()
+    context = msum._context(g, 2)
+    tracemalloc.start()
+    try:
+        for e in range(g.a_group.order):
+            context.record(e)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(context.records) == g.a_group.order
+    assert size < 24 * 2**20, size
+    rng = random.Random(2)
+    for _ in range(20):
+        inst = MSumInstance(g, (rng.randrange(32768), rng.randrange(32768)), rng.randrange(32768))
+        assert solve_auto(inst).solutions == solve_bruteforce(inst).solutions
+    assert len(context.records) == g.a_group.order
+    msum._context.cache_clear()
+
+
 def test_eta_statistics_exhaustive_moments():
     for g, k in [(Z7, 1), (HEIS3, 1), (HEIS3, 2)]:
         stats = eta_statistics(g, k)
@@ -579,9 +711,9 @@ def route(monkeypatch, request):
         monkeypatch.setattr(msum, "_CHUNK", 9)
     if request.param == "lines":
         monkeypatch.setattr(msum, "_line_cost", lambda p, degree: 0)
-    msum._tables.cache_clear()
+    msum._context.cache_clear()
     yield request.param
-    msum._tables.cache_clear()
+    msum._context.cache_clear()
 
 
 def conjugated(g, seed):
