@@ -1,10 +1,11 @@
 """Exact desk-scale simulator for pretty-good-measurement hidden subgroup
 algorithms over semidirect products A x| Z_p (A = Z_N or Z_p^r).
 
-``import pgmhsp`` loads ``caps``, ``groups`` and ``msum``, which every CLI
-command uses.  The layers ``states``, ``pgm``, ``pipeline`` and
-``metacyclic`` are bound as lazy modules: each runs on the first access to
-one of its attributes, so a command loads only the layers it calls.
+``import pgmhsp`` loads ``caps``, ``groups`` and ``eta`` (the eta table and
+its statistics).  The layers ``msum`` (the per-instance solvers),
+``states``, ``pgm``, ``pipeline`` and ``metacyclic`` are bound as lazy
+modules: each runs on the first access to one of its attributes, so a
+command loads only the layers it calls (solve-msum alone executes msum).
 ``pgmhsp.X``, ``from pgmhsp import X`` and ``from pgmhsp.pgm import X`` work
 as if every layer were imported eagerly.
 """
@@ -12,11 +13,8 @@ as if every layer were imported eagerly.
 import importlib.util
 import sys
 
-# caps, groups and msum load eagerly: every command uses them.  msum must
-# stay eager for a second reason.  A large module compiled after numpy is
-# resident raises the process's peak RSS; loading msum (883 lines) lazily,
-# after numpy, raised it by about 1 MB on pgm-report and run-hsp, while
-# this order stays at or below importing every layer eagerly.
+# caps, groups and eta load eagerly: every command reads eta, directly or
+# through msum's integer codes or states' image table.
 from .caps import CapExceeded
 from .groups import (
     CyclicGroup,
@@ -37,31 +35,25 @@ from .groups import (
     semidirect_zpr,
     subgroup_order,
 )
-from .msum import (
-    EtaStats,
-    MSumInstance,
-    SolutionSet,
-    discrete_log_bsgs,
-    eta_statistics,
-    solve_auto,
-    solve_bruteforce,
-    solve_metacyclic_dlog,
-    solve_polynomial,
-)
+from .eta import EtaStats, eta_statistics
 
 __version__ = "0.1.0"
 
 # Lazy layer -> the names the package exports from it.
 _LAZY_EXPORTS = {
+    "msum": (
+        "MSumInstance",
+        "SolutionSet",
+        "discrete_log_bsgs",
+        "solve_auto",
+        "solve_bruteforce",
+        "solve_metacyclic_dlog",
+        "solve_polynomial",
+    ),
     "pgm": (
-        "POVM",
-        "build_neumark",
-        "build_pgm",
         "lemma2_bounds",
-        "quantum_sample_vector",
+        "pgm_report",
         "success_probability_formula",
-        "success_probability_trace",
-        "verify_optimality",
     ),
     "pipeline": (
         "HidingFunction",
@@ -104,6 +96,7 @@ def _lazy_layer(name: str):
     return module
 
 
+msum = _lazy_layer("msum")
 states = _lazy_layer("states")
 pgm = _lazy_layer("pgm")
 pipeline = _lazy_layer("pipeline")
@@ -131,14 +124,7 @@ __all__ = [
     "semidirect_zpr",
     "subgroup_order",
     "EtaStats",
-    "MSumInstance",
-    "SolutionSet",
-    "discrete_log_bsgs",
     "eta_statistics",
-    "solve_auto",
-    "solve_bruteforce",
-    "solve_metacyclic_dlog",
-    "solve_polynomial",
     *_LAZY_HOME,
 ]
 

@@ -165,12 +165,12 @@ def cmd_pgm_report(args) -> int:
 
 
 def cmd_eta_stats(args) -> int:
-    from . import msum
+    from . import eta
 
     g = _group_from_args(args)
     if args.mode == "sampled" and args.seed is None:
         raise UsageError("sampled mode requires --seed")
-    stats = msum.eta_statistics(
+    stats = eta.eta_statistics(
         g,
         args.k,
         mode=args.mode,
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eta.add_argument("--k", type=int, default=1)
     p_eta.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p_eta.add_argument("--samples", type=int, default=None)
-    p_eta.add_argument("--seed", type=int, default=None)
+    p_eta.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=None)
     p_eta.set_defaults(func=cmd_eta_stats)
 
     p_run = sub.add_parser("run-hsp", help="end-to-end hidden subgroup run")

@@ -32,6 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -295,8 +296,7 @@ def wilson_interval(
     return center - half, center + half
 
 
-@dataclass(frozen=True)
-class SuccessEstimate:
+class SuccessEstimate(NamedTuple):
     n: int
     p: int
     mu: int

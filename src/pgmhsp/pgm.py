@@ -1,28 +1,26 @@
-"""The pretty good measurement: construction, success probability,
-optimality check, and the Neumark block implementation.
+"""The pretty good measurement: success probability, outcome laws and
+the optimality report.
 
 The PGM for the k-copy ensemble is block diagonal over x in A^k; each
 block element is the rank-one projector onto
-|e^x_j> = |A|^(-1/2) sum_w chi_w(j) |S^x_w>.  The ensemble sum is
-diagonal in the (x, S^x_w) basis, so its inverse square root is written
-down directly rather than through a generic matrix function.  A POVM is
-held by the factors F of its blocks, E^x_j = F F^dagger, and the trace
-and the optimality check are computed from those factors without forming
-any p^k x p^k block of an element.  That block route checks any given POVM;
-pgm_report checks the PGM itself on one x per symmetry orbit of A^k, building
-no array over all of A^k.
+|e^x_j> = |A|^(-1/2) sum_w chi_w(j) |S^x_w>, with S^x_w the solutions of
+the matrix sum instance (x, w).  Every quantity here is read off the eta
+table (eta): the success formula and the outcome laws sum over the
+symmetry orbits of A^k, and pgm_report checks the optimality conditions on
+one x per orbit, building no array over all of A^k.  The block route over
+every x (the PGM's factors, the trace and optimality check of a given POVM,
+and the Neumark blocks) is the tests' reference, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .groups import SemidirectGroup, format_group_spec
-from .msum import (
+from .eta import (
     _CHUNK,
     EtaHistogram,
     EtaStats,
@@ -30,53 +28,12 @@ from .msum import (
     eta_orbits,
     eta_rows,
     eta_statistics,
-    image_table,
     orbit_images,
 )
-from .states import (
-    _phase_roots,
-    block_images,
-    characters,
-    check_dim,
-    fft_over_a,
-    phase_indices,
-    state_vectors,
-)
+from .groups import SemidirectGroup, format_group_spec
+from .states import _phase_roots, check_dim, fft_over_a, phase_indices
 
-PSD_TOL = 1e-9
-UNITARITY_TOL = 1e-10
 OPTIMALITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class POVM:
-    """Block-diagonal POVM over outcomes j in A, held in factored form.
-
-    ``factors`` has shape (|A|^k, |A|, p^k, R): with F = ``factors[xi, ji]``
-    the x-block of E_j is F F^dagger.  The PGM is rank one on every block,
-    so R = 1 and the single column of F is |e^x_j>.
-    """
-
-    group: SemidirectGroup
-    k: int
-    factors: np.ndarray
-
-
-def build_pgm(
-    k: int,
-    g: SemidirectGroup,
-    cap: int | None = None,
-    enumeration_cap: int | None = None,
-) -> POVM:
-    """PGM elements from the explicit character formula on each block:
-    <b|e^x_j> = chi_w(j) / sqrt(|A| eta^x_w) with w the image of b."""
-    check_dim(g, k, cap)
-    a = g.a_group
-    images = block_images(g, k, enumeration_cap)
-    eta = np.take_along_axis(eta_rows(images, a.order), images, axis=1)
-    norms = np.sqrt(a.order * eta)
-    vectors = np.stack([characters(a, j)[images] / norms for j in a.elements()], axis=1)
-    return POVM(g, k, vectors[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +89,7 @@ def success_probability_formula(
     """Pr(success) = (p / |G|^(k+1)) sum_x (sum_w sqrt(eta^x_w))^2.
 
     A block's term depends on x only through its eta multiset, so the sum
-    runs over the symmetry orbits of A^k (msum.eta_orbits).  Exact Fraction
+    runs over the symmetry orbits of A^k (eta.eta_orbits).  Exact Fraction
     when every block sum squares to a rational (the nonzero etas of each
     row, eta = c^2 s, share one squarefree part s), float otherwise.
     """
@@ -140,24 +97,6 @@ def success_probability_formula(
     for weights, eta in eta_orbits(g, k, enumeration_cap):
         total.add(weights, eta)
     return total.probability(g, k)
-
-
-def success_probability_trace(
-    k: int,
-    g: SemidirectGroup,
-    d,
-    cap: int | None = None,
-    enumeration_cap: int | None = None,
-    povm: POVM | None = None,
-) -> float:
-    """tr(E_d rho_d^(x)k) = sum_x ||F_d^x^dagger v_d^x||^2, block by block,
-    for the PGM or a prebuilt block POVM."""
-    if povm is None:
-        povm = build_pgm(k, g, cap, enumeration_cap)
-    a = g.a_group
-    v = state_vectors(g, d, block_images(g, k, enumeration_cap))
-    amps = np.einsum("xar,xa->xr", povm.factors[:, a.index(a.reduce(d))].conj(), v)
-    return float((amps.real**2 + amps.imag**2).sum())
 
 
 def outcome_distribution(
@@ -173,7 +112,7 @@ def outcome_distribution(
     for Z_p^r).  A unit c gives P_(cx)[j] = P_x[c j], so S is constant on
     each unit class of j, and the sum of P_x over a class depends on x only
     through its eta multiset: it is summed over the symmetry orbits of A^k
-    (msum.eta_orbits) and spread evenly over the class.
+    (eta.eta_orbits) and spread evenly over the class.
     """
     a = g.a_group
     d = a.reduce(d)
@@ -191,7 +130,7 @@ def trivial_state_outcome_distribution(
     """Outcome probabilities for the maximally mixed (trivial-subgroup)
     input, plus the leftover mass outside the ensemble support.  The support
     dimension, the number of (x, w) with eta^x_w > 0, is an exact integer
-    summed over the symmetry orbits of x (msum.eta_orbits)."""
+    summed over the symmetry orbits of x (eta.eta_orbits)."""
     a = g.a_group
     support = sum(
         int(weights @ np.count_nonzero(eta, axis=1))
@@ -207,8 +146,7 @@ def trivial_state_outcome_distribution(
 # Lemma-style bracketing of the success probability
 
 
-@dataclass(frozen=True)
-class SuccessBracket:
+class SuccessBracket(NamedTuple):
     alpha: int
     beta: Fraction
     lower: Fraction
@@ -264,8 +202,12 @@ def best_certified_lower_bound(
 # Optimality conditions
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
+    """The two optimality conditions for the state ensemble: T = sum_j
+    sigma_j E_j is Hermitian (its largest entry of |T - T^dagger|) and
+    dominates every sigma_j (the least eigenvalue of T_h - sigma_j over j,
+    T_h = (T + T^dagger) / 2)."""
+
     commutator_residual: float
     min_eig_margin: float
 
@@ -277,132 +219,11 @@ class OptimalityReport:
         )
 
 
-def verify_optimality(
-    k: int,
-    g: SemidirectGroup,
-    povm: POVM | None = None,
-    cap: int | None = None,
-    enumeration_cap: int | None = None,
-) -> OptimalityReport:
-    """Check the two optimality conditions for the state ensemble:
-    T = sum_j sigma_j E_j is Hermitian (equals sum_j E_j sigma_j) and
-    dominates every sigma_j.
-
-    Every operator is block diagonal over x, with sigma_j^x = |v_j^x><v_j^x|
-    and E_j^x = F_j F_j^dagger, so T^x = sum_j |v_j>(<v_j|F_j) F_j^dagger
-    is formed from the vectors and factors alone.  The margin takes one
-    batched eigvalsh over x of T^x - sigma_j^x for each j.
-    """
-    check_dim(g, k, cap)
-    if povm is None:
-        povm = build_pgm(k, g, cap, enumeration_cap)
-    images = block_images(g, k, enumeration_cap)
-    v = np.stack([state_vectors(g, j, images) for j in g.a_group.elements()], axis=1)
-    overlaps = np.einsum("xja,xjar->xjr", v.conj(), povm.factors)
-    rows = np.einsum("xjr,xjbr->xjb", overlaps, povm.factors.conj())
-    t = np.einsum("xja,xjb->xab", v, rows)
-    t_dag = t.conj().transpose(0, 2, 1)
-    commutator_residual = float(np.abs(t - t_dag).max())
-    t_h = (t + t_dag) / 2
-    margin = math.inf
-    for v_j in v.transpose(1, 0, 2):
-        # t's storage now holds sigma_j, then T_h - sigma_j, stacked over x
-        np.einsum("xa,xb->xab", v_j, v_j.conj(), out=t)
-        margin = min(margin, float(np.linalg.eigvalsh(np.subtract(t_h, t, out=t)).min()))
-    return OptimalityReport(commutator_residual, margin)
-
-
-# ---------------------------------------------------------------------------
-# Neumark blocks and quantum sampling
-
-
-@dataclass(frozen=True)
-class NeumarkBlock:
-    """Unitary completion of the per-block solution isometry.
-
-    ``unitary`` maps |w> (w in A-index order) to the embedded |S^x_w>
-    whenever eta^x_w > 0 and to a deterministic completion vector
-    otherwise; Gram-Schmidt over the standard basis in index order picks
-    the completions.
-    """
-
-    x: tuple
-    unitary: np.ndarray
-    defined_columns: tuple[int, ...]  # A-indices of w with eta > 0
-    completion_columns: tuple[int, ...]
-
-
-def _images_of(x: tuple, g: SemidirectGroup, enumeration_cap: int | None) -> np.ndarray:
-    """Image-table row of one x-tuple: the A-index of the image of every b."""
-    a = g.a_group
-    xs = np.array([[a.index(a.reduce(xj)) for xj in x]], dtype=np.int64)
-    return image_table(g, xs, enumeration_cap)[0]
-
-
-def build_neumark(
-    x: tuple,
-    k: int,
-    g: SemidirectGroup,
-    enumeration_cap: int | None = None,
-) -> NeumarkBlock:
-    a = g.a_group
-    x = tuple(a.reduce(xj) for xj in x)
-    images = _images_of(x, g, enumeration_cap)
-    eta = np.bincount(images, minlength=a.order)
-    pk = g.p**k
-    dim = max(a.order, pk)
-    u = np.zeros((dim, dim), dtype=complex)
-    u[np.arange(pk), images] = 1.0 / np.sqrt(eta[images])
-    defined = np.flatnonzero(eta).tolist()
-    completions = [col for col in range(dim) if col >= a.order or not eta[col]]
-    basis_cursor = 0
-    for col in completions:
-        while True:
-            if basis_cursor >= dim:
-                raise AssertionError("ran out of basis vectors completing the unitary")
-            cand = np.zeros(dim, dtype=complex)
-            cand[basis_cursor] = 1.0
-            basis_cursor += 1
-            cand -= u @ (u.conj().T @ cand)
-            norm = np.linalg.norm(cand)
-            if norm > 1e-6:
-                u[:, col] = cand / norm
-                break
-    return NeumarkBlock(x, u, tuple(defined), tuple(completions))
-
-
-@dataclass(frozen=True)
-class QuantumSample:
-    vector: np.ndarray
-    eta: int
-    postselection_probability: float
-
-
-def quantum_sample_vector(
-    x: tuple,
-    w,
-    k: int,
-    g: SemidirectGroup,
-    enumeration_cap: int | None = None,
-) -> QuantumSample:
-    """The uniform solution superposition |S^x_w> (zero vector when there
-    are no solutions) with the label-and-measure postselection rate 1/eta."""
-    a = g.a_group
-    hits = _images_of(x, g, enumeration_cap) == a.index(a.reduce(w))
-    eta = int(np.count_nonzero(hits))
-    vec = np.zeros(g.p**k, dtype=complex)
-    if eta:
-        vec[hits] = 1.0 / np.sqrt(eta)
-    prob = 1.0 / eta if eta else 0.0
-    return QuantumSample(vec, eta, prob)
-
-
 # ---------------------------------------------------------------------------
 # Aggregate report
 
 
-@dataclass(frozen=True)
-class PGMReport:
+class PGMReport(NamedTuple):
     group_spec: str
     k: int
     pr_formula: float
@@ -468,12 +289,13 @@ def pgm_report(
 ) -> PGMReport:
     """The success formula, the certified bracket, the d = 0 trace success
     probability and the optimality check, in one walk over the symmetry
-    orbits of A^k (msum.orbit_images).
+    orbits of A^k (eta.orbit_images).
 
     A unit c sends block x to cx with outcome j to cj, and permuting copies
     2..k permutes b, so the blocks of one orbit have the same residual and
     the same set of margins, and their d = 0 trace terms agree.  Each orbit
-    row is checked from its vectors, as verify_optimality checks a block:
+    row is checked from its vectors, as the tests' block route checks every
+    block (oracles.verify_optimality):
     T^x = sum_j |v_j><v_j|e_j><e_j|, its commutator residual, one eigh of
     T_h^x, and the least eigenvalue of T_h^x - |v_j><v_j| for every j by
     the secular equation of that rank-one downdate (_least_eigenvalues).

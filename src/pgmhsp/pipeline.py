@@ -16,10 +16,13 @@ charged k queries per trial to keep the standard accounting.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from .eta import eta_statistics
 from .groups import (
     CyclicGroup,
     GroupElement,
@@ -31,7 +34,6 @@ from .groups import (
     semidirect_zpr,
     subgroup_order,
 )
-from .msum import eta_statistics
 from .pgm import best_certified_lower_bound, outcome_distribution, trivial_state_outcome_distribution
 
 
@@ -122,8 +124,7 @@ def coset_hiding_function(
 # Abelian stage and normality
 
 
-@dataclass(frozen=True)
-class SubgroupDescription:
+class SubgroupDescription(NamedTuple):
     """A subgroup given by generators; ``cyclic_d`` marks H = <(d, 1)>."""
 
     generators: tuple[GroupElement, ...]
@@ -212,8 +213,7 @@ def check_h1_normal(h1: SubgroupDescription, g: SemidirectGroup) -> bool:
 # Quotient construction
 
 
-@dataclass(frozen=True)
-class ReducedProblem:
+class ReducedProblem(NamedTuple):
     """The hidden subgroup problem pushed down to G2 = (A/A1) x| Z_p.
 
     ``lift`` maps an A2 element to its lexicographically least coset
@@ -230,8 +230,7 @@ class ReducedProblem:
     project: object  # callable A-element -> A2-element
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     final: SubgroupDescription | None = None
     reduced: ReducedProblem | None = None
 
@@ -323,8 +322,7 @@ def detect_trivial_vs_order_p(f: HidingFunction, d, g: SemidirectGroup) -> bool:
 # PGM-driven solve
 
 
-@dataclass
-class TrialRecord:
+class TrialRecord(NamedTuple):
     trial: int
     sampled: object  # A element, or None for an outcome outside the support
     verified: bool
@@ -367,9 +365,13 @@ def run_pgm_hsp(
 
     The oracle fixture must hide either the trivial subgroup or some
     <(d, 1)> of order p (the promise after reduction).  Outcomes are
-    sampled from the exact distribution by inverse CDF with a seeded
-    PCG64 generator; every candidate is verified with two real queries.
+    sampled from the exact distribution by inverse CDF, one
+    ``random.Random(seed).random()`` draw per trial (the generator
+    eta-stats --mode sampled also uses); every candidate is verified with
+    two real queries.
     """
+    if seed is not None and seed < 0:  # random.Random(-s) would draw what s draws
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if trials is None:
         trials = default_trial_budget(k, g, enumeration_cap, population_cap)
     a_group = g.a_group
@@ -382,7 +384,7 @@ def run_pgm_hsp(
     else:
         probs, fail_mass = trivial_state_outcome_distribution(k, g, enumeration_cap)
     cdf = np.cumsum(np.append(probs, fail_mass))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     result = PGMRunResult(SubgroupDescription((), 1), group=g, seed=seed)
     for trial in range(trials):
         result.prep_queries += k
@@ -404,8 +406,7 @@ def run_pgm_hsp(
     return result
 
 
-@dataclass
-class HSPResult:
+class HSPResult(NamedTuple):
     answer: SubgroupDescription
     reduction_final: bool
     pgm_run: PGMRunResult | None

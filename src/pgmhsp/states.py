@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .caps import CapExceeded, dim_cap
+from .eta import image_table, index_digits, x_tuples
 from .groups import (
     AbelianGroup,
     CyclicGroup,
@@ -27,7 +28,6 @@ from .groups import (
     phi_sum,
     subgroup_order,
 )
-from .msum import image_table, index_digits, x_tuples
 
 
 def state_dim(g: SemidirectGroup, k: int) -> int:
@@ -110,7 +110,7 @@ def fourier_coset_state(x, d, g: SemidirectGroup) -> np.ndarray:
 # The k-copy Fourier-side states, block by block over x in A^k
 #
 # The x-block of every operator below is read off the image table of the
-# matrix sum problem (msum.image_table): b and b' lie in the same solution
+# matrix sum problem (eta.image_table): b and b' lie in the same solution
 # set S^x_w exactly when their images agree.
 
 

@@ -1,15 +1,17 @@
 """Dense and direct reference constructions the tests compare against.
 
-The library verifies the PGM block by block over x in A^k.  These helpers
-build the same operators as dense |G|^k x |G|^k matrices, or recompute a
-quantity by a route the library does not take, so that every block
-result has an independent check at small dimensions.
+The library verifies the PGM on one x per symmetry orbit of A^k.  These
+helpers build the same operators block by block over every x (the block
+route), or as dense |G|^k x |G|^k matrices, or recompute a quantity by a
+route the library does not take, so that every result has an independent
+check at small dimensions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -28,15 +30,9 @@ from pgmhsp.groups import (
     heisenberg_group,
     parse_group_spec,
 )
-from pgmhsp.msum import (
-    MSumInstance,
-    SolutionSet,
-    eta_rows,
-    image_table,
-    solve_bruteforce,
-    x_tuples,
-)
-from pgmhsp.pgm import POVM, UNITARITY_TOL, OptimalityReport, build_neumark, build_pgm
+from pgmhsp.eta import eta_rows, image_table, x_tuples
+from pgmhsp.msum import MSumInstance, SolutionSet, solve_bruteforce
+from pgmhsp.pgm import OptimalityReport
 from pgmhsp.pipeline import HidingFunction, ReducedProblem, subgroup_closure
 from pgmhsp.states import (
     _phase_roots,
@@ -45,6 +41,7 @@ from pgmhsp.states import (
     check_dim,
     coset_state,
     fft_over_a,
+    state_vectors,
 )
 
 # ---------------------------------------------------------------------------
@@ -504,6 +501,183 @@ def tensor_power_grouped(mat: np.ndarray, k: int, dim_a: int, dim_b: int) -> np.
         s = xj * dim_b + bj
         out *= mat[s[:, None], s[None, :]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The block route: the PGM's factors on every x in A^k
+#
+# The library checks the PGM on one x per symmetry orbit (pgm.pgm_report).
+# These build its factors, the trace and the optimality check block by block
+# over all of A^k, for the PGM or any POVM held in factored form, and the
+# Neumark blocks of the unitary implementation.
+
+PSD_TOL = 1e-9
+UNITARITY_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class POVM:
+    """Block-diagonal POVM over outcomes j in A, held in factored form.
+
+    ``factors`` has shape (|A|^k, |A|, p^k, R): with F = ``factors[xi, ji]``
+    the x-block of E_j is F F^dagger.  The PGM is rank one on every block,
+    so R = 1 and the single column of F is |e^x_j>.
+    """
+
+    group: SemidirectGroup
+    k: int
+    factors: np.ndarray
+
+
+def build_pgm(
+    k: int,
+    g: SemidirectGroup,
+    cap: int | None = None,
+    enumeration_cap: int | None = None,
+) -> POVM:
+    """PGM elements from the explicit character formula on each block:
+    <b|e^x_j> = chi_w(j) / sqrt(|A| eta^x_w) with w the image of b."""
+    check_dim(g, k, cap)
+    a = g.a_group
+    images = block_images(g, k, enumeration_cap)
+    eta = np.take_along_axis(eta_rows(images, a.order), images, axis=1)
+    norms = np.sqrt(a.order * eta)
+    vectors = np.stack([characters(a, j)[images] / norms for j in a.elements()], axis=1)
+    return POVM(g, k, vectors[..., None])
+
+
+def success_probability_trace(
+    k: int,
+    g: SemidirectGroup,
+    d,
+    cap: int | None = None,
+    enumeration_cap: int | None = None,
+    povm: POVM | None = None,
+) -> float:
+    """tr(E_d rho_d^(x)k) = sum_x ||F_d^x^dagger v_d^x||^2, block by block,
+    for the PGM or a prebuilt block POVM."""
+    if povm is None:
+        povm = build_pgm(k, g, cap, enumeration_cap)
+    a = g.a_group
+    v = state_vectors(g, d, block_images(g, k, enumeration_cap))
+    amps = np.einsum("xar,xa->xr", povm.factors[:, a.index(a.reduce(d))].conj(), v)
+    return float((amps.real**2 + amps.imag**2).sum())
+
+
+def verify_optimality(
+    k: int,
+    g: SemidirectGroup,
+    povm: POVM | None = None,
+    cap: int | None = None,
+    enumeration_cap: int | None = None,
+) -> OptimalityReport:
+    """Check the two optimality conditions for the state ensemble:
+    T = sum_j sigma_j E_j is Hermitian (equals sum_j E_j sigma_j) and
+    dominates every sigma_j.
+
+    Every operator is block diagonal over x, with sigma_j^x = |v_j^x><v_j^x|
+    and E_j^x = F_j F_j^dagger, so T^x = sum_j |v_j>(<v_j|F_j) F_j^dagger
+    is formed from the vectors and factors alone.  The margin takes one
+    batched eigvalsh over x of T^x - sigma_j^x for each j.
+    """
+    check_dim(g, k, cap)
+    if povm is None:
+        povm = build_pgm(k, g, cap, enumeration_cap)
+    images = block_images(g, k, enumeration_cap)
+    v = np.stack([state_vectors(g, j, images) for j in g.a_group.elements()], axis=1)
+    overlaps = np.einsum("xja,xjar->xjr", v.conj(), povm.factors)
+    rows = np.einsum("xjr,xjbr->xjb", overlaps, povm.factors.conj())
+    t = np.einsum("xja,xjb->xab", v, rows)
+    t_dag = t.conj().transpose(0, 2, 1)
+    commutator_residual = float(np.abs(t - t_dag).max())
+    t_h = (t + t_dag) / 2
+    margin = math.inf
+    for v_j in v.transpose(1, 0, 2):
+        # t's storage now holds sigma_j, then T_h - sigma_j, stacked over x
+        np.einsum("xa,xb->xab", v_j, v_j.conj(), out=t)
+        margin = min(margin, float(np.linalg.eigvalsh(np.subtract(t_h, t, out=t)).min()))
+    return OptimalityReport(commutator_residual, margin)
+
+
+@dataclass(frozen=True)
+class NeumarkBlock:
+    """Unitary completion of the per-block solution isometry.
+
+    ``unitary`` maps |w> (w in A-index order) to the embedded |S^x_w>
+    whenever eta^x_w > 0 and to a deterministic completion vector
+    otherwise; Gram-Schmidt over the standard basis in index order picks
+    the completions.
+    """
+
+    x: tuple
+    unitary: np.ndarray
+    defined_columns: tuple[int, ...]  # A-indices of w with eta > 0
+    completion_columns: tuple[int, ...]
+
+
+def _images_of(x: tuple, g: SemidirectGroup, enumeration_cap: int | None) -> np.ndarray:
+    """Image-table row of one x-tuple: the A-index of the image of every b."""
+    a = g.a_group
+    xs = np.array([[a.index(a.reduce(xj)) for xj in x]], dtype=np.int64)
+    return image_table(g, xs, enumeration_cap)[0]
+
+
+def build_neumark(
+    x: tuple,
+    k: int,
+    g: SemidirectGroup,
+    enumeration_cap: int | None = None,
+) -> NeumarkBlock:
+    a = g.a_group
+    x = tuple(a.reduce(xj) for xj in x)
+    images = _images_of(x, g, enumeration_cap)
+    eta = np.bincount(images, minlength=a.order)
+    pk = g.p**k
+    dim = max(a.order, pk)
+    u = np.zeros((dim, dim), dtype=complex)
+    u[np.arange(pk), images] = 1.0 / np.sqrt(eta[images])
+    defined = np.flatnonzero(eta).tolist()
+    completions = [col for col in range(dim) if col >= a.order or not eta[col]]
+    basis_cursor = 0
+    for col in completions:
+        while True:
+            if basis_cursor >= dim:
+                raise AssertionError("ran out of basis vectors completing the unitary")
+            cand = np.zeros(dim, dtype=complex)
+            cand[basis_cursor] = 1.0
+            basis_cursor += 1
+            cand -= u @ (u.conj().T @ cand)
+            norm = np.linalg.norm(cand)
+            if norm > 1e-6:
+                u[:, col] = cand / norm
+                break
+    return NeumarkBlock(x, u, tuple(defined), tuple(completions))
+
+
+@dataclass(frozen=True)
+class QuantumSample:
+    vector: np.ndarray
+    eta: int
+    postselection_probability: float
+
+
+def quantum_sample_vector(
+    x: tuple,
+    w,
+    k: int,
+    g: SemidirectGroup,
+    enumeration_cap: int | None = None,
+) -> QuantumSample:
+    """The uniform solution superposition |S^x_w> (zero vector when there
+    are no solutions) with the label-and-measure postselection rate 1/eta."""
+    a = g.a_group
+    hits = _images_of(x, g, enumeration_cap) == a.index(a.reduce(w))
+    eta = int(np.count_nonzero(hits))
+    vec = np.zeros(g.p**k, dtype=complex)
+    if eta:
+        vec[hits] = 1.0 / np.sqrt(eta)
+    prob = 1.0 / eta if eta else 0.0
+    return QuantumSample(vec, eta, prob)
 
 
 # ---------------------------------------------------------------------------

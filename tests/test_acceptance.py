@@ -29,19 +29,18 @@ from pgmhsp.groups import (
     semidirect_zn,
     semidirect_zpr,
 )
+from pgmhsp.eta import eta_statistics
 from pgmhsp.msum import (
     MSumInstance,
-    eta_statistics,
     solve_bruteforce,
     solve_metacyclic_dlog,
     solve_polynomial,
 )
 from pgmhsp.pgm import (
-    build_pgm,
     lemma2_bounds,
+    outcome_distribution,
+    pgm_report,
     success_probability_formula,
-    success_probability_trace,
-    verify_optimality,
 )
 from pgmhsp.pipeline import (
     coset_hiding_function,
@@ -57,6 +56,7 @@ from pgmhsp.metacyclic import (
 )
 
 from oracles import (
+    build_pgm,
     dense_element,
     group_elements,
     heisenberg_eta_distribution,
@@ -66,6 +66,8 @@ from oracles import (
     simulate_neumark_outcomes,
     solve_all_w,
     solve_heisenberg_closed_form,
+    success_probability_trace,
+    verify_optimality,
 )
 
 Z7 = semidirect_zn(7, 3, 2)
@@ -194,19 +196,31 @@ def test_criterion_04_formula_trace_agreement():
     )
 
 
+def _assert_bracketed(bracket, value):
+    if isinstance(value, Fraction):
+        assert bracket.lower <= value <= bracket.upper
+    else:
+        assert float(bracket.lower) <= value + 1e-12
+        assert value <= float(bracket.upper) + 1e-12
+
+
 def test_criterion_05_lemma2_bracketing():
     for g, k in CRITERION_4_INSTANCES:
         stats = eta_statistics(g, k)
         value = success_probability_formula(k, g)
-        exact_value = value if isinstance(value, Fraction) else None
+        brackets = []
         for alpha in sorted(eta for eta in stats.counts if eta >= 1):
             bracket = lemma2_bounds(k, g, alpha, stats=stats)
             assert bracket.beta == stats.probability_at_least(alpha)
-            if exact_value is not None:
-                assert bracket.lower <= exact_value <= bracket.upper
-            else:
-                assert float(bracket.lower) <= value + 1e-12
-                assert value <= float(bracket.upper) + 1e-12
+            _assert_bracketed(bracket, value)
+            brackets.append(bracket)
+        # pgm_report certifies one of them from its own orbit walk, and it
+        # brackets the report's own success probabilities
+        report = pgm_report(k, g)
+        assert report.bracket in brackets
+        exact = report.pr_formula_exact
+        _assert_bracketed(report.bracket, report.pr_formula if exact is None else exact)
+        _assert_bracketed(report.bracket, report.pr_trace)
     print(
         "\n[PASS] criterion 5: alpha*beta^2*|A|/p^k <= Pr <= p^k/|A| for "
         "every histogram-certified (alpha, beta)"
@@ -215,10 +229,10 @@ def test_criterion_05_lemma2_bracketing():
 
 def test_criterion_06_optimality():
     for g, k in CRITERION_4_INSTANCES:
-        report = verify_optimality(k, g)
-        assert report.commutator_residual < 1e-8
-        assert report.min_eig_margin >= -1e-8
-        assert report.passed
+        for report in (verify_optimality(k, g), pgm_report(k, g).optimality):
+            assert report.commutator_residual < 1e-8
+            assert report.min_eig_margin >= -1e-8
+            assert report.passed
     control = verify_optimality(1, Z7, perturb_with_uniform(build_pgm(1, Z7), 0.5))
     assert not control.passed
     print(
@@ -228,13 +242,18 @@ def test_criterion_06_optimality():
 
 
 def test_criterion_07_neumark_consistency():
+    a = HEIS3.a_group
+    success = pgm_report(2, HEIS3).pr_trace
     for d in ((0, 0), (1, 1), (2, 1)):
         sim = simulate_neumark_outcomes(2, HEIS3, d)
         povm = build_pgm(2, HEIS3)
         rho, _ = hidden_subgroup_state(d, 2, HEIS3)
-        for ji, j in enumerate(HEIS3.a_group.elements()):
+        for ji, j in enumerate(a.elements()):
             direct = float(np.trace(dense_element(povm, j) @ rho).real)
             assert abs(sim[ji] - direct) < 1e-10
+        # the library's outcome law and success probability
+        assert np.abs(outcome_distribution(2, HEIS3, d) - sim).max() < 1e-10
+        assert abs(sim[a.index(d)] - success) < 1e-10
     print(
         "\n[PASS] criterion 7: Neumark measurement simulation reproduces "
         "tr(E_j rho_d) to 1e-10 for 3 fixtures"

@@ -520,12 +520,12 @@ def test_sampled_eta_stats_large_group_in_1_gib():
 
 
 def test_memory_error_exits_as_cap_exceeded(monkeypatch, capsys):
-    from pgmhsp import msum
+    from pgmhsp import eta
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(msum, "eta_statistics", out_of_memory)
+    monkeypatch.setattr(eta, "eta_statistics", out_of_memory)
     assert main(["eta-stats", "--group", "zn N=7 p=3 mu=2"]) == 3
     assert "cap exceeded: out of memory" in capsys.readouterr().err
 
@@ -740,18 +740,18 @@ def test_run_hsp_rejects_negative_trials(tmp_path):
 def test_run_hsp_rejects_negative_seed_naming_the_flag(tmp_path):
     fixture = tmp_path / "fixture.json"
     fixture.write_text(json.dumps({"group": "zn N=7 p=3 mu=2", "hidden": "trivial"}))
+    # random.Random(-s) draws what random.Random(s) draws, so eta-stats
+    # refuses negative seeds too rather than record an alias
     for argv in (
-        ["--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--trials", "10"],
-        ["--algo", "pgm", "--fixture", str(fixture)],
+        ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--trials", "10"],
+        ["run-hsp", "--algo", "pgm", "--fixture", str(fixture)],
+        ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--mode", "sampled", "--samples", "5"],
     ):
         for seed in ("-1", "one"):
-            proc = run_cli(["run-hsp", *argv, "--seed", seed])
+            proc = run_cli([*argv, "--seed", seed])
             assert proc.returncode == 2, (argv, seed, proc.stderr)
             assert "--seed" in proc.stderr and "non-negative" in proc.stderr, proc.stderr
-        assert main(["run-hsp", *argv, "--seed", "0"]) == 0, argv
-    # eta-stats seeds a Python random.Random, which takes any integer
-    argv = ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--mode", "sampled", "--samples", "5"]
-    assert main([*argv, "--seed", "-1"]) == 0
+        assert main([*argv, "--seed", "0"]) == 0, argv
 
 
 # stdout and the sha256 of the --out JSONL of seeded Monte Carlo runs (one

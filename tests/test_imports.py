@@ -1,9 +1,9 @@
 """The package's import graph: which layers each entry point executes.
 
-``import pgmhsp`` loads caps, groups and msum; states, pgm, pipeline and
-metacyclic are lazy modules that execute on first attribute access.  Each
-case runs in a fresh interpreter, since any earlier import in this process
-would already have loaded the layers.
+``import pgmhsp`` loads caps, groups and eta; msum, states, pgm, pipeline
+and metacyclic are lazy modules that execute on first attribute access.
+Each case runs in a fresh interpreter, since any earlier import in this
+process would already have loaded the layers.
 """
 
 import json
@@ -12,17 +12,18 @@ import sys
 
 import pytest
 
-LAYERS = ("states", "pgm", "pipeline", "metacyclic")
+LAYERS = ("msum", "states", "pgm", "pipeline", "metacyclic")
 
-# Prints, as JSON, the exit code of one CLI command (argv in sys.argv[1])
-# and the lazy layers that have executed by its end.
+# Prints, as JSON, the exit code of one CLI command (argv in sys.argv[1]),
+# the lazy layers that have executed by its end, and whether numpy.random
+# (about 5 MB resident) was imported.
 COMMAND_PROBE = f"""
 import contextlib, io, json, sys, types
 import pgmhsp.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = pgmhsp.cli.main(json.loads(sys.argv[1]))
 loaded = [m for m in {LAYERS!r} if type(sys.modules["pgmhsp." + m]) is types.ModuleType]
-print(json.dumps([code, loaded]))
+print(json.dumps([code, loaded, "numpy.random" in sys.modules]))
 """
 
 
@@ -54,36 +55,55 @@ print("ok")
 
 
 @pytest.mark.parametrize(
-    "argv,stdin_text,expected",
+    "argv,stdin_text,expected,random_loaded",
     [
-        (["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "1"], None, []),
+        (["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "1"], None, [], False),
+        (
+            ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "2", "--mode", "sampled",
+             "--samples", "50", "--seed", "1"],
+            None,
+            [],
+            False,
+        ),
         (
             ["solve-msum"],
             '{"group": "zn N=7 p=3 mu=2", "k": 1, "x": [1], "w": 3}',
-            [],
+            ["msum"],
+            False,
         ),
         (
             ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2",
              "--trials", "10", "--seed", "1"],
             None,
             ["states", "metacyclic"],
+            True,
         ),
-        (["pgm-report", "--group", "zn N=7 p=3 mu=2", "--k", "1"], None, ["states", "pgm"]),
+        (
+            ["pgm-report", "--group", "zn N=7 p=3 mu=2", "--k", "1"],
+            None,
+            ["states", "pgm"],
+            False,
+        ),
         (
             ["run-hsp", "--algo", "pgm", "--fixture", "{fixture}", "--k", "1", "--seed", "1"],
             None,
             ["states", "pgm", "pipeline"],
+            False,
         ),
     ],
-    ids=["eta-stats", "solve-msum", "run-hsp-stripped", "pgm-report", "run-hsp-pgm"],
+    ids=["eta-stats", "eta-stats-sampled", "solve-msum", "run-hsp-stripped", "pgm-report",
+         "run-hsp-pgm"],
 )
-def test_command_executes_only_its_layers(tmp_path, argv, stdin_text, expected):
+def test_command_executes_only_its_layers(tmp_path, argv, stdin_text, expected, random_loaded):
+    # only the stripped Monte Carlo draws from numpy's generators
     fixture = tmp_path / "fixture.json"
     fixture.write_text('{"group": "zn N=7 p=3 mu=2", "hidden": {"d": 1}}')
     argv = [arg.format(fixture=fixture) for arg in argv]
-    code, loaded = json.loads(run_python(COMMAND_PROBE, json.dumps(argv), stdin_text=stdin_text))
+    probe = run_python(COMMAND_PROBE, json.dumps(argv), stdin_text=stdin_text)
+    code, loaded, numpy_random = json.loads(probe)
     assert code == 0
     assert loaded == expected
+    assert numpy_random == random_loaded
 
 
 def test_getattr_loads_the_layer():
@@ -95,10 +115,10 @@ def test_getattr_loads_the_layer():
 import sys, types
 import pgmhsp
 module = sys.modules["pgmhsp.pgm"]
-fn = getattr(module, "verify_optimality")
+fn = getattr(module, "pgm_report")
 assert type(module) is types.ModuleType
 assert sys.modules["pgmhsp.pgm"] is module and pgmhsp.pgm is module
-assert vars(module)["verify_optimality"] is fn
+assert vars(module)["pgm_report"] is fn
 assert fn.__module__ == "pgmhsp.pgm"
 assert module.__file__.endswith("pgm.py")
 print("ok")
@@ -133,4 +153,4 @@ print(json.dumps(homes))
 """
     )
     homes = json.loads(out)
-    assert set(homes.values()) == {f"pgmhsp.{m}" for m in ("caps", "groups", "msum", *LAYERS)}
+    assert set(homes.values()) == {f"pgmhsp.{m}" for m in ("caps", "groups", "eta", *LAYERS)}

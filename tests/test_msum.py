@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pgmhsp import eta as eta_module
 from pgmhsp import msum
 from pgmhsp.caps import CapExceeded
 from pgmhsp.groups import (
@@ -20,19 +21,15 @@ from pgmhsp.groups import (
     semidirect_zn,
     semidirect_zpr,
 )
+from pgmhsp.eta import EtaStats, eta_rows, eta_statistics, image_table, x_tuples
 from pgmhsp.msum import (
-    EtaStats,
     MSumInstance,
     SolutionSet,
     discrete_log_bsgs,
-    eta_rows,
-    eta_statistics,
-    image_table,
     solve_auto,
     solve_bruteforce,
     solve_metacyclic_dlog,
     solve_polynomial,
-    x_tuples,
 )
 
 from oracles import (
@@ -333,7 +330,7 @@ def test_lookup_decodes_digits_in_groups(handed_over):
     # r = 5 digits of 4 bits each at k = 3: the decode takes two lut lookups
     g = parse_group_spec("zpr p=5 jordan=5")
     a = g.a_group
-    assert msum._decoder(g.p, a.r, 3)[2] < a.r
+    assert eta_module._decoder(g.p, a.r, 3)[2] < a.r
     rng = random.Random(5)
     for _ in range(40):
         x = tuple(a.element(rng.randrange(a.order)) for _ in range(3))
@@ -388,8 +385,8 @@ def test_warm_context_matches_enumeration_in_any_order(spec, k):
 
 def test_lookup_decode_with_small_luts(monkeypatch):
     # a 4-bit lut splits every code into one lookup per digit
-    monkeypatch.setattr(msum, "_LUT_BITS", 4)
-    msum._decoder.cache_clear()
+    monkeypatch.setattr(eta_module, "_LUT_BITS", 4)
+    eta_module._decoder.cache_clear()
     msum._context.cache_clear()
     try:
         rng = random.Random(8)
@@ -403,7 +400,7 @@ def test_lookup_decode_with_small_luts(monkeypatch):
                     assert msum._solve_lookup(MSumInstance(g, x, w)).solutions == tuple(
                         buckets.get(w, ()))
     finally:
-        msum._decoder.cache_clear()
+        eta_module._decoder.cache_clear()
         msum._context.cache_clear()
 
 
@@ -527,7 +524,7 @@ def test_uniform_draws_match_randrange(n):
     for seed in (0, 1, 42, 2**31 - 1):
         rng = random.Random(seed)
         expected = [rng.randrange(n) for _ in range(2000)]
-        got = msum._uniform_draws(random.Random(seed), n, 2000)
+        got = eta_module._uniform_draws(random.Random(seed), n, 2000)
         assert got.dtype == np.int64
         assert got.tolist() == expected
 
@@ -581,13 +578,13 @@ def test_image_table_matches_enumeration(spec, k):
 
 def test_image_table_decodes_digits_in_groups(monkeypatch):
     # a small lookup table forces the decode to split the r digits
-    monkeypatch.setattr(msum, "_LUT_BITS", 4)
-    msum._decoder.cache_clear()
+    monkeypatch.setattr(eta_module, "_LUT_BITS", 4)
+    eta_module._decoder.cache_clear()
     try:
         check_table_against_enumeration(parse_group_spec("zpr p=3 jordan=3"), 2)
         check_table_against_enumeration(parse_group_spec("zpr p=2 jordan=2,2,1"), 2)
     finally:
-        msum._decoder.cache_clear()
+        eta_module._decoder.cache_clear()
 
 
 # the divisor classes of a composite N with two prime factors: 1, 3, 7, 21
@@ -617,13 +614,13 @@ def test_unit_classes_partition_a(spec):
         rep = min(a.index(unit(x)) for unit in units)
         classes[rep] = classes.get(rep, 0) + 1
         rep_of.append(rep)
-    count = msum._unit_class_count(a)
-    reps, sizes = msum._unit_classes(a, np.arange(count))
+    count = eta_module._unit_class_count(a)
+    reps, sizes = eta_module._unit_classes(a, np.arange(count))
     assert dict(zip(reps.tolist(), sizes.tolist())) == classes
     assert reps.tolist() == sorted(classes)
     # class_means spreads an element's mass evenly over exactly its class
     for x, rep in enumerate(rep_of):
-        spread = msum.class_means(a, [np.eye(a.order)[x]])
+        spread = eta_module.class_means(a, [np.eye(a.order)[x]])
         assert np.flatnonzero(spread).tolist() == [y for y in range(a.order) if rep_of[y] == rep]
         assert np.allclose(spread[spread > 0], 1 / classes[rep])
 
@@ -634,24 +631,24 @@ def test_orbit_weights_sum_to_population(spec, k):
     g = parse_group_spec(spec)
     a = g.a_group
     seen, total, rows = set(), 0, 0
-    for weights, eta in msum.eta_orbits(g, k):
+    for weights, eta in eta_module.eta_orbits(g, k):
         assert weights.dtype == np.int64
         total += int(weights.sum())
         rows += len(eta)
     assert total == a.order**k
-    assert rows == msum.orbit_rows(a, k)
+    assert rows == eta_module.orbit_rows(a, k)
     # the multisets of copies 2..k are distinct and nondecreasing
-    tables = msum._colex_tables(a.order, k - 1)
+    tables = eta_module._colex_tables(a.order, k - 1)
     count = math.comb(a.order + k - 2, k - 1)
-    ys, orderings = msum._multisets(tables, np.arange(count), np.int64)
+    ys, orderings = eta_module._multisets(tables, np.arange(count), np.int64)
     assert (np.diff(ys, axis=1) >= 0).all()
     assert len({tuple(y) for y in ys.tolist()}) == count
     assert int(orderings.sum()) == a.order ** (k - 1)
 
 
 def test_orbit_walk_checks_its_weights(monkeypatch):
-    classes = msum._unit_classes
-    monkeypatch.setattr(msum, "_unit_classes", lambda a, ranks: (classes(a, ranks)[0], ranks * 0 + 1))
+    classes = eta_module._unit_classes
+    monkeypatch.setattr(eta_module, "_unit_classes", lambda a, ranks: (classes(a, ranks)[0], ranks * 0 + 1))
     with pytest.raises(AssertionError, match="orbit weights"):
         eta_statistics(Z7, 2)
 
@@ -659,7 +656,7 @@ def test_orbit_walk_checks_its_weights(monkeypatch):
 def test_orbit_weights_beyond_int64_are_python_ints():
     # |A|^(k+1) = 2097169^3 > 2^63: the weights are exact Python ints
     g = parse_group_spec("zn N=2097169 p=3 mu=315549")
-    weights, eta = next(msum.eta_orbits(g, 2))
+    weights, eta = next(eta_module.eta_orbits(g, 2))
     assert weights.dtype == object
     assert weights.tolist() == [1]  # x = (0, 0)
     assert eta.shape == (1, 2097169)
@@ -667,7 +664,7 @@ def test_orbit_weights_beyond_int64_are_python_ints():
 
 def test_population_cap_bounds_orbit_pairs():
     # Z7, k = 2: 2 unit classes x 7 multisets = 14 rows, 98 (x, w) pairs
-    assert msum.orbit_rows(Z7.a_group, 2) == 14
+    assert eta_module.orbit_rows(Z7.a_group, 2) == 14
     stats = eta_statistics(Z7, 2, cap=98)
     assert stats.population == 343
     assert stats.counts == eta_histogram_all_x(Z7, 2)

@@ -8,30 +8,30 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pgmhsp import msum, pgm
+from pgmhsp import eta as eta_module
+from pgmhsp import pgm
+from pgmhsp.caps import CapExceeded
+from pgmhsp.eta import EtaStats, eta_rows, eta_statistics
 from pgmhsp.groups import heisenberg_group, parse_group_spec, semidirect_jordan, semidirect_zn
-from pgmhsp.msum import EtaStats, eta_rows, eta_statistics
 from pgmhsp.pgm import (
-    POVM,
-    PSD_TOL,
-    UNITARITY_TOL,
     best_certified_lower_bound,
-    build_neumark,
-    build_pgm,
     lemma2_bounds,
     outcome_distribution,
     pgm_report,
-    quantum_sample_vector,
     success_probability_formula,
-    success_probability_trace,
     trivial_state_outcome_distribution,
-    verify_optimality,
 )
 from pgmhsp.states import block_images
 
+import oracles
 from oracles import (
+    POVM,
+    PSD_TOL,
     TABLE_CASES,
+    UNITARITY_TOL,
     a_tuple_from_index,
+    build_neumark,
+    build_pgm,
     dense_element,
     dense_verify_optimality,
     eta_histogram_all_x,
@@ -39,11 +39,14 @@ from oracles import (
     outcome_distribution_all_x,
     perturb_with_uniform,
     pgm_from_inverse_sqrt,
+    quantum_sample_vector,
     simulate_neumark_outcomes,
     squarefree_split,
     success_probability_decimal,
     success_probability_formula_all_x,
+    success_probability_trace,
     support_projector,
+    verify_optimality,
 )
 
 Z7 = semidirect_zn(7, 3, 2)
@@ -130,7 +133,7 @@ def test_formula_square_parts_follow_the_rows_walked():
             tracemalloc.stop()
 
     def walk():
-        for weights, eta in msum.eta_orbits(g, 2):
+        for weights, eta in eta_module.eta_orbits(g, 2):
             del weights, eta
 
     assert peak(walk) > 2**20
@@ -162,18 +165,18 @@ def test_orbit_outcome_law_matches_all_x_oracle(spec, k):
 def test_formula_and_outcome_law_walk_the_orbit_rows(monkeypatch, spec, k):
     g = parse_group_spec(spec)
     rows = []
-    image_table = msum.image_table
+    image_table = eta_module.image_table
 
     def counting_image_table(g, xs, *args):
         rows.append(len(xs))
         return image_table(g, xs, *args)
 
-    monkeypatch.setattr(msum, "image_table", counting_image_table)
+    monkeypatch.setattr(eta_module, "image_table", counting_image_table)
     success_probability_formula(k, g)
-    assert sum(rows) == msum.orbit_rows(g.a_group, k)
+    assert sum(rows) == eta_module.orbit_rows(g.a_group, k)
     rows.clear()
     outcome_distribution(k, g, g.a_group.zero)
-    assert sum(rows) == msum.orbit_rows(g.a_group, k)
+    assert sum(rows) == eta_module.orbit_rows(g.a_group, k)
 
 
 @pytest.mark.parametrize("k", [4, -1])
@@ -184,7 +187,7 @@ def test_formula_checks_caps_before_its_square_table(monkeypatch, k):
         raise AssertionError("square table built before the cap check")
 
     monkeypatch.setattr(pgm, "_square_parts", fail)
-    with pytest.raises(msum.CapExceeded if k > 0 else ValueError):
+    with pytest.raises(CapExceeded if k > 0 else ValueError):
         success_probability_formula(k, HEIS3, enumeration_cap=3**4 - 1)
 
 
@@ -356,20 +359,21 @@ def test_pgm_report_calls_no_block_route(monkeypatch):
 
     # the block route stays the checker of a POVM a caller supplies, used as given
     povm = build_pgm(2, HEIS3)
-    monkeypatch.setattr(pgm, "build_pgm", fail)
+    monkeypatch.setattr(oracles, "build_pgm", fail)
     trace = success_probability_trace(2, HEIS3, (0, 0), povm=povm)
-    for name in ("block_images", "success_probability_trace", "verify_optimality"):
-        monkeypatch.setattr(pgm, name, fail)
+    # pgm_report reads the orbit rows alone, never an image table over all of A^k
+    for name in ("block_images", "build_pgm", "success_probability_trace", "verify_optimality"):
+        assert not hasattr(pgm, name), name
     rows = []
-    image_table = msum.image_table
+    image_table = eta_module.image_table
 
     def counting_image_table(g, xs, *args):
         rows.append(len(xs))
         return image_table(g, xs, *args)
 
-    monkeypatch.setattr(msum, "image_table", counting_image_table)
+    monkeypatch.setattr(eta_module, "image_table", counting_image_table)
     report = pgm.pgm_report(2, HEIS3)
-    assert sum(rows) == msum.orbit_rows(HEIS3.a_group, 2)
+    assert sum(rows) == eta_module.orbit_rows(HEIS3.a_group, 2)
     assert report.consistent and report.optimality.passed
     assert abs(trace - report.pr_trace) < 1e-12
 

@@ -232,6 +232,9 @@ def test_run_pgm_hsp_trivial():
     assert result.answer.is_trivial
     assert result.trials_used == 25
     assert all(not rec.verified for rec in result.transcript)
+    # random.Random(-3) would repeat seed 3's draws
+    with pytest.raises(ValueError, match="non-negative"):
+        run_pgm_hsp(f, Z7, 1, trials=25, seed=-3)
 
 
 def test_run_pgm_hsp_rejects_bad_promise():

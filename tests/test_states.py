@@ -9,8 +9,8 @@ from pgmhsp.groups import (
     parse_group_spec,
     semidirect_zn,
 )
-from pgmhsp.msum import eta_rows
-from pgmhsp.pgm import build_pgm, quantum_sample_vector, verify_optimality
+from pgmhsp.eta import eta_rows
+from pgmhsp.pgm import pgm_report
 from pgmhsp.states import (
     _phase_roots,
     block_images,
@@ -24,12 +24,15 @@ from oracles import (
     a_tuple_from_index,
     a_tuple_index,
     b_tuple_index,
+    build_pgm,
     coset_mixture_density,
     ensemble_sigma,
     hidden_subgroup_state,
     qft_matrix,
+    quantum_sample_vector,
     support_projector,
     tensor_power_grouped,
+    verify_optimality,
 )
 
 Z7 = semidirect_zn(7, 3, 2)
@@ -191,6 +194,8 @@ def test_sigma_support_vs_state_support():
 
 
 def test_dimension_cap():
+    with pytest.raises(CapExceeded):
+        pgm_report(3, HEIS5, cap=4096)
     with pytest.raises(CapExceeded):
         build_pgm(3, HEIS5, cap=4096)
     with pytest.raises(CapExceeded):
