@@ -14,7 +14,7 @@ import importlib.util
 import sys
 
 # caps, groups and eta load eagerly: every command reads eta, directly or
-# through msum's integer codes or states' image table.
+# through msum's integer codes or states' index digits.
 from .caps import CapExceeded
 from .groups import (
     CyclicGroup,

@@ -9,11 +9,9 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-ENV_DIM_CAP = "PGMHSP_DIM_CAP"
 ENV_ENUM_CAP = "PGMHSP_ENUM_CAP"
 ENV_POP_CAP = "PGMHSP_POP_CAP"
 
-DEFAULT_DIM_CAP = 4096
 DEFAULT_ENUM_CAP = 10**7
 DEFAULT_POP_CAP = 10**8
 
@@ -34,10 +32,6 @@ def _env_int(name: str, default: int) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
-
-
-def dim_cap(override: int | None = None) -> int:
-    return override if override is not None else _env_int(ENV_DIM_CAP, DEFAULT_DIM_CAP)
 
 
 def enum_cap(override: int | None = None) -> int:

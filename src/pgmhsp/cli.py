@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import jsonio
-from .caps import CapExceeded, dim_cap, enum_cap, pop_cap
+from .caps import CapExceeded, enum_cap, pop_cap
 from .groups import (
     CyclicGroup,
     SemidirectGroup,
@@ -135,9 +135,7 @@ def cmd_pgm_report(args) -> int:
     from . import pgm
 
     g = _group_from_args(args)
-    report = pgm.pgm_report(
-        args.k, g, dim_cap(args.dim_cap), enum_cap(args.enum_cap), pop_cap(args.pop_cap)
-    )
+    report = pgm.pgm_report(args.k, g, enum_cap(args.enum_cap), pop_cap(args.pop_cap))
     doc = {
         "group": report.group_spec,
         "k": report.k,
@@ -400,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_msum.set_defaults(func=cmd_solve_msum)
 
     p_rep = sub.add_parser("pgm-report", help="success probability and optimality")
-    common(p_rep, "dim", "enum", "pop")
+    common(p_rep, "enum", "pop")
     p_rep.add_argument("--k", type=int, default=1)
     p_rep.set_defaults(func=cmd_pgm_report)
 

@@ -20,18 +20,21 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .caps import CapExceeded, enum_cap, pop_cap
 from .eta import (
     _CHUNK,
     EtaHistogram,
     EtaStats,
+    check_enumeration,
     class_means,
     eta_orbits,
     eta_rows,
     eta_statistics,
     orbit_images,
+    orbit_rows,
 )
 from .groups import SemidirectGroup, format_group_spec
-from .states import _phase_roots, check_dim, fft_over_a, phase_indices
+from .states import _phase_roots, fft_over_a, phase_indices
 
 OPTIMALITY_TOL = 1e-8
 
@@ -283,7 +286,6 @@ def _least_eigenvalues(lam: np.ndarray, c: np.ndarray) -> np.ndarray:
 def pgm_report(
     k: int,
     g: SemidirectGroup,
-    cap: int | None = None,
     enumeration_cap: int | None = None,
     population_cap: int | None = None,
 ) -> PGMReport:
@@ -299,13 +301,28 @@ def pgm_report(
     T^x = sum_j |v_j><v_j|e_j><e_j|, its commutator residual, one eigh of
     T_h^x, and the least eigenvalue of T_h^x - |v_j><v_j| for every j by
     the secular equation of that rank-one downdate (_least_eigenvalues).
+
+    A row's vectors and its T^x hold max(|A|, p^k) p^k entries each: the
+    enumeration cap bounds that, and the population cap bounds it summed
+    over the orbit rows, both before any table is built.  |A| is bounded
+    before orbit_rows factors N.
     """
-    check_dim(g, k, cap)  # before the walk over A^k, which it bounds
-    a = g.a_group
-    walk = orbit_images(g, k, enumeration_cap)  # the enumeration cap first, then the population cap
+    check_enumeration(g.p, k, enumeration_cap)
+    a, pk = g.a_group, g.p**k
+    entries = max(a.order, pk) * pk
+    limit = enum_cap(enumeration_cap)
+    if entries > limit:
+        raise CapExceeded(
+            f"max(|A|, p^k) p^k = {entries} entries per orbit row exceeds enumeration cap {limit}"
+        )
+    limit = pop_cap(population_cap)
+    if entries > limit or orbit_rows(a, k) * entries > limit:
+        raise CapExceeded(
+            f"orbit rows times {entries} entries per row exceeds population cap {limit}"
+        )
+    walk = orbit_images(g, k, enumeration_cap)
     hist, total = EtaHistogram(g, k, population_cap), _SuccessSum()
-    pk = g.p**k
-    step = max(1, _CHUNK // (max(a.order, pk) * pk))
+    step = max(1, _CHUNK // entries)
     trace, residual, margin = 0.0, 0.0, math.inf
     for weights, images in walk:
         eta = eta_rows(images, a.order)

@@ -19,8 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .caps import CapExceeded, dim_cap
-from .eta import image_table, index_digits, x_tuples
+from .eta import index_digits
 from .groups import (
     AbelianGroup,
     CyclicGroup,
@@ -28,18 +27,6 @@ from .groups import (
     phi_sum,
     subgroup_order,
 )
-
-
-def state_dim(g: SemidirectGroup, k: int) -> int:
-    return g.order**k
-
-
-def check_dim(g: SemidirectGroup, k: int, cap: int | None = None) -> int:
-    dim = state_dim(g, k)
-    limit = dim_cap(cap)
-    if dim > limit:
-        raise CapExceeded(f"|G|^k = {dim} exceeds dimension cap {limit}")
-    return dim
 
 
 @lru_cache(maxsize=16)
@@ -109,16 +96,9 @@ def fourier_coset_state(x, d, g: SemidirectGroup) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The k-copy Fourier-side states, block by block over x in A^k
 #
-# The x-block of every operator below is read off the image table of the
+# The x-block of the state below is read off the image table of the
 # matrix sum problem (eta.image_table): b and b' lie in the same solution
 # set S^x_w exactly when their images agree.
-
-
-def block_images(
-    g: SemidirectGroup, k: int, enumeration_cap: int | None = None
-) -> np.ndarray:
-    """Image table of every x in idx_A order, shape (|A|^k, p^k)."""
-    return image_table(g, x_tuples(g.a_group.order, k), enumeration_cap)
 
 
 def state_vectors(g: SemidirectGroup, d, images: np.ndarray) -> np.ndarray:

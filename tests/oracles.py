@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from pgmhsp.caps import CapExceeded
 from pgmhsp.groups import (
     AbelianGroup,
     CyclicGroup,
@@ -36,9 +37,7 @@ from pgmhsp.pgm import OptimalityReport
 from pgmhsp.pipeline import HidingFunction, ReducedProblem, subgroup_closure
 from pgmhsp.states import (
     _phase_roots,
-    block_images,
     characters,
-    check_dim,
     coset_state,
     fft_over_a,
     state_vectors,
@@ -113,10 +112,16 @@ TABLE_CASES = [
 ]
 
 
+def block_images(
+    g: SemidirectGroup, k: int, enumeration_cap: int | None = None
+) -> np.ndarray:
+    """Image table of every x in idx_A order, shape (|A|^k, p^k)."""
+    return image_table(g, x_tuples(g.a_group.order, k), enumeration_cap)
+
+
 def eta_rows_all_x(g: SemidirectGroup, k: int) -> np.ndarray:
     """eta rows of all |A|^k x in idx_A order, from one image table."""
-    a = g.a_group
-    return eta_rows(image_table(g, x_tuples(a.order, k)), a.order)
+    return eta_rows(block_images(g, k), g.a_group.order)
 
 
 def eta_histogram_all_x(g: SemidirectGroup, k: int) -> dict[int, int]:
@@ -409,6 +414,20 @@ def stripped_base_laws(n: int, p: int, table: tuple) -> tuple[np.ndarray, np.nda
 
 # ---------------------------------------------------------------------------
 # Dense states and ensemble operators
+#
+# These and the block route below build operators over all of A^k, so they
+# keep a guard on the state dimension |G|^k of their own.
+
+DIM_CAP = 4096
+
+
+def check_dim(g: SemidirectGroup, k: int, cap: int | None = None) -> int:
+    """|G|^k, or CapExceeded when it is above ``cap`` (default DIM_CAP)."""
+    dim = g.order**k
+    limit = DIM_CAP if cap is None else cap
+    if dim > limit:
+        raise CapExceeded(f"|G|^k = {dim} exceeds dimension cap {limit}")
+    return dim
 
 
 def coset_mixture_density(d, g: SemidirectGroup) -> np.ndarray:

@@ -378,9 +378,13 @@ def test_pgm_report_z7():
     assert doc["lemma2"]["lower"] <= doc["pr_formula"] <= doc["lemma2"]["upper"]
 
 
-def test_pgm_report_dim_cap():
+def test_pgm_report_heisenberg_k3_under_default_caps():
+    # |G|^3 = 19683: the orbit walk takes 225 rows of 27 x 27 entries
     proc = run_cli(["pgm-report", "--group", "zpr p=3 jordan=2", "--k", "3"])
-    assert proc.returncode == 3
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["optimality"]["pass"] is True
+    assert abs(doc["pr_formula"] - doc["pr_trace"]) < 1e-10
 
 
 def test_pgm_report_rejects_nonpositive_k(capsys):
@@ -391,18 +395,27 @@ def test_pgm_report_rejects_nonpositive_k(capsys):
 def test_pgm_report_enumeration_cap_exits_3_before_tabulating():
     # p^k = 101^4 > the default enumeration cap of 1e7; a table sized p^k
     # would not fit in the child's 1 GiB and end in a MemoryError instead
-    proc = run_cli_in_1_gib(
-        ["pgm-report", "--group", "zpr p=101 jordan=2", "--k", "4", "--dim-cap", str(10**40)]
-    )
+    proc = run_cli_in_1_gib(["pgm-report", "--group", "zpr p=101 jordan=2", "--k", "4"])
     assert proc.returncode == 3, proc.stderr
     assert "exceeds enumeration cap" in proc.stderr
 
 
 def test_pgm_report_dim_cap_exits_3_before_the_formula():
-    # |G|^k = 29791^3: the formula alone would walk 15 million orbit rows
-    proc = run_cli(["pgm-report", "--group", "zpr p=31 jordan=2", "--k", "3"])
-    assert proc.returncode == 3
-    assert "exceeds dimension cap" in proc.stderr
+    # |G|^k = 29791^3: the formula alone would walk 15 million orbit rows, and
+    # each row's T^x would hold 29791^2 entries, over the enumeration cap
+    start = time.monotonic()
+    proc = run_cli_in_1_gib(["pgm-report", "--group", "zpr p=31 jordan=2", "--k", "3"])
+    assert proc.returncode == 3, proc.stderr
+    assert "exceeds" in proc.stderr
+    assert time.monotonic() - start < 5
+
+
+def test_pgm_report_row_size_exits_3_in_1_gib():
+    # two orbit rows pass the population cap (9.7e7 entries in all), but each
+    # row's vectors and T^x hold 9839 x 4919 entries: several GB for one row
+    proc = run_cli_in_1_gib(["pgm-report", "--group", "zn N=9839 p=4919 mu=4", "--k", "1"])
+    assert proc.returncode == 3, proc.stderr
+    assert "exceeds enumeration cap" in proc.stderr
 
 
 def test_pgm_report_population_cap():
@@ -443,18 +456,18 @@ def test_unapplied_cap_flags_are_not_accepted():
         ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--dim-cap", "10"],
         ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--exact",
          "--dim-cap", "10"],
+        ["pgm-report", "--group", "zn N=7 p=3 mu=2", "--dim-cap", "10"],
     ):
         assert main(argv) == 2, argv
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "ten"])
-@pytest.mark.parametrize("cap", ["dim", "enum", "pop"])
+@pytest.mark.parametrize("cap", ["enum", "pop"])
 def test_cap_flags_must_be_positive(cap, value, capsys):
     # a cap flag must be a positive integer, as its environment variable must
     assert main(["pgm-report", "--group", "zn N=7 p=3 mu=2", f"--{cap}-cap", value]) == 2
     assert "must be a positive integer" in capsys.readouterr().err
-    if cap != "dim":
-        assert main(["eta-stats", "--group", "zn N=7 p=3 mu=2", f"--{cap}-cap", value]) == 2
+    assert main(["eta-stats", "--group", "zn N=7 p=3 mu=2", f"--{cap}-cap", value]) == 2
 
 
 ETA_Z7 = ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "2"]
@@ -466,11 +479,10 @@ ETA_Z7 = ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "2"]
         ({"PGMHSP_POP_CAP": "10"}, ETA_Z7, 3),
         # a flag wins over the environment
         ({"PGMHSP_POP_CAP": "10"}, [*ETA_Z7, "--pop-cap", "100000000"], 0),
-        ({"PGMHSP_DIM_CAP": "10"}, ["pgm-report", "--group", "zn N=7 p=3 mu=2"], 3),
         ({"PGMHSP_ENUM_CAP": "abc"}, ETA_Z7, 2),
         ({"PGMHSP_ENUM_CAP": "0"}, ETA_Z7, 2),
     ],
-    ids=["pop-env", "pop-flag-wins", "dim-env", "enum-env-not-int", "enum-env-zero"],
+    ids=["pop-env", "pop-flag-wins", "enum-env-not-int", "enum-env-zero"],
 )
 def test_cap_environment_variables(env, argv, code):
     proc = run_cli(argv, env=env)

@@ -21,7 +21,6 @@ from pgmhsp.pgm import (
     success_probability_formula,
     trivial_state_outcome_distribution,
 )
-from pgmhsp.states import block_images
 
 import oracles
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     TABLE_CASES,
     UNITARITY_TOL,
     a_tuple_from_index,
+    block_images,
     build_neumark,
     build_pgm,
     dense_element,
@@ -204,9 +204,10 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     ids=["heisenberg-3", "heisenberg-5", "jordan3-3"],
 )
 def test_readme_headline_rows_match_all_x_oracle(label, g):
-    # each cell is "Pr_success (certified lower bound)" to four places
+    # each cell is "Pr_success (certified lower bound)" to four places, bold at
+    # k = r and marked ✓ where pgm-report verifies optimality
     row = next(line for line in README.read_text().splitlines() if line.startswith(f"| {label} |"))
-    cells = [cell.strip("* ") for cell in row.split("|")[3:-1]]
+    cells = [cell.strip("*✓ ") for cell in row.split("|")[3:-1]]
     for k, cell in enumerate(cells, start=1):
         value = float(success_probability_formula_all_x(k, g))
         stats = EtaStats(eta_histogram_all_x(g, k), g.a_group.order ** (k + 1), "exhaustive")
@@ -331,21 +332,21 @@ def test_block_optimality_matches_dense_oracle(g, k, perturbed):
 
 
 @pytest.mark.parametrize(
-    "g,cap,bound_mib",
+    "g,bound_mib",
     [
         # one dense 729 x 729 complex matrix alone takes 8.1 MiB
-        (HEIS3, None, 8),
+        (HEIS3, 8),
         # a (|A|^k, |A|, p^k, p^k) complex stack alone takes 149 MiB
-        (heisenberg_group(5), 20000, 96),
+        (heisenberg_group(5), 96),
         # the block route peaked at 606 MB of RSS
-        (heisenberg_group(7), 200000, 16),
+        (heisenberg_group(7), 16),
     ],
     ids=["heis3", "heis5", "heis7"],
 )
-def test_pgm_report_heisenberg_k2_peak_memory(g, cap, bound_mib):
+def test_pgm_report_heisenberg_k2_peak_memory(g, bound_mib):
     tracemalloc.start()
     try:
-        report = pgm_report(2, g, cap)
+        report = pgm_report(2, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -396,7 +397,9 @@ REPORT_CASES = [
 @pytest.mark.parametrize("spec,k", sorted(set(TABLE_CASES + REPORT_CASES)))
 def test_pgm_report_matches_block_route(spec, k):
     g = parse_group_spec(spec)
-    report = pgm_report(k, g, 20_000)
+    # pgm_report under its default caps; 20_000 raises the block route's own
+    # guard on |G|^k, for zpr p=3 jordan=2 at k = 3 (|G|^k = 19683) among others
+    report = pgm_report(k, g)
     povm = build_pgm(k, g, 20_000)
     block = verify_optimality(k, g, povm, 20_000)
     assert abs(report.pr_trace - success_probability_trace(k, g, g.a_group.zero, povm=povm)) < 1e-12

@@ -10,10 +10,9 @@ from pgmhsp.groups import (
     semidirect_zn,
 )
 from pgmhsp.eta import eta_rows
-from pgmhsp.pgm import pgm_report
+from pgmhsp import pgm
 from pgmhsp.states import (
     _phase_roots,
-    block_images,
     characters,
     coset_state,
     fft_over_a,
@@ -24,6 +23,7 @@ from oracles import (
     a_tuple_from_index,
     a_tuple_index,
     b_tuple_index,
+    block_images,
     build_pgm,
     coset_mixture_density,
     ensemble_sigma,
@@ -193,9 +193,16 @@ def test_sigma_support_vs_state_support():
     assert np.abs(sigma @ proj - sigma).max() < 1e-10
 
 
-def test_dimension_cap():
-    with pytest.raises(CapExceeded):
-        pgm_report(3, HEIS5, cap=4096)
+def test_dimension_cap(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("pgm_report started the walk")
+
+    # Heisenberg p = 7 at k = 3: 11025 orbit rows of 343^2 entries each,
+    # 1.3e9 in all, over the population cap, refused before the walk starts
+    monkeypatch.setattr(pgm, "orbit_images", fail)
+    with pytest.raises(CapExceeded, match="exceeds population cap"):
+        pgm.pgm_report(3, heisenberg_group(7))
+    # the dense block route keeps its own guard on |G|^k
     with pytest.raises(CapExceeded):
         build_pgm(3, HEIS5, cap=4096)
     with pytest.raises(CapExceeded):
