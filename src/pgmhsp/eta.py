@@ -167,12 +167,6 @@ class EtaStats(NamedTuple):
 # The eta table
 
 
-def x_tuples(a_order: int, k: int) -> np.ndarray:
-    """Per-copy A-indices, shape (|A|^k, k), of every x in idx_A order."""
-    flat = np.arange(a_order**k, dtype=np.int64)
-    return flat[:, None] // a_order ** np.arange(k, dtype=np.int64) % a_order
-
-
 def _element_codes(g: SemidirectGroup, indices: np.ndarray, k: int) -> np.ndarray:
     """codes[..., b] of M^(b) x for the A elements with the given A-indices."""
     a = g.a_group
@@ -398,23 +392,28 @@ def _uniform_draws(rng: random.Random, n: int, count: int) -> np.ndarray:
     return np.concatenate(parts)[:count].astype(np.int64)
 
 
+def check_population(g: SemidirectGroup, k: int, cap: int | None = None) -> None:
+    """Raise CapExceeded when a walk over the symmetry orbits of A^k would
+    evaluate more (x, w) pairs, |A| per orbit row, than the population cap.
+    Testing |A| first keeps a large N from being factored."""
+    a = g.a_group
+    limit = pop_cap(cap)
+    if a.order > limit or orbit_rows(a, k) * a.order > limit:
+        raise CapExceeded(
+            f"(x, w) pairs over the symmetry orbits of population {a.order ** (k + 1)} "
+            f"exceed cap {limit}"
+        )
+
+
 class EtaHistogram:
     """The exhaustive eta histogram, summed chunk by chunk over the eta_orbits
-    walk.  The population cap bounds the (x, w) pairs evaluated, at least |A|
-    of them, and is checked on construction; testing |A| first keeps a
-    large N from being factored."""
+    walk.  The population cap (check_population) is checked on construction."""
 
     def __init__(self, g: SemidirectGroup, k: int, cap: int | None = None):
-        a = g.a_group
-        self.population = a.order ** (k + 1)
+        check_population(g, k, cap)
+        self.population = g.a_group.order ** (k + 1)
         self.size = g.p**k + 1
         self.counts = 0
-        limit = pop_cap(cap)
-        if a.order > limit or orbit_rows(a, k) * a.order > limit:
-            raise CapExceeded(
-                f"(x, w) pairs over the symmetry orbits of population {self.population} "
-                f"exceed cap {limit}"
-            )
 
     def add(self, weights: np.ndarray, eta: np.ndarray) -> None:
         """Add weight times each row's own histogram of eta over w."""

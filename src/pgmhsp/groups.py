@@ -207,6 +207,24 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
 
 
+def row_reduce(rows, p: int) -> list[tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form of ``rows`` over
+    F_p, pivots ascending: the canonical basis of their span."""
+    rows = [[c % p for c in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        hit = next((j for j in range(rank, len(rows)) if rows[j][col]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        top = rows[rank] = [c * pow(rows[rank][col], -1, p) % p for c in rows[rank]]
+        for j, row in enumerate(rows):
+            if j != rank and row[col]:
+                rows[j] = [(u - row[col] * v) % p for u, v in zip(row, top)]
+        rank += 1
+    return [tuple(row) for row in rows[:rank]]
+
+
 def jordan_matrix(p: int, block_sizes: tuple[int, ...] | list[int]) -> Matrix:
     """Unipotent Jordan-form matrix with the given block sizes, mod p."""
     sizes = tuple(int(s) for s in block_sizes)

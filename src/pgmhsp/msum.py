@@ -57,6 +57,7 @@ from .groups import (
     mat_vec,
     matrix_sum,
     msum_table,
+    row_reduce,
 )
 
 
@@ -245,22 +246,9 @@ def _eliminate(rows: tuple, n: int, p: int):
     """Solve the linear system [rows | rhs] in n unknowns over F_p:
     (base, directions, free), the solutions being base + sum_i s_i
     directions[i] with directions[i] 1 at free[i]; None when inconsistent."""
-    rows = [[c % p for c in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(n + 1):
-        i = len(pivots)
-        hit = next((j for j in range(i, len(rows)) if rows[j][col]), None)
-        if hit is None:
-            continue
-        if col == n:
-            return None
-        rows[i], rows[hit] = rows[hit], rows[i]
-        top = rows[i] = [c * pow(rows[i][col], -1, p) % p for c in rows[i]]
-        for j, row in enumerate(rows):
-            if j != i and row[col]:
-                rows[j] = [(u - row[col] * v) % p for u, v in zip(row, top)]
-        pivots.append(col)
-    row_of = dict(zip(pivots, rows))
+    row_of = {next(j for j, c in enumerate(row) if c): row for row in row_reduce(rows, p)}
+    if n in row_of:
+        return None
     free = tuple(j for j in range(n) if j not in row_of)
     base = tuple(row_of[j][n] if j in row_of else 0 for j in range(n))
     directions = tuple(
@@ -281,7 +269,7 @@ def _layers(g: SemidirectGroup) -> tuple[tuple, int, tuple]:
         # the y with y N^l = 0 (the kernel of the transpose) that extend the
         # basis, i.e. leave no combination of basis and y vanishing
         for y in _eliminate(tuple((*row, 0) for row in mat_transpose(power)), r, p)[1]:
-            if not _eliminate(tuple((*col, 0) for col in zip(*basis, y)), len(basis) + 1, p)[1]:
+            if len(row_reduce((*basis, y), p)) > len(basis):
                 basis.append(y)
         linear = linear or len(basis)
         power = mat_mul(power, n, p)

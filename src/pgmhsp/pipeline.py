@@ -1,11 +1,16 @@
 """Reduction to cyclic hidden subgroups and the end-to-end solve driver.
 
-The reduction factors out H1 = H intersect (A x {0}): solve the abelian
-problem on A x {0} by enumeration, test whether H1 is invariant under the
-automorphism (if not, H = H1 and we are done), then pass to the quotient
-group A/A1 x| Z_p with lexicographically-least coset representatives.
-The quotient of Z_N is cyclic and the quotient of Z_p^r is elementary
-abelian, so both stay inside the supported families.
+The reduction factors out H1 = H intersect (A x {0}) by linear algebra
+over F_p on one basis.  The abelian problem on A x {0} is solved by
+enumeration, and groups.row_reduce turns the A1 it finds into its reduced
+row echelon basis (for Z_N, the generator gcd(N, A1)).  H1 is normal iff
+the automorphism maps A1 into itself, a rank test: adding the images of
+the basis leaves the rank unchanged (for Z_N, d divides mu d).  If not,
+H = H1 and we are done; else the quotient A/A1 x| Z_p keeps the
+non-pivot coordinates, and the projection clears the pivots, which gives
+lexicographically-least coset representatives.  The quotient of Z_N is
+cyclic and the quotient of Z_p^r is elementary abelian, so both stay
+inside the supported families.
 
 The PGM stage samples the exact measurement outcome distribution for the
 state labeled by the planted generator; each sampled candidate is
@@ -22,14 +27,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eta import eta_statistics
+from .eta import check_population, eta_statistics
 from .groups import (
     CyclicGroup,
     GroupElement,
     SemidirectGroup,
     element_index,
     element_mul,
+    mat_identity,
     phi_apply,
+    row_reduce,
     semidirect_zn,
     semidirect_zpr,
     subgroup_order,
@@ -51,13 +58,11 @@ class HidingFunction:
         group: SemidirectGroup,
         fn,
         hidden_subgroup: frozenset | None = None,
-        name: str = "oracle",
     ):
         self.group = group
         self._fn = fn
         self.queries = 0
         self.hidden_subgroup = hidden_subgroup
-        self.name = name
 
     def __call__(self, a, b: int):
         self.queries += 1
@@ -136,51 +141,6 @@ class SubgroupDescription(NamedTuple):
         return self.order == 1
 
 
-def _minimal_generators_zn(a1: list[int], n: int) -> tuple[int, int]:
-    """(generator, subgroup order) for the subgroup of Z_N containing a1."""
-    gcd = n
-    for a in a1:
-        gcd = math.gcd(gcd, a)
-    if gcd == n or gcd == 0:
-        return 0, 1
-    return gcd, n // gcd
-
-
-def _rref(vectors: list[tuple[int, ...]], p: int, r: int) -> list[tuple[int, ...]]:
-    """Reduced row echelon form over Z_p; rows are a basis of the span."""
-    rows = [list(v) for v in vectors if any(v)]
-    basis: list[list[int]] = []
-    for col in range(r):
-        pivot_row = None
-        for row in rows:
-            if row[col] != 0 and all(c == 0 for c in row[:col]):
-                pivot_row = row
-                break
-        if pivot_row is None:
-            continue
-        inv = pow(pivot_row[col], -1, p)
-        pivot_row = [(c * inv) % p for c in pivot_row]
-        basis.append(pivot_row)
-        new_rows = []
-        for row in rows:
-            if row[col] != 0:  # clears the original pivot row to zero too
-                factor = row[col]
-                row = [(c - factor * pc) % p for c, pc in zip(row, pivot_row)]
-            if any(row):
-                new_rows.append(row)
-        rows = new_rows
-    basis.sort(key=lambda row: next(i for i, c in enumerate(row) if c))
-    # Back-substitute so every pivot column is cleared in the other rows.
-    for i, row in enumerate(basis):
-        pivot = next(j for j, c in enumerate(row) if c)
-        for other in basis[:i]:
-            factor = other[pivot]
-            if factor:
-                for j in range(r):
-                    other[j] = (other[j] - factor * row[j]) % p
-    return [tuple(row) for row in basis]
-
-
 def abelian_hsp_solve(f: HidingFunction, g: SemidirectGroup) -> SubgroupDescription:
     """H1 = {a : f(a, 0) = f(0, 0)}, found with exactly |A| queries."""
     a_group = g.a_group
@@ -193,20 +153,27 @@ def abelian_hsp_solve(f: HidingFunction, g: SemidirectGroup) -> SubgroupDescript
         members.append((a, label))
     a1 = [a for a, label in members if label == base]
     if isinstance(a_group, CyclicGroup):
-        gen, order = _minimal_generators_zn(a1, a_group.n)
-        gens = () if order == 1 else (g.element(gen, 0),)
-        return SubgroupDescription(gens, order)
-    basis = _rref(a1, g.p, a_group.r)
-    gens = tuple(g.element(v, 0) for v in basis)
-    return SubgroupDescription(gens, g.p ** len(basis))
+        gen = math.gcd(a_group.n, *a1)
+        gens = () if gen == a_group.n else (g.element(gen, 0),)
+        return SubgroupDescription(gens, a_group.n // gen)
+    basis = row_reduce(a1, g.p)
+    return SubgroupDescription(tuple(g.element(v, 0) for v in basis), g.p ** len(basis))
 
 
 def check_h1_normal(h1: SubgroupDescription, g: SemidirectGroup) -> bool:
-    """H1 <= A x {0} is normal in G iff phi maps A1 onto itself."""
-    if h1.is_trivial:
-        return True
-    a1 = {elem.a for elem in subgroup_closure(h1.generators, g)}
-    return all(phi_apply(gen.a, g) in a1 for gen in h1.generators)
+    """H1 <= A x {0} is normal in G iff phi maps A1 into itself.
+
+    A rank test over F_p for Z_p^r: phi(A1) lies in A1 iff adding the
+    images of the generators leaves the rank unchanged.  For Z_N, A1 is
+    generated by d = gcd(N, generators), and mu d lies in it iff d divides
+    it (always so: every subgroup of a cyclic group is characteristic).
+    """
+    gens = [gen.a for gen in h1.generators]
+    images = [phi_apply(a, g) for a in gens]
+    if isinstance(g.a_group, CyclicGroup):
+        d = math.gcd(g.a_group.n, *gens)
+        return all(image % d == 0 for image in images)
+    return len(row_reduce(gens + images, g.p)) == len(row_reduce(gens, g.p))
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +213,23 @@ def _quotient_zn(g: SemidirectGroup, h1: SubgroupDescription):
 
 
 def _quotient_zpr(g: SemidirectGroup, h1: SubgroupDescription):
-    a_group = g.a_group
-    p, r = g.p, a_group.r
+    """Quotient by A1, whose generators in h1 are its reduced row echelon
+    basis (abelian_hsp_solve): the non-pivot coordinates of A coordinatise
+    A/A1, and clearing the pivots of a is its projection."""
+    p, r = g.p, g.a_group.r
     basis = [gen.a for gen in h1.generators]
-    basis = _rref(basis, p, r)
     pivots = [next(i for i, c in enumerate(row) if c) for row in basis]
     free = [i for i in range(r) if i not in pivots]
     if not free:
-        return None, (lambda a2: a_group.zero), (lambda a: ())
+        return None, (lambda a2: g.a_group.zero), (lambda a: ())
 
-    def reduce_to_rep(a):
-        vec = list(a_group.reduce(a))
+    def project(a) -> tuple[int, ...]:
+        vec = g.a_group.reduce(a)
         for row, piv in zip(basis, pivots):
             factor = vec[piv]
             if factor:
-                for i in range(r):
-                    vec[i] = (vec[i] - factor * row[i]) % p
-        return tuple(vec)
-
-    def project(a) -> tuple[int, ...]:
-        rep = reduce_to_rep(a)
-        return tuple(rep[i] for i in free)
+                vec = [(u - factor * v) % p for u, v in zip(vec, row)]
+        return tuple(vec[i] for i in free)
 
     def lift(a2) -> tuple[int, ...]:
         vec = [0] * r
@@ -277,12 +240,8 @@ def _quotient_zpr(g: SemidirectGroup, h1: SubgroupDescription):
     # Inherited automorphism: the group-side action is project . phi . lift,
     # and the stored (character-side) matrix is its transpose, whose rows
     # are exactly the images of the unit vectors.
-    images = []
-    for i in range(len(free)):
-        unit = tuple(1 if j == i else 0 for j in range(len(free)))
-        images.append(project(phi_apply(lift(unit), g)))
-    g2 = semidirect_zpr(p, tuple(tuple(img) for img in images))
-    return g2, lift, project
+    images = tuple(project(phi_apply(lift(unit), g)) for unit in mat_identity(len(free)))
+    return semidirect_zpr(p, images), lift, project
 
 
 def reduce_to_cyclic(f: HidingFunction, g: SemidirectGroup) -> ReductionResult:
@@ -308,7 +267,6 @@ def reduce_to_cyclic(f: HidingFunction, g: SemidirectGroup) -> ReductionResult:
         g2,
         lambda elem: f(lift(elem.a), elem.b),
         hidden_subgroup=hidden2,
-        name=f.name + "/quotient",
     )
     return ReductionResult(reduced=ReducedProblem(g, h1, g2, f2, lift, project))
 
@@ -374,12 +332,14 @@ def run_pgm_hsp(
         raise ValueError(f"seed must be non-negative, got {seed}")
     if trials is None:
         trials = default_trial_budget(k, g, enumeration_cap, population_cap)
-    a_group = g.a_group
-    elems = list(a_group.elements())
-    if f.hidden_d is not None:
-        if subgroup_order(f.hidden_d, g) != g.p:
-            raise ValueError("fixture's planted subgroup does not have order p")
-        probs = outcome_distribution(k, g, f.hidden_d, enumeration_cap)
+    elems = list(g.a_group.elements())
+    hidden_d = f.hidden_d
+    if hidden_d is not None and subgroup_order(hidden_d, g) != g.p:
+        raise ValueError("fixture's planted subgroup does not have order p")
+    # the outcome laws walk the symmetry orbits as the eta histogram does
+    check_population(g, k, population_cap)
+    if hidden_d is not None:
+        probs = outcome_distribution(k, g, hidden_d, enumeration_cap)
         fail_mass = 0.0
     else:
         probs, fail_mass = trivial_state_outcome_distribution(k, g, enumeration_cap)

@@ -30,8 +30,9 @@ from pgmhsp.groups import (
     element_mul,
     heisenberg_group,
     parse_group_spec,
+    phi_apply,
 )
-from pgmhsp.eta import eta_rows, image_table, x_tuples
+from pgmhsp.eta import eta_rows, image_table
 from pgmhsp.msum import MSumInstance, SolutionSet, solve_bruteforce
 from pgmhsp.pgm import OptimalityReport
 from pgmhsp.pipeline import HidingFunction, ReducedProblem, subgroup_closure
@@ -110,6 +111,12 @@ TABLE_CASES = [
     for k in (1, 2, 3)
     if (parse_group_spec(spec).order) ** k <= 20_000
 ]
+
+
+def x_tuples(a_order: int, k: int) -> np.ndarray:
+    """Per-copy A-indices, shape (|A|^k, k), of every x in idx_A order."""
+    flat = np.arange(a_order**k, dtype=np.int64)
+    return flat[:, None] // a_order ** np.arange(k, dtype=np.int64) % a_order
 
 
 def block_images(
@@ -262,6 +269,31 @@ def quotient_well_defined(f: HidingFunction, g: SemidirectGroup, reduced: Reduce
             if f(g.a_group.add(elem.a, h), elem.b) != base:
                 return False
     return True
+
+
+def h1_normal_by_saturation(h1, g: SemidirectGroup) -> bool:
+    """phi maps A1 into itself, with A1 built element by element from its
+    generators (the reference for pipeline.check_h1_normal)."""
+    a1 = {elem.a for elem in subgroup_closure(h1.generators, g)}
+    return all(phi_apply(gen.a, g) in a1 for gen in h1.generators)
+
+
+def subgroups_of_a(g: SemidirectGroup) -> dict[frozenset, tuple]:
+    """Every subgroup A1 of A, as its set of elements, mapped to a list of
+    generators that reaches it one element at a time, by saturation."""
+    found = {frozenset([g.a_group.zero]): ()}
+    frontier = list(found.items())
+    while frontier:
+        a1, gens = frontier.pop()
+        for a in g.a_group.elements():
+            if a not in a1:
+                grown = gens + (a,)
+                closure = subgroup_closure([g.element(x, 0) for x in grown], g)
+                key = frozenset(elem.a for elem in closure)
+                if key not in found:
+                    found[key] = grown
+                    frontier.append((key, grown))
+    return found
 
 
 # ---------------------------------------------------------------------------

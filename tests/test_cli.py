@@ -436,8 +436,14 @@ def test_pgm_report_population_cap():
             {"group": "zpr p=3 jordan=2", "hidden": {"d": [1, 1]}},
             ["--k", "2", "--trials", "5", "--enum-cap", "1"],
         ),
+        # the outcome law walks the symmetry orbits like the eta histogram:
+        # with a given budget, 175 orbit rows times |A| = 25 still exceed 1000
+        (
+            {"group": "zpr p=5 jordan=2", "hidden": {"d": [1, 1]}},
+            ["--k", "2", "--trials", "5", "--pop-cap", "1000"],
+        ),
     ],
-    ids=["pop-cap", "enum-cap"],
+    ids=["pop-cap", "enum-cap", "pop-cap-trials"],
 )
 def test_run_hsp_pgm_caps(tmp_path, fixture_doc, extra):
     fixture = tmp_path / "fixture.json"

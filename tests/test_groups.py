@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from pgmhsp.groups import (
     heisenberg_group,
     jordan_matrix,
     mat_add,
+    mat_identity,
     mat_mul,
     mat_pow,
     matrix_sum,
@@ -27,6 +29,7 @@ from pgmhsp.groups import (
     parse_group_spec,
     phi_apply,
     phi_sum,
+    row_reduce,
     semidirect_jordan,
     semidirect_zn,
     semidirect_zpr,
@@ -393,6 +396,48 @@ def test_jordan_matrix_layout():
     assert jordan_matrix(5, (2, 1)) == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(ValueError):
         jordan_matrix(5, ())
+
+
+def _span(rows, p: int, r: int) -> set:
+    """Every F_p combination of the rows: the zero vector closed under
+    adding any row."""
+    span, frontier = {(0,) * r}, [(0,) * r]
+    while frontier:
+        v = frontier.pop()
+        for row in rows:
+            w = tuple((a + b) % p for a, b in zip(v, row))
+            if w not in span:
+                span.add(w)
+                frontier.append(w)
+    return span
+
+
+def _assert_reduced_echelon(rows, p: int) -> None:
+    pivots = [next(i for i, c in enumerate(row) if c) for row in rows]  # no zero row
+    assert pivots == sorted(set(pivots))
+    for row, pivot in zip(rows, pivots):
+        assert all(0 <= c < p for c in row) and row[pivot] == 1
+        assert [other[pivot] for other in rows].count(0) == len(rows) - 1
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_row_reduce_against_span_enumeration(p, r):
+    rng = random.Random(p * 10 + r)
+    zero, unit = (0,) * r, tuple(int(i == 0) for i in range(r))
+    inputs = [[], [zero], [zero, zero], [unit, unit, zero], [tuple(-c - p for c in unit)]]
+    inputs += [mat_identity(r), mat_identity(r)[::-1]]  # already reduced, and its reverse
+    for _ in range(40):
+        rows = [tuple(rng.randrange(p) for _ in range(r)) for _ in range(rng.randrange(5))]
+        inputs.append(rows + rows[: rng.randrange(len(rows) + 1)])  # with repeats
+    for rows in inputs:
+        reduced = row_reduce(rows, p)
+        _assert_reduced_echelon(reduced, p)
+        assert _span(reduced, p, r) == _span(rows, p, r)
+        assert len(_span(reduced, p, r)) == p ** len(reduced)  # independent rows
+        # the reduced form is canonical: it does not depend on the generators
+        assert row_reduce(reduced, p) == reduced
+        assert row_reduce(list(rows)[::-1], p) == reduced
 
 
 def test_element_index_roundtrip():

@@ -21,7 +21,7 @@ from pgmhsp.groups import (
     semidirect_zn,
     semidirect_zpr,
 )
-from pgmhsp.eta import EtaStats, eta_rows, eta_statistics, image_table, x_tuples
+from pgmhsp.eta import EtaStats, eta_rows, eta_statistics, image_table
 from pgmhsp.msum import (
     MSumInstance,
     SolutionSet,
@@ -43,6 +43,7 @@ from oracles import (
     solve_all_w,
     solve_heisenberg_closed_form,
     sqrt_mod_p,
+    x_tuples,
 )
 
 Z7 = semidirect_zn(7, 3, 2)

@@ -3,13 +3,16 @@ import random
 import pytest
 
 from pgmhsp.groups import (
+    CyclicGroup,
     GroupElement,
     heisenberg_group,
+    parse_group_spec,
     semidirect_jordan,
     semidirect_zn,
     semidirect_zpr,
 )
 from pgmhsp.pipeline import (
+    SubgroupDescription,
     abelian_hsp_solve,
     check_h1_normal,
     coset_hiding_function,
@@ -21,7 +24,13 @@ from pgmhsp.pipeline import (
     subgroup_closure,
 )
 
-from oracles import eager_coset_labels, group_elements, quotient_well_defined
+from oracles import (
+    eager_coset_labels,
+    group_elements,
+    h1_normal_by_saturation,
+    quotient_well_defined,
+    subgroups_of_a,
+)
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)
@@ -112,6 +121,36 @@ def test_check_h1_normal():
     assert check_h1_normal(abelian_hsp_solve(f_inv, HEIS3), HEIS3)
     f_non = coset_hiding_function(HEIS3, generators=[GroupElement((1, 0), 0)])
     assert not check_h1_normal(abelian_hsp_solve(f_non, HEIS3), HEIS3)
+    # a generator list with zeros and repeats spans the same A1
+    invariant = [GroupElement(a, 0) for a in [(0, 1), (0, 0), (0, 2), (0, 1)]]
+    assert check_h1_normal(SubgroupDescription(tuple(invariant), 3), HEIS3)
+    moved = [GroupElement(a, 0) for a in [(1, 0), (2, 0), (0, 0)]]
+    assert not check_h1_normal(SubgroupDescription(tuple(moved), 3), HEIS3)
+    f = coset_hiding_function(HEIS3, generators=invariant)
+    h1 = abelian_hsp_solve(f, HEIS3)
+    assert h1.generators == (GroupElement((0, 1), 0),) and h1.order == 3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["zpr p=3 jordan=2", "zpr p=3 jordan=3", "zpr p=3 jordan=2,1", "zpr p=2 jordan=2,1",
+     "zn N=8 p=2 mu=3", "zn N=12 p=2 mu=5", "zn N=31 p=5 mu=2"],
+)
+def test_check_h1_normal_matches_saturation_on_every_subgroup(spec):
+    # the rank (Z_p^r) or divisibility (Z_N) test against building A1 by
+    # saturation, for every A1 <= A, from a minimal generator list and from
+    # all of A1 (maximally redundant); over F_2 a Jordan block longer than 2
+    # has mu^2 != I, so jordan=2,1 is the rank-3 case at p = 2
+    g = parse_group_spec(spec)
+    verdicts = []
+    for a1, gens in subgroups_of_a(g).items():
+        for generators in (gens, tuple(sorted(a1))):
+            h1 = SubgroupDescription(tuple(g.element(a, 0) for a in generators), len(a1))
+            verdicts.append(check_h1_normal(h1, g))
+            assert verdicts[-1] == h1_normal_by_saturation(h1, g), (a1, generators)
+    # every subgroup of a cyclic group is characteristic; each Z_p^r case
+    # here has some A1 that phi moves
+    assert all(verdicts) == isinstance(g.a_group, CyclicGroup)
 
 
 def test_reduce_trivial_is_identity():
