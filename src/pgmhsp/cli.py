@@ -249,9 +249,21 @@ def _subgroup_to_json(desc, g) -> dict:
     }
 
 
+def _reject_unapplied(args, flags, route: str) -> None:
+    """Exit 2 on the first of ``flags`` given to a route that does not apply it."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
+            raise UsageError(f"{flag} does not apply to {route}")
+
+
 def cmd_run_hsp(args) -> int:
     if args.algo == "stripped":
+        _reject_unapplied(args, ("--k", "--enum-cap", "--pop-cap", "--fixture"), "--algo stripped")
+        if args.exact:
+            _reject_unapplied(args, ("--trials", "--seed"), "--exact")
         return _run_hsp_stripped(args)
+    _reject_unapplied(args, ("--exact", "--group"), "--algo pgm")
     return _run_hsp_pgm(args)
 
 
@@ -311,10 +323,11 @@ def _run_hsp_pgm(args) -> int:
     if args.seed is None:
         raise UsageError("--algo pgm requires --seed")
     g, f = _load_fixture(args.fixture)
+    k = 1 if args.k is None else args.k
     result = solve_hsp(
         f,
         g,
-        args.k,
+        k,
         trials=args.trials,
         seed=args.seed,
         enumeration_cap=enum_cap(args.enum_cap),
@@ -338,7 +351,7 @@ def _run_hsp_pgm(args) -> int:
             )
     doc = {
         "group": format_group_spec(g),
-        "k": args.k,
+        "k": k,
         "answer": _subgroup_to_json(result.answer, g),
         "reduction_final": result.reduction_final,
         "oracle_queries": result.oracle_queries,
@@ -413,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run-hsp", help="end-to-end hidden subgroup run")
     common(p_run, "enum", "pop")
     p_run.add_argument("--algo", choices=["pgm", "stripped"], default="pgm")
-    p_run.add_argument("--k", type=int, default=1)
+    p_run.add_argument("--k", type=int, default=None, help="copies for --algo pgm (default 1)")
     p_run.add_argument("--trials", type=_int_at_least(0, "non-negative"), default=None)
     p_run.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=None)
     p_run.add_argument("--exact", action="store_true", help="full-branch aggregation")

@@ -392,6 +392,19 @@ def _uniform_draws(rng: random.Random, n: int, count: int) -> np.ndarray:
     return np.concatenate(parts)[:count].astype(np.int64)
 
 
+def _uniform_floats(rng: random.Random, count: int) -> np.ndarray:
+    """``[rng.random() for _ in range(count)]`` as a float64 array.
+
+    ``random()`` takes two 32-bit words a, b and returns
+    ((a >> 5) 2^26 + (b >> 6)) / 2^53.  ``getrandbits(64 count)`` draws the
+    same 2 count words, the first in the lowest bits, so this builds the same
+    numbers and leaves the generator in the same state.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4")
+    high = (words[0::2] >> 5).astype(np.float64)
+    return (high * 2.0**26 + (words[1::2] >> 6)) / 2.0**53
+
+
 def check_population(g: SemidirectGroup, k: int, cap: int | None = None) -> None:
     """Raise CapExceeded when a walk over the symmetry orbits of A^k would
     evaluate more (x, w) pairs, |A| per orbit row, than the population cap.

@@ -18,9 +18,15 @@ estimate gives every trial its two laws from closed forms built once:
 
 So a trial draws z from L and observes y = d + z*x^(-1) mod N, which is d
 exactly when z = 0.  The trials run in blocks of at most _BLOCK: each
-block draws d, ell, x and z as four arrays, x and z by searchsorted in the
-cdf of the uniform x-law and of L, the only two cdfs an estimate builds.
-Memory stays O(N + p) plus the block, whatever the trial count.
+block draws u_x, u_z, d and ell as four arrays, and x and z by searchsorted
+of u_x and u_z in the cdf of the uniform x-law and of L, the only two cdfs
+an estimate builds.  Memory stays O(N + p) plus the block, whatever the
+trial count.
+
+Every draw comes from one ``random.Random(seed)``.  A block of m trials
+takes u_x, then u_z, equal to m calls of ``rng.random()`` each, and then d
+and ell, equal to 2m calls of ``rng.randrange(N)``; that draw may consume
+surplus words, so it ends the block.
 
 Requires gcd(mu - 1, N) = 1 so the erasure identity
 (mu - 1) M^(b) = mu^b - 1 determines b from x*M^(b).
@@ -29,6 +35,7 @@ Requires gcd(mu - 1, N) = 1 so the erasure identity
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .eta import _uniform_draws, _uniform_floats
 from .groups import SemidirectGroup, matrix_sum, msum_table, semidirect_zn
 from .states import _phase_roots
 
@@ -124,17 +132,18 @@ class SimTranscript:
 
 
 def _cdf(weights: np.ndarray) -> memoryview:
-    """The normalised cdf Generator.choice draws against, as a view of its
-    float64 array, which bisect reads as Python floats."""
+    """The cdf of weights / weights.sum(), renormalised so its last entry is
+    exactly 1, as a view of its float64 array, which bisect reads as Python
+    floats."""
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     return memoryview(cdf)
 
 
-def _draw(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """rng.choice(len(weights), p=weights / weights.sum()), computed as
-    Generator.choice does: one rng.random() against the normalised cdf
-    (bisect_right is searchsorted(side="right"))."""
+def _draw(weights: np.ndarray, rng: random.Random) -> int:
+    """An index drawn with probability weights / weights.sum(): one
+    rng.random() against the normalised cdf, by bisect_right, which is
+    searchsorted(side="right") as the Monte Carlo reads its cdfs."""
     return bisect_right(_cdf(weights), rng.random())
 
 
@@ -145,11 +154,11 @@ def run_stripped_algorithm(
     d: int,
     ell: int,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    rng: random.Random | None = None,
 ) -> SimTranscript:
     g = _validate(n, p, mu)
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
     table = msum_table(g)
     d %= n
     ell %= n
@@ -324,7 +333,7 @@ def estimate_success_rate(
     bound = success_bound(n, p, unit)
     if trials == 0:
         return SuccessEstimate(n, p, mu, 0, 0, None, None, bound, None, seed)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     # M^(p) = 0 (checked by _validate) gives every (d, 1) order p, so d is
     # uniform over Z_N.
     x_law, outcome_law = _base_laws(n, p, _erasure_table(g))
@@ -333,10 +342,10 @@ def estimate_success_rate(
     records = []
     for lo in range(0, trials, _BLOCK):
         m = min(_BLOCK, trials - lo)
-        d = rng.integers(n, size=m)
-        ell = rng.integers(n, size=m)  # a global phase: neither law depends on it
-        x = np.searchsorted(x_cdf, rng.random(m), side="right")
-        z = np.searchsorted(z_cdf, rng.random(m), side="right")
+        x = np.searchsorted(x_cdf, _uniform_floats(rng, m), side="right")
+        z = np.searchsorted(z_cdf, _uniform_floats(rng, m), side="right")
+        # ell is a global phase: neither law depends on it
+        d, ell = np.split(_uniform_draws(rng, n, 2 * m), 2)
         accepted = unit[x]
         successes += int((accepted & (z == 0)).sum())
         if collect:

@@ -467,6 +467,38 @@ def test_unapplied_cap_flags_are_not_accepted():
         assert main(argv) == 2, argv
 
 
+STRIPPED_Z7 = ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2"]
+PGM_FIXTURE = ["run-hsp", "--algo", "pgm", "--fixture", "{fixture}", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        ([*STRIPPED_Z7, "--trials", "5", "--seed", "1"], ["--k", "2"]),
+        ([*STRIPPED_Z7, "--trials", "5", "--seed", "1"], ["--enum-cap", "5"]),
+        ([*STRIPPED_Z7, "--trials", "5", "--seed", "1"], ["--pop-cap", "5"]),
+        ([*STRIPPED_Z7, "--trials", "5", "--seed", "1"], ["--fixture", "x.json"]),
+        ([*STRIPPED_Z7, "--exact"], ["--trials", "5"]),
+        ([*STRIPPED_Z7, "--exact"], ["--seed", "0"]),
+        (PGM_FIXTURE, ["--exact"]),
+        (PGM_FIXTURE, ["--group", "zn N=7 p=3 mu=2"]),
+    ],
+    ids=["stripped-k", "stripped-enum-cap", "stripped-pop-cap", "stripped-fixture",
+         "exact-trials", "exact-seed", "pgm-exact", "pgm-group"],
+)
+def test_run_hsp_rejects_flags_its_algo_does_not_apply(tmp_path, capsys, argv, extra):
+    # a flag the chosen route would ignore exits 2 naming it, as a cap flag
+    # the subcommand does not apply does
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text('{"group": "zn N=7 p=3 mu=2", "hidden": "trivial"}')
+    argv = [arg.format(fixture=fixture) for arg in argv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{extra[0]} does not apply" in err, err
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "ten"])
 @pytest.mark.parametrize("cap", ["enum", "pop"])
 def test_cap_flags_must_be_positive(cap, value, capsys):
@@ -779,20 +811,20 @@ STRIPPED_GOLDEN = [
     (
         "zn N=7 p=3 mu=2",
         10000,
-        "cd88d95a6ac2f23b5b7076fdb9903a51a80579d8c821900d696ac287767c9abd",
+        "9428e50ae83538aa5157c425b391d101ca3dc3af1cc89a9752b19b13196f4f08",
         """{
   "N": 7,
   "bound": 0.36734693877551022,
-  "empirical_rate": 0.37330000000000002,
+  "empirical_rate": 0.37109999999999999,
   "mu": 2,
   "p": 3,
   "pass": true,
   "seed": 17,
-  "successes": 3733,
+  "successes": 3711,
   "trials": 10000,
   "wilson_99": [
-    0.36092906454986351,
-    0.38583895225259524
+    0.35874549012392459,
+    0.38362544409736127
   ]
 }
 """,
@@ -800,20 +832,20 @@ STRIPPED_GOLDEN = [
     (
         "zn N=31 p=5 mu=2",
         2000,
-        "7e87bf2ce927d8e9cc8e72ddae74d93cff10cdd0de870335fd5ebd79227d796e",
+        "fc41c1e46d9b6a88633010e1e33246c8a975198e35d012747640f750ffd77644",
         """{
   "N": 31,
   "bound": 0.15608740894901144,
-  "empirical_rate": 0.154,
+  "empirical_rate": 0.14299999999999999,
   "mu": 2,
   "p": 5,
   "pass": true,
   "seed": 17,
-  "successes": 308,
+  "successes": 286,
   "trials": 2000,
   "wilson_99": [
-    0.13435726305211546,
-    0.17593082057270534
+    0.12401594654620113,
+    0.16434487962160527
   ]
 }
 """,
@@ -821,9 +853,19 @@ STRIPPED_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("spec,trials,jsonl_sha256,stdout", STRIPPED_GOLDEN)
+@pytest.mark.parametrize(
+    "spec,trials,jsonl_sha256,stdout", STRIPPED_GOLDEN, ids=[case[0] for case in STRIPPED_GOLDEN]
+)
 def test_run_hsp_stripped_golden_bytes(tmp_path, spec, trials, jsonl_sha256, stdout):
     import hashlib
+    import math
+
+    # the pinned count itself lies within 5 sigma of trials * phi(N) p / N^2
+    g = parse_group_spec(spec)
+    n, p = g.a_group.n, g.p
+    bound = sum(math.gcd(x, n) == 1 for x in range(n)) * p / n**2
+    successes = json.loads(stdout)["successes"]
+    assert abs(successes - trials * bound) <= 5 * math.sqrt(trials * bound * (1 - bound))
 
     out = tmp_path / "trials.jsonl"
     proc = run_cli(

@@ -1,4 +1,5 @@
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -288,7 +289,7 @@ def test_estimate_reproducible():
 
 
 class _Uniforms:
-    """Stands in for a Generator: random() returns the given numbers in turn."""
+    """Stands in for a random.Random: random() returns the given numbers in turn."""
 
     def __init__(self, *values):
         self.values = iter(values)
@@ -319,12 +320,14 @@ def test_estimate_sets_up_once_and_equals_single_runs(monkeypatch, n, p, mu):
     assert calls == {"_validate": 1, "_erasure_table": 1}
 
     # The same records from one run_stripped_algorithm per trial: redraw the
-    # block's d, ell and uniform numbers by the same four calls, measure x
-    # from the statevector with u_x, and read the outcome law of the final
-    # distribution in z-order, z = x (y - d), drawing z with u_z.
-    rng = np.random.default_rng(21)
-    d, ell = rng.integers(n, size=trials).tolist(), rng.integers(n, size=trials).tolist()
-    u_x, u_z = rng.random(trials).tolist(), rng.random(trials).tolist()
+    # block's uniform numbers and d, ell by scalar calls in the block's order,
+    # measure x from the statevector with u_x, and read the outcome law of the
+    # final distribution in z-order, z = x (y - d), drawing z with u_z.
+    rng = random.Random(21)
+    u_x = [rng.random() for _ in range(trials)]
+    u_z = [rng.random() for _ in range(trials)]
+    d = [rng.randrange(n) for _ in range(trials)]
+    ell = [rng.randrange(n) for _ in range(trials)]
     records = []
     for trial in range(trials):
         # 0.5 feeds the transcript's own outcome draw, in y-order and unused
@@ -380,21 +383,24 @@ def test_estimate_rejects_negative_trials():
         estimate_success_rate(7, 3, 2, -5, seed=1)
 
 
-def test_draw_matches_generator_choice():
-    # same index and same generator state afterwards as Generator.choice
-    laws = np.random.default_rng(0)
+def test_draw_matches_inverse_cdf():
+    # the index bisect_right finds for one random() in the normalised cdf, at
+    # a positive weight, with exactly one random() consumed
+    laws = random.Random(0)
     for seed in range(500):
-        size = 1 if seed % 50 == 0 else int(laws.integers(2, 40))
-        w = laws.random(size)
-        w[laws.random(size) < 0.3] = 0.0
+        size = 1 if seed % 50 == 0 else laws.randrange(2, 40)
+        w = np.array([laws.random() for _ in range(size)])
+        w[[laws.random() < 0.3 for _ in range(size)]] = 0.0
         if not w.any():
-            w[int(laws.integers(size))] = 1.0
+            w[laws.randrange(size)] = 1.0
         w *= laws.choice([1e-6, 1.0, 1e6])
-        reference, drawing = np.random.default_rng(seed), np.random.default_rng(seed)
+        reference, drawing = random.Random(seed), random.Random(seed)
         index = metacyclic._draw(w, drawing)
-        assert index == int(reference.choice(size, p=w / w.sum())), seed
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
+        assert index == bisect_right(cdf.tolist(), reference.random()), seed
         assert w[index] > 0
-        assert drawing.random() == reference.random()
+        assert drawing.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (31, 5, 2)])

@@ -530,6 +530,21 @@ def test_uniform_draws_match_randrange(n):
         assert got.tolist() == expected
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 4096, 10000])
+def test_uniform_floats_match_random(count):
+    # The stripped Monte Carlo draws its uniform numbers in bulk; its seeded
+    # output is pinned, and a scalar replay of a block must reproduce it.
+    for seed in (0, 1, 42, 2**31 - 1, 2**70 + 5):
+        rng, reference = random.Random(seed), random.Random(seed)
+        expected = [reference.random() for _ in range(count)]
+        got = eta_module._uniform_floats(rng, count)
+        assert got.dtype == np.float64
+        assert got.tolist() == expected
+        # the generator ends in the same state
+        assert rng.random() == reference.random()
+        assert rng.getstate() == reference.getstate()
+
+
 def test_eta_stats_probability_helpers():
     stats = EtaStats({0: 3, 1: 4, 2: 3}, 10, "exhaustive")
     assert stats.probability_at_least(1) == Fraction(7, 10)
