@@ -5,11 +5,21 @@ Subcommands: solve-msum, pgm-report, eta-stats, run-hsp.  Exit codes:
 invariant violation.  A reader that closes stdout early (``| head``) ends
 the run quietly with 0.  Output is deterministic for a fixed (config, seed):
 sorted keys, %.17g floats.
+
+``main()`` registers ``gc.freeze`` with ``atexit``, once per process.  At
+interpreter exit every object still alive then sits in the permanent
+generation, so the final collections skip it and the OS reclaims the heap,
+as it would after ``os._exit``; the other atexit handlers and the flush of
+stdout still run.  An in-process caller of ``main()`` keeps its GC state
+until its own interpreter exits.  Python does not promise to call
+``__del__`` for objects still alive at exit, so no output may rely on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -37,6 +47,14 @@ def _group_from_args(args) -> SemidirectGroup:
     if not args.group:
         raise UsageError("--group is required")
     return parse_group_spec(args.group)
+
+
+def _reject_unapplied(args, flags, route: str) -> None:
+    """Exit 2 on the first of ``flags`` given to a route that does not apply it."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
+            raise UsageError(f"{flag} does not apply to {route}")
 
 
 def _is_int(value) -> bool:
@@ -165,9 +183,13 @@ def cmd_pgm_report(args) -> int:
 def cmd_eta_stats(args) -> int:
     from . import eta
 
-    g = _group_from_args(args)
-    if args.mode == "sampled" and args.seed is None:
+    if args.mode == "exhaustive":
+        _reject_unapplied(args, ("--samples", "--seed"), "exhaustive mode")
+    elif args.seed is None:
         raise UsageError("sampled mode requires --seed")
+    elif args.samples is None:
+        raise UsageError("sampled mode requires --samples")
+    g = _group_from_args(args)
     stats = eta.eta_statistics(
         g,
         args.k,
@@ -247,14 +269,6 @@ def _subgroup_to_json(desc, g) -> dict:
             for gen in desc.generators
         ],
     }
-
-
-def _reject_unapplied(args, flags, route: str) -> None:
-    """Exit 2 on the first of ``flags`` given to a route that does not apply it."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value is not False:
-            raise UsageError(f"{flag} does not apply to {route}")
 
 
 def cmd_run_hsp(args) -> int:
@@ -436,6 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # unregistered first, so that a process calling main() again still
+    # freezes once at exit
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -622,6 +622,25 @@ def test_eta_stats_sampled_requires_seed():
          "--samples", "10"]
     )
     assert proc.returncode == 2
+    assert proc.stderr == "error: sampled mode requires --seed\n"
+
+
+def test_eta_stats_sampled_requires_samples(capsys):
+    argv = ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--mode", "sampled", "--seed", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: sampled mode requires --samples\n"
+    assert main([*argv, "--samples", "5"]) == 0
+
+
+@pytest.mark.parametrize("extra", [["--samples", "5"], ["--seed", "1"]], ids=["samples", "seed"])
+def test_eta_stats_exhaustive_rejects_sampling_flags(capsys, extra):
+    # exhaustive mode draws nothing, so a sample count or seed would be
+    # ignored, and "seed": null in the summary would hide that
+    argv = ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, *extra]) == 2
+    assert capsys.readouterr().err == f"error: {extra[0]} does not apply to exhaustive mode\n"
 
 
 def test_run_hsp_stripped_exact():
@@ -744,6 +763,87 @@ def test_main_entrypoint_in_process(capsys):
     assert main(["bogus-command"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command", [[], ["solve-msum"], ["pgm-report"], ["eta-stats"], ["run-hsp"]],
+    ids=["top", "solve-msum", "pgm-report", "eta-stats", "run-hsp"],
+)
+def test_help_exits_0_with_usage_on_stdout(command):
+    # argparse ends --help with SystemExit(0), which main() returns as 0
+    proc = run_cli([*command, "--help"])
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(f"usage: pgmhsp {' '.join(command)}".rstrip())
+    assert proc.stderr == ""
+
+
+# Each exit-hook check runs in a fresh interpreter, whose exit is the one
+# under test.  EXIT_PROBE runs main() on the argv in sys.argv[1] under a
+# handler registered before it, and prints the freeze count right after
+# main() and again in that handler at exit.
+EXIT_PROBE = """
+import atexit, gc, json, sys
+import pgmhsp.cli
+atexit.register(lambda: print("at exit", gc.get_freeze_count() > 0))
+code = pgmhsp.cli.main(json.loads(sys.argv[1]))
+print("after main", code, gc.get_freeze_count())
+"""
+
+
+def run_exit_probe(argv):
+    return subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE, json.dumps(argv)], capture_output=True, text=True
+    )
+
+
+def test_exit_hook_leaves_other_handlers_and_the_caller_running():
+    proc = run_exit_probe(["pgm-report", "--group", "zn N=7 p=3 mu=2", "--k", "1"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads("\n".join(lines[:-2]))["pr_formula_exact"] == "19/49"
+    # the caller keeps its GC state until its own exit, where the heap is
+    # frozen before the earlier handler runs
+    assert lines[-2:] == ["after main 0 0", "at exit True"]
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["eta-stats", "--group", "zn N=7 p=3 mu=2", "--seed", "1"], 2,
+         "error: --seed does not apply to exhaustive mode\n"),
+        (["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "2", "--pop-cap", "10"], 3,
+         "cap exceeded: "),
+        (["bogus-command"], 2, "usage: pgmhsp"),
+    ],
+    ids=["usage", "cap", "parse"],
+)
+def test_exit_hook_on_error_exits(argv, code, err):
+    proc = run_exit_probe(argv)
+    assert proc.returncode == 0
+    assert proc.stdout == f"after main {code} 0\nat exit True\n"
+    assert proc.stderr.startswith(err)
+
+
+def test_exit_hook_freezes_once_however_often_main_runs():
+    argv = ["eta-stats", "--group", "zn N=7 p=3 mu=2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"""
+import atexit, contextlib, gc, io
+import pgmhsp.cli
+calls = []
+freeze = gc.freeze
+gc.freeze = lambda: calls.append(1) or freeze()
+atexit.register(lambda: print("freezes at exit", len(calls)))
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(3):
+        assert pgmhsp.cli.main({argv!r}) == 0
+print("freezes before exit", len(calls))
+"""],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "freezes before exit 0\nfreezes at exit 1\n"
+
+
 def test_run_hsp_stripped_sampled_transcript(tmp_path):
     out = tmp_path / "trials.jsonl"
     proc = run_cli(
@@ -806,7 +906,8 @@ def test_run_hsp_rejects_negative_seed_naming_the_flag(tmp_path):
 
 # stdout and the sha256 of the --out JSONL of seeded Monte Carlo runs (one
 # block of draws at N = 31, three at N = 7); a change to the trial loop must
-# reproduce them byte for byte
+# reproduce them byte for byte.  Each run is a CLI child, so its output must
+# also survive the heap freeze at exit
 STRIPPED_GOLDEN = [
     (
         "zn N=7 p=3 mu=2",

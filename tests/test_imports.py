@@ -39,15 +39,19 @@ def run_python(code, *args, stdin_text=None):
 
 
 def test_import_executes_no_layer():
+    # nor registers an exit hook or freezes the heap: only main() may
     out = run_python(
         f"""
-import sys, types
+import atexit, gc, sys, types
+callbacks = atexit._ncallbacks()
 import pgmhsp, pgmhsp.cli
 for m in {LAYERS!r}:
     module = sys.modules["pgmhsp." + m]
     # bound as a package attribute, and not yet executed
     assert pgmhsp.__dict__[m] is module, m
     assert type(module) is not types.ModuleType, m
+assert atexit._ncallbacks() == callbacks
+assert gc.get_freeze_count() == 0
 print("ok")
 """
     )
