@@ -347,22 +347,6 @@ def _run_hsp_pgm(args) -> int:
         enumeration_cap=enum_cap(args.enum_cap),
         population_cap=pop_cap(args.pop_cap),
     )
-    transcript_lines = []
-    if result.pgm_run is not None:
-        run_a = result.pgm_run.group.a_group  # samples live in the quotient
-        for rec in result.pgm_run.transcript:
-            transcript_lines.append(
-                jsonio.dumps(
-                    {
-                        "trial": rec.trial,
-                        "sampled": None
-                        if rec.sampled is None
-                        else _element_to_json(run_a, rec.sampled),
-                        "verified": rec.verified,
-                        "prep_queries": rec.prep_queries,
-                    }
-                )
-            )
     doc = {
         "group": format_group_spec(g),
         "k": k,
@@ -373,9 +357,18 @@ def _run_hsp_pgm(args) -> int:
         "seed": args.seed,
     }
     if args.out:
+        run = result.pgm_run
         with open(args.out, "w", encoding="utf-8") as fh:
-            for line in transcript_lines:
-                fh.write(line + "\n")
+            for rec in run.transcript if run is not None else ():
+                line = {
+                    "trial": rec.trial,
+                    "sampled": None  # samples live in the quotient
+                    if rec.sampled is None
+                    else _element_to_json(run.group.a_group, rec.sampled),
+                    "verified": rec.verified,
+                    "prep_queries": rec.prep_queries,
+                }
+                fh.write(jsonio.dumps(line) + "\n")
     sys.stdout.write(jsonio.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 

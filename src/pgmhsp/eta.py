@@ -49,7 +49,8 @@ def check_enumeration(p: int, k: int, cap: int | None = None) -> None:
 # fields wide enough to hold k(p-1), so the k codes add without carries; a
 # lookup table then reduces every digit mod p once, up to _LUT_BITS bits of
 # digits per lookup.  The eta table and the solvers sum (_code_sums) and
-# decode (_decode) codes this way; none walks Z_p^k element by element.
+# decode (_decode, or _int_decoder one Python int at a time) codes this way;
+# none walks Z_p^k element by element.
 
 # Elements per eta-table batch, and columns per solver block: of 2^14..2^22,
 # 2^16 ran the benchmark's exhaustive histograms fastest in total (2^22 was
@@ -129,6 +130,26 @@ def _decode(g: SemidirectGroup, sums: np.ndarray, k: int) -> np.ndarray:
         part = lut[(sums >> bits * q & mask).astype(np.int64, copy=False)]
         out += part.astype(weights.dtype, copy=False) * g.p**q
     return out
+
+
+def _int_decoder(g: SemidirectGroup, k: int):
+    """_decode for one Python-int sum of k codes, as a function of the sum."""
+    a = g.a_group
+    if isinstance(a, CyclicGroup):
+        # a sum of k codes (A-indices) is below k N
+        return (list(range(a.n)) * k).__getitem__
+    # one lut lookup per `width` digits, from the least significant;
+    # each higher group's A-index part is scaled by p^width
+    lut, bits, width, _ = _decoder(g.p, a.r, k)
+    lut, mask, shift, scale = lut.tolist(), lut.size - 1, bits * width, g.p**width
+
+    def below(high):
+        return lambda u: lut[u & mask] + high(u >> shift) * scale
+
+    decode = lut.__getitem__
+    for _ in range(width, a.r, width):
+        decode = below(decode)
+    return decode
 
 
 # ---------------------------------------------------------------------------

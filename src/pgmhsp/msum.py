@@ -8,8 +8,9 @@ within the enumeration cap is solved by residual lookup: for each prefix
 (b_1..b_(k-1)) the residual w - sum_(j<k) M^(b_j) x_j, in Python ints, is
 looked up among the p images of the last copy.  Both routes keep what
 does not depend on the instance in one context per (group, k) (_Context:
-the decode, the prefixes, the baby steps, and per element of A the codes
-and images the lookup reads), so a call costs about its own arithmetic.
+the decode, the prefixes, the baby steps, and one int64 table of the codes
+the lookup reads: 16 |A| p bytes, at most 1 MiB, besides the decode list),
+so a call costs about its own arithmetic.
 Beyond that, Z_N goes to brute force and Z_p^r to the polynomial route,
 where M^(b) = sum_l C(b, l+1) (mu - I)^l makes the system triangular in
 b: it eliminates the linear layer over F_p, then checks the points of the
@@ -30,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -41,8 +43,7 @@ from .eta import (  # noqa: F401  (eta_statistics: see the module docstring)
     _code_sums,
     _codes,
     _decode,
-    _decoder,
-    _element_codes,
+    _int_decoder,
     check_enumeration,
     eta_statistics,
 )
@@ -466,10 +467,12 @@ class _Context:
     - size, grid and points: |A| p, p^(k-1) and p^k, which _solve_lookup
       checks against _CHUNK, _PY_GRID and the cap on every call;
     - prefixes: the (b_1..b_(k-1)) in itertools.product order;
-    - decode: the A-index of a Python-int sum of k codes;
-    - records, filled per element e of A as instances ask for it (record):
-      the codes of M^(b) (-e) for b < p, a map from each image M^(b) e to
-      its suffixes (b,) in ascending b, and the code of e;
+    - decode: the A-index of a Python-int sum of k codes (eta);
+    - codes: one int64 table of 2 p codes per element e of A, in A-index
+      order: those of M^(b) e, then those of M^(b) (-e), for b < p.  It is
+      filled as instances first use each element, and -1 marks an element
+      not yet filled, so it holds 16 |A| p bytes and no Python object per
+      element;
     - log (Z_N at k = 1): the discrete log to base mu with its baby steps,
       or None when mu - 1 is not a unit.
     """
@@ -477,77 +480,55 @@ class _Context:
     def __init__(self, g: SemidirectGroup, k: int):
         self.g, self.k = g, k
         self.size, self.grid, self.points = g.a_group.order * g.p, g.p ** (k - 1), g.p**k
-        self.records: dict = {}
 
     @cached_property
     def prefixes(self) -> tuple:
         return tuple(itertools.product(range(self.g.p), repeat=self.k - 1))
 
     @cached_property
-    def suffixes(self) -> tuple:
-        """((b,),) for each b, shared by the images with a single b."""
-        return tuple(((b,),) for b in range(self.g.p))
+    def decode(self):
+        return _int_decoder(self.g, self.k)
 
     @cached_property
-    def decode(self):
-        a = self.g.a_group
-        if isinstance(a, CyclicGroup):
-            # a residual sums k residues: it is below k N
-            return (list(range(a.n)) * self.k).__getitem__
-        # one lut lookup per `width` digits, from the least significant;
-        # each higher group's A-index part is scaled by p^width
-        lut, bits, width, _ = _decoder(a.p, a.r, self.k)
-        lut, mask, shift, scale = lut.tolist(), lut.size - 1, bits * width, a.p**width
-
-        def below(high):
-            return lambda u: lut[u & mask] + high(u >> shift) * scale
-
-        decode = lut.__getitem__
-        for _ in range(width, a.r, width):
-            decode = below(decode)
-        return decode
+    def codes(self) -> array:
+        return array("q", [-1]) * (2 * self.size)
 
     @cached_property
     def log(self):
         g, n = self.g, self.g.a_group.n
         return _baby_steps(g.mu, g.p, n) if math.gcd(g.mu - 1, n) == 1 else None
 
-    def record(self, e) -> tuple:
-        found = self.records.get(e)
-        if found is None:
-            a = self.g.a_group
-            codes, negated = _element_codes(
-                self.g, np.array([a.index(e), a.index(a.neg(e))]), self.k
-            ).tolist()
-            inverse: dict[int, tuple] = {}
-            for b, image in enumerate(map(self.decode, codes)):
-                inverse[image] = inverse.get(image, ()) + self.suffixes[b]
-            found = self.records[e] = (tuple(negated), inverse, codes[1])  # M^(1) = I
-        return found
-
     def solve(self, x: tuple, w) -> SolutionSet:
         """The residual w - sum_(j<k) M^(b_j) x_j of each prefix, in
         itertools.product order, is w's code plus the codes of -x_j, decoded
         and looked up among the images M^(b) x_k, so the b come out sorted."""
-        records = self.records
-        try:
-            sums = [records[w][2]]
-            for xj in x[:-1]:
-                row = records[xj][0]
-                sums = [u + c for u in sums for c in row]
-            last = records[x[-1]][1]
-        except KeyError:
-            for e in (w, *x):
-                self.record(e)
-            return self.solve(x, w)
-        found = list(map(last.get, map(self.decode, sums)))
-        return SolutionSet(tuple([prefix + b for prefix, suffixes in zip(
-            itertools.compress(self.prefixes, found), filter(None, found)) for b in suffixes]))
+        p, codes, decode = self.g.p, self.codes, self.decode
+        step, index, elements = 2 * p, self.g.a_group.index, (w, *x)
+        first, *middle, last = starts = [step * index(e) for e in elements]
+        if min(map(codes.__getitem__, starts)) < 0:
+            xs = np.array(elements)  # A-indices for Z_N, coordinates for Z_p^r
+            rows = _codes(self.g, np.stack([xs, -xs], axis=1), self.k)
+            # within the lookup's limits a code has at most 45 bits
+            assert rows.dtype == np.int64, "codes exceed int64"
+            for s, row in zip(starts, rows):
+                codes[s : s + step] = array("q", row.tobytes())
+        sums = [codes[first + 1]]  # M^(1) = I
+        for s in middle:
+            row = codes[s + p : s + 2 * p]
+            sums = [u + c for u in sums for c in row]
+        inverse: dict[int, list] = {}
+        for b, image in enumerate(map(decode, codes[last : last + p])):
+            inverse.setdefault(image, []).append(b)
+        found = list(map(inverse.get, map(decode, sums)))
+        return SolutionSet(tuple([prefix + (b,) for prefix, bs in zip(
+            itertools.compress(self.prefixes, found), filter(None, found)) for b in bs]))
 
 
-# A context holds at most |A| records: 16 MiB for Z_N and 21 MiB for Z_2^15
-# at |A| p = 2^16, the most the lookup takes (tracemalloc), so the eight
-# kept contexts hold at most about 170 MiB.
+# A context holds 16 |A| p bytes of codes, at most 1 MiB at |A| p = 2^16,
+# the most the lookup takes, plus its decode list (k N entries for Z_N) or
+# lut: with every element used, 2.6 MiB for zn N=32768 p=2 at k = 2 and
+# 3.9 MiB at k = 7 (tracemalloc), so the eight kept contexts hold at most
+# about 32 MiB.
 @lru_cache(maxsize=8)
 def _context(g: SemidirectGroup, k: int) -> _Context:
     return _Context(g, k)

@@ -332,7 +332,7 @@ def run_pgm_hsp(
         raise ValueError(f"seed must be non-negative, got {seed}")
     if trials is None:
         trials = default_trial_budget(k, g, enumeration_cap, population_cap)
-    elems = list(g.a_group.elements())
+    a = g.a_group
     hidden_d = f.hidden_d
     if hidden_d is not None and subgroup_order(hidden_d, g) != g.p:
         raise ValueError("fixture's planted subgroup does not have order p")
@@ -349,10 +349,10 @@ def run_pgm_hsp(
     for trial in range(trials):
         result.prep_queries += k
         draw = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        if draw >= len(elems):
+        if draw >= a.order:
             result.transcript.append(TrialRecord(trial, None, False, k))
             continue
-        candidate = elems[draw]
+        candidate = a.element(draw)
         verified = detect_trivial_vs_order_p(f, candidate, g)
         result.transcript.append(TrialRecord(trial, candidate, verified, k))
         if verified:

@@ -340,9 +340,10 @@ def test_lookup_decodes_digits_in_groups(handed_over):
             check_lookup(MSumInstance(g, x, w), tuple(buckets.get(w, ())), handed_over)
 
 
-def test_lookup_builds_no_table_over_a():
-    # |A| = 9901: a table per element of A would cost megabytes; b = (1, 2)
-    # is planted, M^(1) = 1 and M^(2) = 1 + mu = 100
+def test_lookup_peak_on_a_large_group_is_under_a_mebibyte():
+    # |A| = 9901: the context's codes (16 |A| p bytes, 475 KB) and decode
+    # list fit in 1 MiB with the call; b = (1, 2) is planted, M^(1) = 1 and
+    # M^(2) = 1 + mu = 100
     g = parse_group_spec("zn N=9901 p=3 mu=99")
     inst = MSumInstance(g, (5, 9900), (5 - 100) % 9901)
     tracemalloc.start()
@@ -466,26 +467,30 @@ def test_non_unit_discrete_log_instances_take_the_lookup(monkeypatch):
                 assert solve_metacyclic_dlog(inst).solutions == expected[inst]
 
 
-def test_context_memo_is_bounded_at_the_largest_lookup():
-    # |A| p = 2^16, the most the residual lookup takes, with a record for
-    # every element of A
-    g = parse_group_spec("zn N=32768 p=2 mu=16385")
+@pytest.mark.parametrize("spec", ["zn N=32768 p=2 mu=16385", "zpr p=2 jordan=2,2,2,2,2,2,2,1"])
+def test_context_keeps_no_object_per_element(spec):
+    # |A| p = 2^16, the most the residual lookup takes, at k = 2: once
+    # instances have used every element of A, the context keeps its 1 MiB
+    # table of codes and its decode list or lut, and nothing per element
+    g = parse_group_spec(spec)
+    a = g.a_group
+    elements = list(a.elements())
     msum._context.cache_clear()
-    context = msum._context(g, 2)
     tracemalloc.start()
     try:
-        for e in range(g.a_group.order):
-            context.record(e)
+        context = msum._context(g, 2)
+        for i in range(0, a.order, 3):
+            context.solve(elements[i : i + 2], elements[(i + 2) % a.order])
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(context.records) == g.a_group.order
-    assert size < 24 * 2**20, size
+    assert min(context.codes) >= 0  # every element of A was filled
+    assert size < 4 * 2**20, size
     rng = random.Random(2)
     for _ in range(20):
-        inst = MSumInstance(g, (rng.randrange(32768), rng.randrange(32768)), rng.randrange(32768))
+        x = (a.element(rng.randrange(a.order)), a.element(rng.randrange(a.order)))
+        inst = MSumInstance(g, x, a.element(rng.randrange(a.order)))
         assert solve_auto(inst).solutions == solve_bruteforce(inst).solutions
-    assert len(context.records) == g.a_group.order
     msum._context.cache_clear()
 
 
