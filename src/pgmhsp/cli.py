@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import json
 import os
 import sys
 
@@ -92,6 +91,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def cmd_solve_msum(args) -> int:
+    import json
+
     from . import msum
 
     if args.instance and args.instance != "-":
@@ -226,6 +227,8 @@ def cmd_eta_stats(args) -> int:
 
 
 def _load_fixture(path: str):
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -464,7 +467,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CapExceeded, MemoryError) as exc:

@@ -14,16 +14,16 @@ Fourier-side machinery (matrix sum problem, PGM blocks) consumes the
 stored matrix directly.
 
 Everything here is a pure function of immutable values; instances are
-frozen dataclasses and safe to share across threads.
+frozen ``__slots__`` classes (``_Frozen``) and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -49,18 +49,72 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Value classes
+
+
+class _Record:
+    """Base of the package's value classes, which list their fields in
+    ``__match_args__`` and store them in ``__slots__``: equality by those
+    fields, only with an instance of the same class, and the repr
+    ``Name(field=value, ...)``.  Mutable and unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__match_args__" in cls.__dict__:
+            get = attrgetter(*cls.__match_args__)
+            # the field values as a tuple, also for a single field
+            cls._values = staticmethod(get if len(cls.__match_args__) > 1 else lambda v: (get(v),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """An immutable _Record: hashed by its field values; assigning or
+    deleting an attribute raises AttributeError, so ``__init__`` sets the
+    fields with ``object.__setattr__`` (``_set``); pickle and copy rebuild
+    an equal instance through the constructor, whose parameters are the
+    fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+_set = object.__setattr__
+
+
+# ---------------------------------------------------------------------------
 # Abelian component
 
 
-@dataclass(frozen=True)
-class CyclicGroup:
+class CyclicGroup(_Frozen):
     """Additive group Z_N, N >= 2.  Element index equals the element."""
 
-    n: int
+    __slots__ = __match_args__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"cyclic modulus must be >= 2, got {self.n}")
+    def __init__(self, n: int) -> None:
+        if n < 2:
+            raise ValueError(f"cyclic modulus must be >= 2, got {n}")
+        _set(self, "n", n)
 
     @property
     def order(self) -> int:
@@ -102,18 +156,18 @@ class CyclicGroup:
         return (x * y) % self.n
 
 
-@dataclass(frozen=True)
-class VectorGroup:
+class VectorGroup(_Frozen):
     """Additive group Z_p^r with p prime.  Index order is lexicographic."""
 
-    p: int
-    r: int
+    __slots__ = __match_args__ = ("p", "r")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"vector-group modulus must be prime, got {self.p}")
-        if self.r < 1:
-            raise ValueError(f"vector-group rank must be >= 1, got {self.r}")
+    def __init__(self, p: int, r: int) -> None:
+        if not is_prime(p):
+            raise ValueError(f"vector-group modulus must be prime, got {p}")
+        if r < 1:
+            raise ValueError(f"vector-group rank must be >= 1, got {r}")
+        _set(self, "p", p)
+        _set(self, "r", r)
 
     @property
     def order(self) -> int:
@@ -246,16 +300,17 @@ def jordan_matrix(p: int, block_sizes: tuple[int, ...] | list[int]) -> Matrix:
 # The semidirect product
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Frozen):
     """Element (a, b) of A x| Z_p; ``a`` reduced in A, 0 <= b < p."""
 
-    a: object
-    b: int
+    __slots__ = __match_args__ = ("a", "b")
+
+    def __init__(self, a, b: int) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
-@dataclass(frozen=True)
-class SemidirectGroup:
+class SemidirectGroup(_Frozen):
     """G = A x| Z_p with the automorphism datum ``mu``.
 
     For Z_N: ``mu`` is a unit scalar with mu^p = 1 (mod N).
@@ -264,41 +319,38 @@ class SemidirectGroup:
     docstring.
     """
 
-    a_group: AbelianGroup
-    p: int
-    mu: object
+    __slots__ = ("a_group", "p", "mu", "_hash")
+    __match_args__ = ("a_group", "p", "mu")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        a = self.a_group
+    def __init__(self, a_group: AbelianGroup, p: int, mu) -> None:
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        a = a_group
         if isinstance(a, CyclicGroup):
-            mu = self.mu
             if not isinstance(mu, int):
                 raise TypeError("cyclic family needs an integer mu")
             mu %= a.n
-            object.__setattr__(self, "mu", mu)
             if math.gcd(mu, a.n) != 1:
                 raise ValueError(f"mu={mu} is not a unit mod {a.n}")
-            if pow(mu, self.p, a.n) != 1:
-                raise ValueError(f"mu={mu} does not satisfy mu^{self.p} = 1 mod {a.n}")
+            if pow(mu, p, a.n) != 1:
+                raise ValueError(f"mu={mu} does not satisfy mu^{p} = 1 mod {a.n}")
         elif isinstance(a, VectorGroup):
-            if a.p != self.p:
+            if a.p != p:
                 raise ValueError(
-                    f"vector family requires matching primes, got A over {a.p} and p={self.p}"
+                    f"vector family requires matching primes, got A over {a.p} and p={p}"
                 )
-            mu = tuple(tuple(int(c) % self.p for c in row) for row in self.mu)
+            mu = tuple(tuple(int(c) % p for c in row) for row in mu)
             if len(mu) != a.r or any(len(row) != a.r for row in mu):
                 raise ValueError(f"mu must be a {a.r}x{a.r} matrix")
-            object.__setattr__(self, "mu", mu)
-            if mat_pow(mu, self.p, self.p) != mat_identity(a.r):
-                raise ValueError(
-                    f"mu must be invertible with mu^{self.p} = I mod {self.p}"
-                )
+            if mat_pow(mu, p, p) != mat_identity(a.r):
+                raise ValueError(f"mu must be invertible with mu^{p} = I mod {p}")
         else:
             raise TypeError(f"unsupported abelian component {a!r}")
+        _set(self, "a_group", a)
+        _set(self, "p", p)
+        _set(self, "mu", mu)
         # every lru_cache keyed by the group hashes it: hash the nested mu once
-        object.__setattr__(self, "_hash", hash((a, self.p, self.mu)))
+        _set(self, "_hash", hash((a, p, mu)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -337,12 +389,23 @@ def heisenberg_group(p: int) -> SemidirectGroup:
 # Automorphism action and the summed maps
 
 
-def phi_apply(a, g: SemidirectGroup, power: int = 1):
-    """phi^power acting on an element of A (the group-side action)."""
+# phi^b for every b < p of groups with p up to 1024: under 1 MB at r = 2
+@lru_cache(maxsize=1024)
+def _phi_power(g: SemidirectGroup, b: int):
+    """The datum of phi^b on group elements, 0 <= b < p: mu^b mod N, or the
+    transpose of mu to the b mod p."""
     ag = g.a_group
     if isinstance(ag, CyclicGroup):
-        return (pow(g.mu, power % g.p, ag.n) * a) % ag.n
-    m = mat_pow(mat_transpose(g.mu), power % g.p, g.p)
+        return pow(g.mu, b, ag.n)
+    return mat_pow(mat_transpose(g.mu), b, g.p)
+
+
+def phi_apply(a, g: SemidirectGroup, power: int = 1):
+    """phi^power acting on an element of A (the group-side action)."""
+    m = _phi_power(g, power % g.p)
+    ag = g.a_group
+    if isinstance(ag, CyclicGroup):
+        return m * a % ag.n
     return mat_vec(m, a, g.p)
 
 
@@ -441,11 +504,13 @@ def subgroup_order(d, g: SemidirectGroup) -> int:
 # Characters
 
 
-@dataclass(frozen=True)
-class PhaseValue:
+class PhaseValue(_Frozen):
     """Exact unit phase exp(2*pi*i * exponent) with rational exponent in [0, 1)."""
 
-    exponent: Fraction
+    __slots__ = __match_args__ = ("exponent",)
+
+    def __init__(self, exponent: Fraction) -> None:
+        _set(self, "exponent", exponent)
 
     @staticmethod
     def of(t: int, m: int) -> "PhaseValue":

@@ -37,14 +37,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .eta import _uniform_draws, _uniform_floats
-from .groups import SemidirectGroup, matrix_sum, msum_table, semidirect_zn
+from .groups import SemidirectGroup, _Record, matrix_sum, msum_table, semidirect_zn
 from .states import _phase_roots
 
 WILSON_Z_99 = 2.5758293035489004
@@ -114,21 +113,23 @@ def _erasure_table(g: SemidirectGroup) -> np.ndarray:
     return sums
 
 
-@dataclass
-class SimTranscript:
-    """Every intermediate state of one run, plus the measurement record."""
+class SimTranscript(_Record):
+    """Every intermediate state of one run, plus the measurement record; a
+    fresh dict when no steps are given."""
 
-    n: int
-    p: int
-    mu: int
-    d: int
-    ell: int
-    steps: dict[str, np.ndarray] = field(default_factory=dict)
-    measured_x: int | None = None
-    accepted: bool = False
-    final_distribution: np.ndarray | None = None
-    measured_outcome: int | None = None
-    success: bool | None = None
+    __slots__ = __match_args__ = (
+        "n", "p", "mu", "d", "ell", "steps", "measured_x", "accepted", "final_distribution",
+        "measured_outcome", "success",
+    )
+
+    def __init__(self, n: int, p: int, mu: int, d: int, ell: int,
+                 steps: dict[str, np.ndarray] | None = None, measured_x: int | None = None,
+                 accepted: bool = False, final_distribution: np.ndarray | None = None,
+                 measured_outcome: int | None = None, success: bool | None = None) -> None:
+        self.n, self.p, self.mu, self.d, self.ell = n, p, mu, d, ell
+        self.steps = {} if steps is None else steps
+        self.measured_x, self.accepted, self.success = measured_x, accepted, success
+        self.final_distribution, self.measured_outcome = final_distribution, measured_outcome
 
 
 def _cdf(weights: np.ndarray) -> memoryview:

@@ -32,7 +32,6 @@ import itertools
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -51,6 +50,8 @@ from .groups import (
     CyclicGroup,
     SemidirectGroup,
     VectorGroup,
+    _Frozen,
+    _set,
     mat_add,
     mat_identity,
     mat_mul,
@@ -62,36 +63,32 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True, init=False)
-class MSumInstance:
+class MSumInstance(_Frozen):
     """One matrix sum instance over a fixed group, its elements reduced in A."""
 
-    group: SemidirectGroup
-    x: tuple
-    w: object
+    __slots__ = __match_args__ = ("group", "x", "w")
 
     def __init__(self, group: SemidirectGroup, x, w) -> None:
         reduce = group.a_group.reduce
         x = tuple(map(reduce, x))
         if not x:
             raise ValueError("instance needs k >= 1 components")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "w", reduce(w))
+        _set(self, "group", group)
+        _set(self, "x", x)
+        _set(self, "w", reduce(w))
 
     @property
     def k(self) -> int:
         return len(self.x)
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_Frozen):
     """Lexicographically sorted solutions b in Z_p^k and their count eta."""
 
-    solutions: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("solutions",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "solutions", tuple(sorted(self.solutions)))
+    def __init__(self, solutions: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "solutions", tuple(sorted(solutions)))
 
     @property
     def eta(self) -> int:
@@ -503,8 +500,18 @@ class _Context:
         itertools.product order, is w's code plus the codes of -x_j, decoded
         and looked up among the images M^(b) x_k, so the b come out sorted."""
         p, codes, decode = self.g.p, self.codes, self.decode
-        step, index, elements = 2 * p, self.g.a_group.index, (w, *x)
-        first, *middle, last = starts = [step * index(e) for e in elements]
+        step, elements = 2 * p, (w, *x)
+        # the A-indices of the elements, already reduced: Z_N's are their
+        # own, Z_p^r's by Horner's rule over the digits
+        indices = elements
+        if isinstance(self.g.a_group, VectorGroup):
+            indices = []
+            for e in elements:
+                i = 0
+                for c in e:
+                    i = i * p + c
+                indices.append(i)
+        first, *middle, last = starts = [step * i for i in indices]
         if min(map(codes.__getitem__, starts)) < 0:
             xs = np.array(elements)  # A-indices for Z_N, coordinates for Z_p^r
             rows = _codes(self.g, np.stack([xs, -xs], axis=1), self.k)

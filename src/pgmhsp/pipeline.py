@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +31,7 @@ from .groups import (
     CyclicGroup,
     GroupElement,
     SemidirectGroup,
+    _Record,
     element_index,
     element_mul,
     mat_identity,
@@ -287,15 +287,21 @@ class TrialRecord(NamedTuple):
     prep_queries: int
 
 
-@dataclass
-class PGMRunResult:
-    answer: SubgroupDescription
-    group: SemidirectGroup | None = None
-    transcript: list[TrialRecord] = field(default_factory=list)
-    trials_used: int = 0
-    prep_queries: int = 0
-    oracle_queries: int = 0
-    seed: int | None = None
+class PGMRunResult(_Record):
+    """The answer of one measurement-driven run and what it cost; a fresh
+    list when no transcript is given."""
+
+    __slots__ = __match_args__ = (
+        "answer", "group", "transcript", "trials_used", "prep_queries", "oracle_queries", "seed"
+    )
+
+    def __init__(self, answer: SubgroupDescription, group: SemidirectGroup | None = None,
+                 transcript: list[TrialRecord] | None = None, trials_used: int = 0,
+                 prep_queries: int = 0, oracle_queries: int = 0, seed: int | None = None) -> None:
+        self.answer, self.group, self.seed = answer, group, seed
+        self.transcript = [] if transcript is None else transcript
+        self.trials_used, self.prep_queries = trials_used, prep_queries
+        self.oracle_queries = oracle_queries
 
 
 def default_trial_budget(

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import math
 import pkgutil
@@ -12,7 +11,9 @@ from pgmhsp.groups import (
     CyclicGroup,
     GroupElement,
     PhaseValue,
+    SemidirectGroup,
     VectorGroup,
+    _phi_power,
     _running_sums,
     character_eval,
     element_inv,
@@ -24,6 +25,8 @@ from pgmhsp.groups import (
     mat_identity,
     mat_mul,
     mat_pow,
+    mat_transpose,
+    mat_vec,
     matrix_sum,
     msum_table,
     parse_group_spec,
@@ -462,7 +465,8 @@ def test_every_lru_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters"):
                 sizes[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"groups.msum_table", "msum._layers", "states._phase_roots"} <= set(sizes)
+    assert {"groups.msum_table", "groups._phi_power", "msum._layers",
+            "states._phase_roots"} <= set(sizes)
     assert all(size is not None for size in sizes.values()), sizes
 
 
@@ -472,12 +476,44 @@ def test_group_hash_is_kept_and_consistent(spec):
     assert g is not h and g == h and hash(g) == hash(h)
     assert hash(g) == hash((g.a_group, g.p, g.mu))
     assert {g: 1}[h] == 1
-    same = dataclasses.replace(g)
+    same = SemidirectGroup(g.a_group, g.p, g.mu)
     assert same == g and hash(same) == hash(g)
     # another generator of the same subgroup of automorphisms
     mu = pow(g.mu, 2, g.a_group.n) if isinstance(g.mu, int) else mat_pow(g.mu, 2, g.p)
-    other = dataclasses.replace(g, mu=mu)
+    other = SemidirectGroup(g.a_group, g.p, mu)
     assert other != g and other.mu == mu
     assert hash(other) == hash((other.a_group, other.p, other.mu))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         g.p = 7
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["zpr p=3 jordan=2", "zpr p=7 jordan=2", "zpr p=5 jordan=3", "zpr p=3 jordan=2,1",
+     "zn N=31 p=5 mu=2"],
+)
+def test_phi_powers_from_the_cache_match_the_direct_formula(spec):
+    # the formula phi_apply used before the cache, kept here as the oracle
+    g = parse_group_spec(spec)
+    a = g.a_group
+
+    def direct(elem, power):
+        if isinstance(a, CyclicGroup):
+            return (pow(g.mu, power % g.p, a.n) * elem) % a.n
+        return mat_vec(mat_pow(mat_transpose(g.mu), power % g.p, g.p), elem, g.p)
+
+    rng = random.Random(spec)
+    elems = list(a.elements())
+    for b in range(g.p):
+        if isinstance(a, CyclicGroup):
+            assert _phi_power(g, b) == pow(g.mu, b, a.n)
+        else:
+            assert _phi_power(g, b) == mat_pow(mat_transpose(g.mu), b, g.p)
+        for power in (b, b - g.p, b + 2 * g.p):
+            for elem in rng.sample(elems, min(len(elems), 40)):
+                assert phi_apply(elem, g, power) == direct(elem, power)
+        for elem in rng.sample(elems, min(len(elems), 10)):
+            x, y = GroupElement(elem, b), GroupElement(rng.choice(elems), rng.randrange(g.p))
+            assert element_mul(x, y, g) == GroupElement(
+                a.add(x.a, direct(y.a, x.b)), (x.b + y.b) % g.p)
+            assert element_inv(x, g) == GroupElement(direct(a.neg(x.a), -b), -b % g.p)

@@ -14,16 +14,22 @@ import pytest
 
 LAYERS = ("msum", "states", "pgm", "pipeline", "metacyclic")
 
-# Prints, as JSON, the exit code of one CLI command (argv in sys.argv[1]),
-# the lazy layers that have executed by its end, and whether numpy.random
-# (about 5 MB resident, with hashlib and OpenSSL) was imported.
+# Prints, as JSON, the exit code of one CLI command (argv in sys.argv[1:]),
+# the lazy layers that have executed by its end, whether numpy.random
+# (about 5 MB resident, with hashlib and OpenSSL) was imported, and which of
+# dataclasses and json the command loaded that numpy had not already (an
+# older numpy may import them itself).  json is imported only to print.
 COMMAND_PROBE = f"""
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
+import numpy
+before = set(sys.modules)
 import pgmhsp.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = pgmhsp.cli.main(json.loads(sys.argv[1]))
+    code = pgmhsp.cli.main(sys.argv[1:])
 loaded = [m for m in {LAYERS!r} if type(sys.modules["pgmhsp." + m]) is types.ModuleType]
-print(json.dumps([code, loaded, "numpy.random" in sys.modules]))
+stdlib = [m for m in ("dataclasses", "json") if m in sys.modules and m not in before]
+import json
+print(json.dumps([code, loaded, "numpy.random" in sys.modules, stdlib]))
 """
 
 
@@ -59,50 +65,64 @@ print("ok")
 
 
 @pytest.mark.parametrize(
-    "argv,stdin_text,expected",
+    "argv,stdin_text,expected,reads_json",
     [
-        (["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "1"], None, []),
+        (["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "1"], None, [], False),
         (
             ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "2", "--mode", "sampled",
              "--samples", "50", "--seed", "1"],
             None,
             [],
+            False,
         ),
         (
             ["solve-msum"],
             '{"group": "zn N=7 p=3 mu=2", "k": 1, "x": [1], "w": 3}',
             ["msum"],
+            True,
         ),
         (
             ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2",
              "--trials", "10", "--seed", "1"],
             None,
             ["states", "metacyclic"],
+            False,
+        ),
+        (
+            ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--exact"],
+            None,
+            ["states", "metacyclic"],
+            False,
         ),
         (
             ["pgm-report", "--group", "zn N=7 p=3 mu=2", "--k", "1"],
             None,
             ["states", "pgm"],
+            False,
         ),
         (
             ["run-hsp", "--algo", "pgm", "--fixture", "{fixture}", "--k", "1", "--seed", "1"],
             None,
             ["states", "pgm", "pipeline"],
+            True,
         ),
     ],
-    ids=["eta-stats", "eta-stats-sampled", "solve-msum", "run-hsp-stripped", "pgm-report",
-         "run-hsp-pgm"],
+    ids=["eta-stats", "eta-stats-sampled", "solve-msum", "run-hsp-stripped",
+         "run-hsp-stripped-exact", "pgm-report", "run-hsp-pgm"],
 )
-def test_command_executes_only_its_layers(tmp_path, argv, stdin_text, expected):
-    # every seeded draw comes from random.Random; no command loads numpy.random
+def test_command_executes_only_its_layers(tmp_path, argv, stdin_text, expected, reads_json):
+    # every seeded draw comes from random.Random; no command loads
+    # numpy.random, none loads dataclasses, and only the commands that read
+    # a JSON document load json
     fixture = tmp_path / "fixture.json"
     fixture.write_text('{"group": "zn N=7 p=3 mu=2", "hidden": {"d": 1}}')
     argv = [arg.format(fixture=fixture) for arg in argv]
-    probe = run_python(COMMAND_PROBE, json.dumps(argv), stdin_text=stdin_text)
-    code, loaded, numpy_random = json.loads(probe)
+    probe = run_python(COMMAND_PROBE, *argv, stdin_text=stdin_text)
+    code, loaded, numpy_random, stdlib = json.loads(probe)
     assert code == 0
     assert loaded == expected
     assert not numpy_random
+    assert stdlib == (["json"] if reads_json else [])
 
 
 def test_getattr_loads_the_layer():

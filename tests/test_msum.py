@@ -294,9 +294,9 @@ def handed_over(monkeypatch):
     seen = []
 
     class Recording(SolutionSet):
-        def __post_init__(self) -> None:
-            seen.append(self.solutions)
-            super().__post_init__()
+        def __init__(self, solutions) -> None:
+            seen.append(solutions)
+            super().__init__(solutions)
 
     monkeypatch.setattr(msum, "SolutionSet", Recording)
     return seen
