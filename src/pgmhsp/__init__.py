@@ -1,11 +1,12 @@
 """Exact desk-scale simulator for pretty-good-measurement hidden subgroup
 algorithms over semidirect products A x| Z_p (A = Z_N or Z_p^r).
 
-``import pgmhsp`` loads ``caps``, ``groups`` and ``eta`` (the eta table and
-its statistics).  The layers ``msum`` (the per-instance solvers),
-``states``, ``pgm``, ``pipeline`` and ``metacyclic`` are bound as lazy
-modules: each runs on the first access to one of its attributes, so a
-command loads only the layers it calls (solve-msum alone executes msum).
+``import pgmhsp`` loads ``caps``, ``groups`` and ``eta`` (the eta table, its
+statistics and the character phases).  The layers ``msum`` (the
+per-instance solvers), ``pgm``, ``pipeline`` and ``metacyclic`` are bound
+as lazy modules: each runs on the first access to one of its attributes,
+so a command loads only the layers it calls (solve-msum alone executes
+msum).
 ``pgmhsp.X``, ``from pgmhsp import X`` and ``from pgmhsp.pgm import X`` work
 as if every layer were imported eagerly.
 """
@@ -14,7 +15,7 @@ import importlib.util
 import sys
 
 # caps, groups and eta load eagerly: every command reads eta, directly or
-# through msum's integer codes or states' index digits.
+# through msum's integer codes or the phases pgm and metacyclic take from it.
 from .caps import CapExceeded
 from .groups import (
     CyclicGroup,
@@ -66,16 +67,9 @@ _LAZY_EXPORTS = {
         "run_pgm_hsp",
         "solve_hsp",
     ),
-    "states": (
-        "coset_state",
-        "fourier_coset_state",
-        "state_vectors",
-    ),
     "metacyclic": (
         "estimate_success_rate",
         "exact_success_rate",
-        "perfect_state_overlap",
-        "run_stripped_algorithm",
     ),
 }
 
@@ -97,7 +91,6 @@ def _lazy_layer(name: str):
 
 
 msum = _lazy_layer("msum")
-states = _lazy_layer("states")
 pgm = _lazy_layer("pgm")
 pipeline = _lazy_layer("pipeline")
 metacyclic = _lazy_layer("metacyclic")

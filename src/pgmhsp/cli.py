@@ -77,13 +77,20 @@ def _element_to_json(a_group, value):
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write text to the file at path; with no path or ``-``, to stdout,
+    adding a final newline to non-empty text that lacks one."""
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
+        if text and not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _jsonl(records) -> str:
+    """One compact JSON document per line."""
+    return "".join(jsonio.dumps(record) + "\n" for record in records)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +210,7 @@ def cmd_eta_stats(args) -> int:
     csv_lines = ["eta_value,count"]
     for eta in sorted(stats.counts):
         csv_lines.append(f"{eta},{stats.counts[eta]}")
-    csv_text = "\n".join(csv_lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_output("\n".join(csv_lines) + "\n", args.out)
     summary = {
         "group": format_group_spec(g),
         "k": args.k,
@@ -325,9 +327,7 @@ def _run_hsp_stripped(args) -> int:
         "seed": est.seed,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for record in est.trial_records:
-                fh.write(jsonio.dumps(record) + "\n")
+        _write_output(_jsonl(est.trial_records), args.out)
     sys.stdout.write(jsonio.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
@@ -361,17 +361,18 @@ def _run_hsp_pgm(args) -> int:
     }
     if args.out:
         run = result.pgm_run
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for rec in run.transcript if run is not None else ():
-                line = {
-                    "trial": rec.trial,
-                    "sampled": None  # samples live in the quotient
-                    if rec.sampled is None
-                    else _element_to_json(run.group.a_group, rec.sampled),
-                    "verified": rec.verified,
-                    "prep_queries": rec.prep_queries,
-                }
-                fh.write(jsonio.dumps(line) + "\n")
+        lines = (
+            {
+                "trial": rec.trial,
+                "sampled": None  # samples live in the quotient
+                if rec.sampled is None
+                else _element_to_json(run.group.a_group, rec.sampled),
+                "verified": rec.verified,
+                "prep_queries": rec.prep_queries,
+            }
+            for rec in (run.transcript if run is not None else ())
+        )
+        _write_output(_jsonl(lines), args.out)
     sys.stdout.write(jsonio.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
@@ -422,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("pgm-report", help="success probability and optimality")
     common(p_rep, "enum", "pop")
-    p_rep.add_argument("--k", type=int, default=1)
+    p_rep.add_argument("--k", type=_int_at_least(1, "positive"), default=1)
     p_rep.set_defaults(func=cmd_pgm_report)
 
     p_eta = sub.add_parser("eta-stats", help="solution-count histogram")
     common(p_eta, "enum", "pop")
-    p_eta.add_argument("--k", type=int, default=1)
+    p_eta.add_argument("--k", type=_int_at_least(1, "positive"), default=1)
     p_eta.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p_eta.add_argument("--samples", type=int, default=None)
     p_eta.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=None)
@@ -436,7 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run-hsp", help="end-to-end hidden subgroup run")
     common(p_run, "enum", "pop")
     p_run.add_argument("--algo", choices=["pgm", "stripped"], default="pgm")
-    p_run.add_argument("--k", type=int, default=None, help="copies for --algo pgm (default 1)")
+    p_run.add_argument(
+        "--k", type=_int_at_least(1, "positive"), default=None,
+        help="copies for --algo pgm (default 1)",
+    )
     p_run.add_argument("--trials", type=_int_at_least(0, "non-negative"), default=None)
     p_run.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=None)
     p_run.add_argument("--exact", action="store_true", help="full-branch aggregation")

@@ -1,4 +1,5 @@
-"""The eta table of the matrix sum problem, and its statistics.
+"""The eta table of the matrix sum problem, its statistics, and the
+character phases over A that pgm and metacyclic read.
 
 Row x of the image table holds, in column idx_b(b), the A-index of
 sum_j M^(b_j) x_j over b in Z_p^k; eta^x_w, the number of solutions of the
@@ -15,6 +16,17 @@ whose leading nonzero coordinate is 1, of weight p - 1, for Z_p^r).
 Permuting the copies permutes b, so copies 2..k take one nondecreasing
 tuple per multiset, of weight (k-1)!/prod(mult!).  The walk streams its
 rows in chunks and checks that the weights sum to |A|^k.
+
+Basis convention (fixed for bit-exact reproducibility): the k-copy space
+is C^(|A|^k) (x) C^(p^k) with full index
+
+    index(x, b) = idx_A(x) * p^k + idx_b(b),
+    idx_A(x)    = sum_j A.index(x_j) * |A|^(j-1)   (copy 1 least significant),
+    idx_b(b)    = sum_j b_j * p^(j-1),
+
+and A.index is the value itself for Z_N, lexicographic (first coordinate
+most significant) for Z_p^r.  The Fourier kernel is
+F[x, a] = chi_x(a) / sqrt(|A|); phase_indices and fft_over_a evaluate it.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .caps import CapExceeded, enum_cap, pop_cap
-from .groups import CyclicGroup, SemidirectGroup, msum_table
+from .groups import AbelianGroup, CyclicGroup, SemidirectGroup, msum_table
 
 
 def check_enumeration(p: int, k: int, cap: int | None = None) -> None:
@@ -64,6 +76,31 @@ def index_digits(indices: np.ndarray, p: int, r: int) -> np.ndarray:
     (*indices.shape, r), first coordinate most significant."""
     places = np.arange(r - 1, -1, -1, dtype=np.int64)
     return np.asarray(indices, dtype=np.int64)[..., None] // p**places % p
+
+
+@lru_cache(maxsize=16)
+def _phase_roots(m: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(m) / m)
+
+
+def phase_indices(a_group: AbelianGroup, w: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """t with chi_w(j) = _phase_roots(a_group.char_denominator)[t], for int64
+    arrays of A-indices w and j broadcast against each other."""
+    if isinstance(a_group, CyclicGroup):
+        return w * j % a_group.n
+    p, r = a_group.p, a_group.r
+    return (index_digits(w, p, r) * index_digits(j, p, r)).sum(axis=-1) % p
+
+
+def fft_over_a(a_group: AbelianGroup, values: np.ndarray, norm: str | None = None) -> np.ndarray:
+    """sum_w conj(chi_j(w)) values[..., w] for every j, over the last axis in
+    A-index order: an FFT over A's shape, (N,) for Z_N and (p,)*r for Z_p^r,
+    whose C order is A-index order."""
+    shape = (a_group.n,) if isinstance(a_group, CyclicGroup) else (a_group.p,) * a_group.r
+    lead = values.shape[:-1]
+    axes = tuple(range(-len(shape), 0))
+    amps = np.fft.fftn(values.reshape(*lead, *shape), axes=axes, norm=norm)
+    return amps.reshape(*lead, a_group.order)
 
 
 @lru_cache(maxsize=16)

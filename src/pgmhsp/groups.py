@@ -559,10 +559,12 @@ def parse_group_spec(line: str) -> SemidirectGroup:
         if key in kv:
             raise ValueError(f"duplicate key {key!r} in group spec {line!r}")
         kv[key] = value
+    if family not in ("zn", "zpr"):
+        raise ValueError(f"unknown group family {family!r} (expected zn or zpr)")
     try:
         if family == "zn":
-            return semidirect_zn(int(kv.pop("N")), int(kv.pop("p")), int(kv.pop("mu")))
-        if family == "zpr":
+            group = semidirect_zn(int(kv.pop("N")), int(kv.pop("p")), int(kv.pop("mu")))
+        else:
             p = int(kv.pop("p"))
             if "jordan" in kv:
                 sizes = tuple(int(s) for s in kv.pop("jordan").split(","))
@@ -576,12 +578,11 @@ def parse_group_spec(line: str) -> SemidirectGroup:
                 if any(len(row) != r for row in mu):
                     raise ValueError(f"mu rows must have {r} entries")
                 group = semidirect_zpr(p, mu)
-            if kv:
-                raise ValueError(f"unexpected keys {sorted(kv)} in group spec {line!r}")
-            return group
     except KeyError as exc:
         raise ValueError(f"missing key {exc.args[0]!r} in group spec {line!r}") from None
-    raise ValueError(f"unknown group family {family!r} (expected zn or zpr)")
+    if kv:
+        raise ValueError(f"unexpected keys {sorted(kv)} in group spec {line!r}")
+    return group
 
 
 def format_group_spec(g: SemidirectGroup) -> str:

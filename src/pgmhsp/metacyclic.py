@@ -7,8 +7,9 @@ b -> x*M^(b) -> mu^b -> b, inverse Fourier transform, and observe.  For
 every accepted x the observation lands on d with probability exactly
 p/N, giving an overall success rate of phi(N) * p / N^2.
 
-``run_stripped_algorithm`` records every step of one run.  The Monte Carlo
-estimate gives every trial its two laws from closed forms built once:
+The step-by-step statevector run, which records every intermediate state,
+is the tests' reference (tests/oracles.py).  The Monte Carlo estimate
+gives every trial its two laws from closed forms built once:
 
 * the x-law is uniform for every (d, ell): each column b of the coset state
   is one basis vector, whose Fourier transform has modulus 1/sqrt(N);
@@ -36,15 +37,13 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .eta import _uniform_draws, _uniform_floats
-from .groups import SemidirectGroup, _Record, matrix_sum, msum_table, semidirect_zn
-from .states import _phase_roots
+from .eta import _phase_roots, _uniform_draws, _uniform_floats
+from .groups import SemidirectGroup, matrix_sum, msum_table, semidirect_zn
 
 WILSON_Z_99 = 2.5758293035489004
 # Trials the Monte Carlo estimate draws and decides at a time: each of its
@@ -113,102 +112,13 @@ def _erasure_table(g: SemidirectGroup) -> np.ndarray:
     return sums
 
 
-class SimTranscript(_Record):
-    """Every intermediate state of one run, plus the measurement record; a
-    fresh dict when no steps are given."""
-
-    __slots__ = __match_args__ = (
-        "n", "p", "mu", "d", "ell", "steps", "measured_x", "accepted", "final_distribution",
-        "measured_outcome", "success",
-    )
-
-    def __init__(self, n: int, p: int, mu: int, d: int, ell: int,
-                 steps: dict[str, np.ndarray] | None = None, measured_x: int | None = None,
-                 accepted: bool = False, final_distribution: np.ndarray | None = None,
-                 measured_outcome: int | None = None, success: bool | None = None) -> None:
-        self.n, self.p, self.mu, self.d, self.ell = n, p, mu, d, ell
-        self.steps = {} if steps is None else steps
-        self.measured_x, self.accepted, self.success = measured_x, accepted, success
-        self.final_distribution, self.measured_outcome = final_distribution, measured_outcome
-
-
 def _cdf(weights: np.ndarray) -> memoryview:
     """The cdf of weights / weights.sum(), renormalised so its last entry is
-    exactly 1, as a view of its float64 array, which bisect reads as Python
-    floats."""
+    exactly 1, as a view of its float64 array: searchsorted reads it here,
+    and bisect, as Python floats, in the tests' step-by-step run."""
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     return memoryview(cdf)
-
-
-def _draw(weights: np.ndarray, rng: random.Random) -> int:
-    """An index drawn with probability weights / weights.sum(): one
-    rng.random() against the normalised cdf, by bisect_right, which is
-    searchsorted(side="right") as the Monte Carlo reads its cdfs."""
-    return bisect_right(_cdf(weights), rng.random())
-
-
-def run_stripped_algorithm(
-    n: int,
-    p: int,
-    mu: int,
-    d: int,
-    ell: int,
-    seed: int | None = None,
-    rng: random.Random | None = None,
-) -> SimTranscript:
-    g = _validate(n, p, mu)
-    if rng is None:
-        rng = random.Random(seed)
-    table = msum_table(g)
-    d %= n
-    ell %= n
-    t = SimTranscript(n, p, mu, d, ell)
-
-    # Coset state over (a, b) with index a*p + b.
-    psi = np.zeros(n * p, dtype=complex)
-    for b in range(p):
-        psi[((ell + table[b] * d) % n) * p + b] = 1 / math.sqrt(p)
-    t.steps["coset"] = psi
-
-    # Fourier transform the first register: F[x, a] = omega^(xa) / sqrt(N).
-    psi = np.fft.ifft(psi.reshape(n, p), axis=0, norm="ortho").reshape(n * p)
-    t.steps["post_qft"] = psi
-
-    # Measure x: marginal over the second register.
-    marginal = np.abs(psi.reshape(n, p)) ** 2
-    x = _draw(marginal.sum(axis=1), rng)
-    t.measured_x = x
-    collapsed = np.zeros_like(psi)
-    collapsed[x * p : (x + 1) * p] = psi[x * p : (x + 1) * p]
-    collapsed /= np.linalg.norm(collapsed)
-    t.steps["post_measurement"] = collapsed
-    if math.gcd(x, n) != 1:
-        t.accepted = False
-        t.success = False
-        return t
-    t.accepted = True
-
-    # Drop the measured register; compute |b, x M^(b)> on (b, ancilla).
-    b_state = collapsed.reshape(n, p)[x]
-    # Then erase b, which the ancilla determines (checked by _erasure_table).
-    values = x * _erasure_table(g) % n
-    joint = np.zeros(p * n, dtype=complex)
-    joint[np.arange(p) * n + values] = b_state
-    erased = np.zeros(n, dtype=complex)
-    erased[values] = b_state
-    t.steps["post_compute"] = joint
-    t.steps["post_erasure"] = erased
-
-    # Inverse Fourier transform and observe.
-    final = np.fft.fft(erased, norm="ortho")
-    t.steps["post_inverse_qft"] = final
-    dist = np.abs(final) ** 2
-    t.final_distribution = dist
-    outcome = _draw(dist, rng)
-    t.measured_outcome = outcome
-    t.success = outcome == d
-    return t
 
 
 def _base_laws(n: int, p: int, table) -> tuple[np.ndarray, np.ndarray]:
@@ -222,21 +132,6 @@ def _base_laws(n: int, p: int, table) -> tuple[np.ndarray, np.ndarray]:
     outcome_law = np.abs(np.fft.fft(erased, norm="ortho")) ** 2
     # The law of (1, 1) at y is the law of (0, 1) at y - 1.
     return np.full(n, 1 / n), np.roll(outcome_law, -1)
-
-
-def perfect_state_overlap(n: int, p: int, mu: int, d: int, x: int) -> float:
-    """|<d~|actual>| for an accepted x; equals sqrt(p/N) as the p ancilla
-    values x*M^(b) are distinct (the erasure check recovers b from each)."""
-    g = _validate(n, p, mu)
-    if math.gcd(x, n) != 1:
-        raise ValueError(f"x={x} is not a unit mod {n}")
-    d %= n
-    values = x * _erasure_table(g) % n
-    roots = _phase_roots(n)
-    actual = np.zeros(n, dtype=complex)
-    actual[values] = roots[values * d % n] / math.sqrt(p)
-    perfect = roots[np.arange(n) * d % n] / math.sqrt(n)
-    return float(abs(np.vdot(perfect, actual)))
 
 
 def exact_success_rate(n: int, p: int, mu: int) -> Fraction:

@@ -25,16 +25,18 @@ from .eta import (
     _CHUNK,
     EtaHistogram,
     EtaStats,
+    _phase_roots,
     check_enumeration,
     class_means,
     eta_orbits,
     eta_rows,
     eta_statistics,
+    fft_over_a,
     orbit_images,
     orbit_rows,
+    phase_indices,
 )
 from .groups import SemidirectGroup, format_group_spec
-from .states import _phase_roots, fft_over_a, phase_indices
 
 OPTIMALITY_TOL = 1e-8
 

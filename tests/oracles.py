@@ -3,14 +3,17 @@
 The library verifies the PGM on one x per symmetry orbit of A^k.  These
 helpers build the same operators block by block over every x (the block
 route), or as dense |G|^k x |G|^k matrices, or recompute a quantity by a
-route the library does not take, so that every result has an independent
-check at small dimensions.
+route the library does not take (the coset states, the step-by-step run of
+the stripped metacyclic algorithm), so that every result has an
+independent check at small dimensions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -25,24 +28,22 @@ from pgmhsp.groups import (
     GroupElement,
     SemidirectGroup,
     VectorGroup,
+    _Record,
     conj_apply,
     element_index,
     element_mul,
     heisenberg_group,
+    msum_table,
     parse_group_spec,
     phi_apply,
+    phi_sum,
+    subgroup_order,
 )
-from pgmhsp.eta import eta_rows, image_table
+from pgmhsp.eta import _phase_roots, eta_rows, fft_over_a, image_table, phase_indices
+from pgmhsp.metacyclic import _cdf, _erasure_table, _validate
 from pgmhsp.msum import MSumInstance, SolutionSet, solve_bruteforce
 from pgmhsp.pgm import OptimalityReport
 from pgmhsp.pipeline import HidingFunction, ReducedProblem, subgroup_closure
-from pgmhsp.states import (
-    _phase_roots,
-    characters,
-    coset_state,
-    fft_over_a,
-    state_vectors,
-)
 
 # ---------------------------------------------------------------------------
 # Groups and the matrix sum problem
@@ -442,6 +443,167 @@ def stripped_base_laws(n: int, p: int, table: tuple) -> tuple[np.ndarray, np.nda
     outcome_law = np.abs(np.fft.fft(erased, norm="ortho")) ** 2
     # The law of (1, 1) at y is the law of (0, 1) at y - 1.
     return x_law, np.roll(outcome_law, -1)
+
+
+# ---------------------------------------------------------------------------
+# The stripped metacyclic run, step by step
+
+
+class SimTranscript(_Record):
+    """Every intermediate state of one stripped run, plus the measurement
+    record; a fresh dict when no steps are given."""
+
+    __slots__ = __match_args__ = (
+        "n", "p", "mu", "d", "ell", "steps", "measured_x", "accepted", "final_distribution",
+        "measured_outcome", "success",
+    )
+
+    def __init__(self, n: int, p: int, mu: int, d: int, ell: int,
+                 steps: dict[str, np.ndarray] | None = None, measured_x: int | None = None,
+                 accepted: bool = False, final_distribution: np.ndarray | None = None,
+                 measured_outcome: int | None = None, success: bool | None = None) -> None:
+        self.n, self.p, self.mu, self.d, self.ell = n, p, mu, d, ell
+        self.steps = {} if steps is None else steps
+        self.measured_x, self.accepted, self.success = measured_x, accepted, success
+        self.final_distribution, self.measured_outcome = final_distribution, measured_outcome
+
+
+def _draw(weights: np.ndarray, rng: random.Random) -> int:
+    """An index drawn with probability weights / weights.sum(): one
+    rng.random() against the normalised cdf, by bisect_right, which is
+    searchsorted(side="right") as the Monte Carlo reads its cdfs."""
+    return bisect_right(_cdf(weights), rng.random())
+
+
+def run_stripped_algorithm(
+    n: int,
+    p: int,
+    mu: int,
+    d: int,
+    ell: int,
+    seed: int | None = None,
+    rng: random.Random | None = None,
+) -> SimTranscript:
+    """One run of the single-copy metacyclic algorithm, step by step on the
+    statevector: the reference for metacyclic's relabelled Monte Carlo."""
+    g = _validate(n, p, mu)
+    if rng is None:
+        rng = random.Random(seed)
+    table = msum_table(g)
+    d %= n
+    ell %= n
+    t = SimTranscript(n, p, mu, d, ell)
+
+    # Coset state over (a, b) with index a*p + b.
+    psi = np.zeros(n * p, dtype=complex)
+    for b in range(p):
+        psi[((ell + table[b] * d) % n) * p + b] = 1 / math.sqrt(p)
+    t.steps["coset"] = psi
+
+    # Fourier transform the first register: F[x, a] = omega^(xa) / sqrt(N).
+    psi = np.fft.ifft(psi.reshape(n, p), axis=0, norm="ortho").reshape(n * p)
+    t.steps["post_qft"] = psi
+
+    # Measure x: marginal over the second register.
+    marginal = np.abs(psi.reshape(n, p)) ** 2
+    x = _draw(marginal.sum(axis=1), rng)
+    t.measured_x = x
+    collapsed = np.zeros_like(psi)
+    collapsed[x * p : (x + 1) * p] = psi[x * p : (x + 1) * p]
+    collapsed /= np.linalg.norm(collapsed)
+    t.steps["post_measurement"] = collapsed
+    if math.gcd(x, n) != 1:
+        t.accepted = False
+        t.success = False
+        return t
+    t.accepted = True
+
+    # Drop the measured register; compute |b, x M^(b)> on (b, ancilla).
+    b_state = collapsed.reshape(n, p)[x]
+    # Then erase b, which the ancilla determines (checked by _erasure_table).
+    values = x * _erasure_table(g) % n
+    joint = np.zeros(p * n, dtype=complex)
+    joint[np.arange(p) * n + values] = b_state
+    erased = np.zeros(n, dtype=complex)
+    erased[values] = b_state
+    t.steps["post_compute"] = joint
+    t.steps["post_erasure"] = erased
+
+    # Inverse Fourier transform and observe.
+    final = np.fft.fft(erased, norm="ortho")
+    t.steps["post_inverse_qft"] = final
+    dist = np.abs(final) ** 2
+    t.final_distribution = dist
+    outcome = _draw(dist, rng)
+    t.measured_outcome = outcome
+    t.success = outcome == d
+    return t
+
+
+def perfect_state_overlap(n: int, p: int, mu: int, d: int, x: int) -> float:
+    """|<d~|actual>| for an accepted x; equals sqrt(p/N) as the p ancilla
+    values x*M^(b) are distinct (the erasure check recovers b from each)."""
+    g = _validate(n, p, mu)
+    if math.gcd(x, n) != 1:
+        raise ValueError(f"x={x} is not a unit mod {n}")
+    d %= n
+    values = x * _erasure_table(g) % n
+    roots = _phase_roots(n)
+    actual = np.zeros(n, dtype=complex)
+    actual[values] = roots[values * d % n] / math.sqrt(p)
+    perfect = roots[np.arange(n) * d % n] / math.sqrt(n)
+    return float(abs(np.vdot(perfect, actual)))
+
+
+# ---------------------------------------------------------------------------
+# Coset states and the Fourier-side hidden subgroup states
+
+
+def characters(a_group: AbelianGroup, d) -> np.ndarray:
+    """chi_w(d) for every w in A-index order."""
+    w = np.arange(a_group.order, dtype=np.int64)
+    t = phase_indices(a_group, w, np.int64(a_group.index(a_group.reduce(d))))
+    return _phase_roots(a_group.char_denominator)[t]
+
+
+def coset_state(ell, d, g: SemidirectGroup) -> np.ndarray:
+    """Uniform superposition over the left coset (ell, 0) <(d, 1)>."""
+    if subgroup_order(d, g) != g.p:
+        raise ValueError(f"(d, 1) with d={d!r} does not generate an order-{g.p} subgroup")
+    a = g.a_group
+    ell = a.reduce(ell)
+    vec = np.zeros(a.order * g.p, dtype=complex)
+    amp = 1.0 / np.sqrt(g.p)
+    for b in range(g.p):
+        coord = a.add(ell, phi_sum(b, d, g))
+        vec[a.index(coord) * g.p + b] = amp
+    return vec
+
+
+def fourier_coset_state(x, d, g: SemidirectGroup) -> np.ndarray:
+    """Fourier-side coset state: amplitudes chi_x(Phi^(b)(d)) / sqrt(p) at (x, b)."""
+    if subgroup_order(d, g) != g.p:
+        raise ValueError(f"(d, 1) with d={d!r} does not generate an order-{g.p} subgroup")
+    a = g.a_group
+    x = a.reduce(x)
+    roots = _phase_roots(a.char_denominator)
+    vec = np.zeros(a.order * g.p, dtype=complex)
+    base = a.index(x) * g.p
+    for b in range(g.p):
+        vec[base + b] = roots[a.char_index(x, phi_sum(b, d, g))]
+    return vec / np.sqrt(g.p)
+
+
+def state_vectors(g: SemidirectGroup, d, images: np.ndarray) -> np.ndarray:
+    """v_d[x, b] = chi_{w(x, b)}(d) / sqrt(|G|^k) for the image table of every x.
+
+    The x-block of the k-copy state rho_d^(x)k is the rank-one
+    |v_d^x><v_d^x|, read off the image table of the matrix sum problem
+    (eta.image_table): b and b' lie in the same solution set S^x_w exactly
+    when their images agree.  For labels d whose subgroup order differs
+    from p this is still the formula-defined (valid) state.
+    """
+    return characters(g.a_group, g.a_group.reduce(d))[images] / math.sqrt(images.size)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from pgmhsp.pipeline import (
 from pgmhsp.metacyclic import (
     estimate_success_rate,
     exact_success_rate,
-    perfect_state_overlap,
     success_bound,
 )
 
@@ -61,6 +60,7 @@ from oracles import (
     group_elements,
     heisenberg_eta_distribution,
     hidden_subgroup_state,
+    perfect_state_overlap,
     perturb_with_uniform,
     quotient_well_defined,
     simulate_neumark_outcomes,

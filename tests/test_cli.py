@@ -389,7 +389,75 @@ def test_pgm_report_heisenberg_k3_under_default_caps():
 
 def test_pgm_report_rejects_nonpositive_k(capsys):
     assert main(["pgm-report", "--group", "zpr p=101 jordan=2", "--k", "-1"]) == 2
-    assert "need k >= 1 copies" in capsys.readouterr().err
+    assert "--k: must be a positive integer, got '-1'" in capsys.readouterr().err
+
+
+# a fixture whose reduction stops at the non-normal H1 = <((1, 0), 0)>,
+# before the PGM stage reads k
+NONNORMAL_HEIS3 = {"group": "zpr p=3 jordan=2", "hidden": {"generators": [{"a": [1, 0], "b": 0}]}}
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pgm-report", "--group", "zn N=7 p=3 mu=2"],
+        ["eta-stats", "--group", "zn N=7 p=3 mu=2"],
+        ["run-hsp", "--algo", "pgm", "--fixture", "{fixture}", "--seed", "1"],
+    ],
+    ids=["pgm-report", "eta-stats", "run-hsp"],
+)
+def test_nonpositive_k_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv, value):
+    from pgmhsp import cli
+
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(NONNORMAL_HEIS3))
+    argv = [arg.format(fixture=fixture) for arg in argv]
+    assert main([*argv, "--k", "1"]) == 0
+    capsys.readouterr()
+    # the parser refuses k, so no command starts
+    monkeypatch.setattr(cli, "parse_group_spec", None)
+    assert main([*argv, "--k", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--k: must be a positive integer, got '{value}'" in captured.err
+
+
+def test_zn_spec_with_unknown_keys_exits_2(capsys):
+    assert main(["pgm-report", "--group", "zn N=7 p=3 mu=2 r=9 jordan=2"]) == 2
+    assert "unexpected keys ['jordan', 'r']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-msum", "--instance", "{instance}"],
+        ["pgm-report", "--group", "zn N=7 p=3 mu=2"],
+        ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "2"],
+        ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--trials", "20",
+         "--seed", "3"],
+        ["run-hsp", "--algo", "pgm", "--fixture", "{fixture}", "--seed", "1"],
+    ],
+    ids=["solve-msum", "pgm-report", "eta-stats", "run-hsp-stripped", "run-hsp-pgm"],
+)
+def test_out_dash_writes_to_stdout(tmp_path, monkeypatch, capsys, argv):
+    # --out - prints what --out FILE writes, then what the command prints
+    # anyway, and creates no file named "-"
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "instance.json").write_text('{"group": "zn N=7 p=3 mu=2", "x": [1, 2], "w": 3}')
+    (inputs / "fixture.json").write_text('{"group": "zn N=7 p=3 mu=2", "hidden": {"d": 1}}')
+    argv = [arg.format(instance=inputs / "instance.json", fixture=inputs / "fixture.json")
+            for arg in argv]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([*argv, "--out", str(inputs / "out")]) == 0
+    written, printed = (inputs / "out").read_text(), capsys.readouterr().out
+    assert written
+    assert main([*argv, "--out", "-"]) == 0
+    assert capsys.readouterr().out.rstrip("\n") == (written + printed).rstrip("\n")
+    assert list(work.iterdir()) == []
 
 
 def test_pgm_report_enumeration_cap_exits_3_before_tabulating():

@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -395,6 +396,16 @@ def test_group_spec_grammar_roundtrip():
             parse_group_spec(bad)
 
 
+def test_group_specs_reject_unknown_keys():
+    # zn as zpr: a key the family does not read is an error, not ignored
+    for spec, keys in [
+        ("zn N=7 p=3 mu=2 r=9 jordan=2", "['jordan', 'r']"),
+        ("zpr p=3 jordan=2 N=7", "['N']"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"unexpected keys {keys} in group spec")):
+            parse_group_spec(spec)
+
+
 def test_jordan_matrix_layout():
     assert jordan_matrix(5, (2, 1)) == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(ValueError):
@@ -466,7 +477,7 @@ def test_every_lru_cache_is_bounded():
             if hasattr(value, "cache_parameters"):
                 sizes[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
     assert {"groups.msum_table", "groups._phi_power", "msum._layers",
-            "states._phase_roots"} <= set(sizes)
+            "eta._phase_roots"} <= set(sizes)
     assert all(size is not None for size in sizes.values()), sizes
 
 

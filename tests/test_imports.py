@@ -1,18 +1,22 @@
 """The package's import graph: which layers each entry point executes.
 
-``import pgmhsp`` loads caps, groups and eta; msum, states, pgm, pipeline
-and metacyclic are lazy modules that execute on first attribute access.
+``import pgmhsp`` loads caps, groups and eta; msum, pgm, pipeline and
+metacyclic are lazy modules that execute on first attribute access.
 Each case runs in a fresh interpreter, since any earlier import in this
 process would already have loaded the layers.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-LAYERS = ("msum", "states", "pgm", "pipeline", "metacyclic")
+LAYERS = ("msum", "pgm", "pipeline", "metacyclic")
+# the modules that are not lazy layers: the package, the three it executes
+# on import, and cli and jsonio, which only the CLI loads
+EAGER = ("__init__", "caps", "groups", "eta", "cli", "jsonio")
 
 # Prints, as JSON, the exit code of one CLI command (argv in sys.argv[1:]),
 # the lazy layers that have executed by its end, whether numpy.random
@@ -85,25 +89,25 @@ print("ok")
             ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2",
              "--trials", "10", "--seed", "1"],
             None,
-            ["states", "metacyclic"],
+            ["metacyclic"],
             False,
         ),
         (
             ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--exact"],
             None,
-            ["states", "metacyclic"],
+            ["metacyclic"],
             False,
         ),
         (
             ["pgm-report", "--group", "zn N=7 p=3 mu=2", "--k", "1"],
             None,
-            ["states", "pgm"],
+            ["pgm"],
             False,
         ),
         (
             ["run-hsp", "--algo", "pgm", "--fixture", "{fixture}", "--k", "1", "--seed", "1"],
             None,
-            ["states", "pgm", "pipeline"],
+            ["pgm", "pipeline"],
             True,
         ),
     ],
@@ -173,3 +177,11 @@ print(json.dumps(homes))
     )
     homes = json.loads(out)
     assert set(homes.values()) == {f"pgmhsp.{m}" for m in ("caps", "groups", "eta", *LAYERS)}
+
+
+def test_every_module_is_eager_or_a_layer():
+    # a module added or removed without updating LAYERS or EAGER fails here
+    import pgmhsp
+
+    modules = {path.stem for path in pathlib.Path(pgmhsp.__file__).parent.glob("*.py")}
+    assert sorted(modules) == sorted((*EAGER, *LAYERS))

@@ -11,13 +11,18 @@ from pgmhsp.groups import msum_table, semidirect_zn
 from pgmhsp.metacyclic import (
     estimate_success_rate,
     exact_success_rate,
-    perfect_state_overlap,
-    run_stripped_algorithm,
     success_bound,
     wilson_interval,
 )
 
-from oracles import stripped_base_laws, stripped_inverse_qft, stripped_qft
+import oracles
+from oracles import (
+    perfect_state_overlap,
+    run_stripped_algorithm,
+    stripped_base_laws,
+    stripped_inverse_qft,
+    stripped_qft,
+)
 
 STEP_NAMES = [
     "coset",
@@ -298,32 +303,20 @@ class _Uniforms:
         return next(self.values)
 
 
-@pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (31, 5, 2)])
-def test_estimate_sets_up_once_and_equals_single_runs(monkeypatch, n, p, mu):
-    calls = {"_validate": 0, "_erasure_table": 0}
-    validate, erasure_table = metacyclic._validate, metacyclic._erasure_table
+# trials that fill less than one block of the Monte Carlo
+_ONE_BLOCK = 300
 
-    def counting_validate(*args):
-        calls["_validate"] += 1
-        return validate(*args)
 
-    def counting_erasure_table(*args):
-        calls["_erasure_table"] += 1
-        return erasure_table(*args)
-
-    monkeypatch.setattr(metacyclic, "_validate", counting_validate)
-    monkeypatch.setattr(metacyclic, "_erasure_table", counting_erasure_table)
-    trials = 300  # one block
-    assert trials <= metacyclic._BLOCK
-    est = estimate_success_rate(n, p, mu, trials, seed=21, collect=True)
-    # one erasure check serves every measured x
-    assert calls == {"_validate": 1, "_erasure_table": 1}
-
-    # The same records from one run_stripped_algorithm per trial: redraw the
-    # block's uniform numbers and d, ell by scalar calls in the block's order,
-    # measure x from the statevector with u_x, and read the outcome law of the
-    # final distribution in z-order, z = x (y - d), drawing z with u_z.
-    rng = random.Random(21)
+def _records_unlike_single_runs(est) -> list[tuple[dict, dict]]:
+    """The (estimate's, expected) record pairs that differ, the expected ones
+    from one run_stripped_algorithm per trial of a single-block estimate:
+    redraw the block's uniform numbers and d, ell by scalar calls in the
+    block's order, measure x from the statevector with u_x, and read the
+    outcome law of the final distribution in z-order, z = x (y - d), drawing
+    z with u_z."""
+    n, p, mu, trials = est.n, est.p, est.mu, est.trials
+    assert len(est.trial_records) == trials <= metacyclic._BLOCK
+    rng = random.Random(est.seed)
     u_x = [rng.random() for _ in range(trials)]
     u_z = [rng.random() for _ in range(trials)]
     d = [rng.randrange(n) for _ in range(trials)]
@@ -348,8 +341,44 @@ def test_estimate_sets_up_once_and_equals_single_runs(monkeypatch, n, p, mu):
                 "success": outcome == d[trial],
             }
         )
-    assert list(est.trial_records) == records
-    assert est.successes == sum(rec["success"] for rec in records)
+    return [pair for pair in zip(est.trial_records, records) if pair[0] != pair[1]]
+
+
+@pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (31, 5, 2)])
+def test_estimate_sets_up_once_and_equals_single_runs(monkeypatch, n, p, mu):
+    calls = {"_validate": 0, "_erasure_table": 0}
+    validate, erasure_table = metacyclic._validate, metacyclic._erasure_table
+
+    def counting_validate(*args):
+        calls["_validate"] += 1
+        return validate(*args)
+
+    def counting_erasure_table(*args):
+        calls["_erasure_table"] += 1
+        return erasure_table(*args)
+
+    monkeypatch.setattr(metacyclic, "_validate", counting_validate)
+    monkeypatch.setattr(metacyclic, "_erasure_table", counting_erasure_table)
+    est = estimate_success_rate(n, p, mu, _ONE_BLOCK, seed=21, collect=True)
+    # one erasure check serves every measured x
+    assert calls == {"_validate": 1, "_erasure_table": 1}
+    assert _records_unlike_single_runs(est) == []
+    assert est.successes == sum(rec["success"] for rec in est.trial_records)
+
+
+@pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (31, 5, 2)])
+def test_relabelled_outcome_fails_the_single_run_comparison(monkeypatch, n, p, mu):
+    # a planted fault: the block draw reads the outcome law of label 1,
+    # np.roll(L, 1), for that of label 0, so outcomes come out relabelled
+    base_laws = metacyclic._base_laws
+
+    def relabelled_base_laws(*args):
+        x_law, outcome_law = base_laws(*args)
+        return x_law, np.roll(outcome_law, 1)
+
+    monkeypatch.setattr(metacyclic, "_base_laws", relabelled_base_laws)
+    est = estimate_success_rate(n, p, mu, _ONE_BLOCK, seed=21, collect=True)
+    assert _records_unlike_single_runs(est)
 
 
 def test_success_bound_counts_phi_once(monkeypatch):
@@ -395,7 +424,7 @@ def test_draw_matches_inverse_cdf():
             w[laws.randrange(size)] = 1.0
         w *= laws.choice([1e-6, 1.0, 1e6])
         reference, drawing = random.Random(seed), random.Random(seed)
-        index = metacyclic._draw(w, drawing)
+        index = oracles._draw(w, drawing)
         cdf = np.cumsum(w / w.sum())
         cdf /= cdf[-1]
         assert index == bisect_right(cdf.tolist(), reference.random()), seed
@@ -415,7 +444,7 @@ def test_relabelled_laws_match_transcripts(monkeypatch, n, p, mu):
         drawn.append(weights)
         return forced_x if len(drawn) == 1 else 0
 
-    monkeypatch.setattr(metacyclic, "_draw", forced_draw)
+    monkeypatch.setattr(oracles, "_draw", forced_draw)
     rejected = 0
     for d in range(n):
         for ell in range(n):

@@ -9,15 +9,8 @@ from pgmhsp.groups import (
     parse_group_spec,
     semidirect_zn,
 )
-from pgmhsp.eta import eta_rows
+from pgmhsp.eta import _phase_roots, eta_rows, fft_over_a
 from pgmhsp import pgm
-from pgmhsp.states import (
-    _phase_roots,
-    characters,
-    coset_state,
-    fft_over_a,
-    fourier_coset_state,
-)
 
 from oracles import (
     a_tuple_from_index,
@@ -25,8 +18,11 @@ from oracles import (
     b_tuple_index,
     block_images,
     build_pgm,
+    characters,
     coset_mixture_density,
+    coset_state,
     ensemble_sigma,
+    fourier_coset_state,
     hidden_subgroup_state,
     qft_matrix,
     quantum_sample_vector,

@@ -4,8 +4,9 @@ The seven immutable classes (groups' CyclicGroup, VectorGroup,
 GroupElement, SemidirectGroup and PhaseValue, msum's MSumInstance and
 SolutionSet) compare and hash by their fields, refuse assignment and
 deletion, keep no ``__dict__``, and survive pickle and deepcopy.  The two
-run records (pipeline's PGMRunResult, metacyclic's SimTranscript) compare
-by their fields, are mutable and unhashable.  Every repr is the text the
+run records (pipeline's PGMRunResult, and SimTranscript, the stripped
+run's record in the test oracles, built on groups' _Record) compare by
+their fields, are mutable and unhashable.  Every repr is the text the
 classes printed when they were dataclasses; ``solve-msum --verify``
 prints an instance's repr in its brute-force error.
 """
@@ -25,9 +26,10 @@ from pgmhsp.groups import (
     heisenberg_group,
     semidirect_zn,
 )
-from pgmhsp.metacyclic import SimTranscript
 from pgmhsp.msum import MSumInstance, SolutionSet
 from pgmhsp.pipeline import PGMRunResult, SubgroupDescription
+
+from oracles import SimTranscript
 
 
 def z7():
