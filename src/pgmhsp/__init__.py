@@ -20,10 +20,8 @@ from .caps import CapExceeded
 from .groups import (
     CyclicGroup,
     GroupElement,
-    PhaseValue,
     SemidirectGroup,
     VectorGroup,
-    character_eval,
     element_inv,
     element_mul,
     format_group_spec,
@@ -45,7 +43,6 @@ _LAZY_EXPORTS = {
     "msum": (
         "MSumInstance",
         "SolutionSet",
-        "discrete_log_bsgs",
         "solve_auto",
         "solve_bruteforce",
         "solve_metacyclic_dlog",
@@ -101,10 +98,8 @@ __all__ = [
     "CapExceeded",
     "CyclicGroup",
     "GroupElement",
-    "PhaseValue",
     "SemidirectGroup",
     "VectorGroup",
-    "character_eval",
     "element_inv",
     "element_mul",
     "format_group_spec",

@@ -77,12 +77,12 @@ def _element_to_json(a_group, value):
 
 
 def _write_output(text: str, path: str | None) -> None:
-    """Write text to the file at path; with no path or ``-``, to stdout,
-    adding a final newline to non-empty text that lacks one."""
+    """Write text, with a final newline added to non-empty text that lacks
+    one, to the file at path, or with no path or ``-`` to stdout."""
+    if text and not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if text and not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,5 +1,5 @@
 """The eta table of the matrix sum problem, its statistics, and the
-character phases over A that pgm and metacyclic read.
+characters of A that pgm and metacyclic read, as integer phase indices.
 
 Row x of the image table holds, in column idx_b(b), the A-index of
 sum_j M^(b_j) x_j over b in Z_p^k; eta^x_w, the number of solutions of the
@@ -84,8 +84,10 @@ def _phase_roots(m: int) -> np.ndarray:
 
 
 def phase_indices(a_group: AbelianGroup, w: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """t with chi_w(j) = _phase_roots(a_group.char_denominator)[t], for int64
-    arrays of A-indices w and j broadcast against each other."""
+    """The package's only character representation: the phase index t, exact
+    modulo a_group.char_denominator, with chi_w(j) = exp(2 pi i t /
+    char_denominator) = _phase_roots(char_denominator)[t], for int64 arrays
+    of A-indices w and j broadcast against each other."""
     if isinstance(a_group, CyclicGroup):
         return w * j % a_group.n
     p, r = a_group.p, a_group.r

@@ -11,7 +11,9 @@ on *character labels*, i.e. the conjugate sum satisfies
 ``conj_apply(b, x) = matrix_sum(b) @ x``, while the action on group
 elements goes through the transpose (for Z_N the two coincide).  All the
 Fourier-side machinery (matrix sum problem, PGM blocks) consumes the
-stored matrix directly.
+stored matrix directly.  Characters chi_x(y) are not evaluated here:
+``char_denominator`` is their modulus, and ``eta.phase_indices`` their
+exact integer phase index.
 
 Everything here is a pure function of immutable values; instances are
 frozen ``__slots__`` classes (``_Frozen``) and safe to share across threads.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
@@ -144,16 +145,9 @@ class CyclicGroup(_Frozen):
             raise IndexError(f"element index {i} out of range for Z_{self.n}")
         return i
 
-    def char_exponent(self, x: int, y: int) -> Fraction:
-        return Fraction((x * y) % self.n, self.n)
-
     @property
     def char_denominator(self) -> int:
         return self.n
-
-    def char_index(self, x: int, y: int) -> int:
-        """Numerator t of the phase t/denominator for chi_x(y)."""
-        return (x * y) % self.n
 
 
 class VectorGroup(_Frozen):
@@ -206,15 +200,9 @@ class VectorGroup(_Frozen):
             digits.append(c)
         return tuple(reversed(digits))
 
-    def char_exponent(self, x, y) -> Fraction:
-        return Fraction(sum(u * v for u, v in zip(x, y)) % self.p, self.p)
-
     @property
     def char_denominator(self) -> int:
         return self.p
-
-    def char_index(self, x, y) -> int:
-        return sum(u * v for u, v in zip(x, y)) % self.p
 
 
 AbelianGroup = CyclicGroup | VectorGroup
@@ -498,40 +486,6 @@ def subgroup_order(d, g: SemidirectGroup) -> int:
         if order > g.order:
             raise AssertionError("subgroup order exceeded |G|; invalid group data")
     return order
-
-
-# ---------------------------------------------------------------------------
-# Characters
-
-
-class PhaseValue(_Frozen):
-    """Exact unit phase exp(2*pi*i * exponent) with rational exponent in [0, 1)."""
-
-    __slots__ = __match_args__ = ("exponent",)
-
-    def __init__(self, exponent: Fraction) -> None:
-        _set(self, "exponent", exponent)
-
-    @staticmethod
-    def of(t: int, m: int) -> "PhaseValue":
-        return PhaseValue(Fraction(t, m) % 1)
-
-    def __mul__(self, other: "PhaseValue") -> "PhaseValue":
-        return PhaseValue((self.exponent + other.exponent) % 1)
-
-    def conjugate(self) -> "PhaseValue":
-        return PhaseValue((-self.exponent) % 1)
-
-    @property
-    def value(self) -> complex:
-        import cmath
-
-        return cmath.exp(2j * cmath.pi * float(self.exponent))
-
-
-def character_eval(x, y, a_group: AbelianGroup) -> PhaseValue:
-    """chi_x(y): exp(2*pi*i*x*y/N) for Z_N, exp(2*pi*i*(x.y)/p) for Z_p^r."""
-    return PhaseValue(a_group.char_exponent(x, y))
 
 
 # ---------------------------------------------------------------------------

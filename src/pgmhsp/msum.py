@@ -197,14 +197,6 @@ def _baby_steps(base: int, order: int, modulus: int):
     return log
 
 
-def discrete_log_bsgs(base: int, target: int, order: int, modulus: int):
-    """Baby-step/giant-step log in the order-`order` subgroup <base> of Z_N^x.
-
-    Returns b in [0, order) with base^b = target (mod modulus), or None.
-    """
-    return _baby_steps(base, order, modulus)(target)
-
-
 def solve_metacyclic_dlog(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
     """Z_N, k = 1: reduce M^(b) x = w to the discrete log mu^b = 1 + (mu-1) w/x.
 

@@ -406,6 +406,15 @@ def solve_heisenberg_closed_form(inst: MSumInstance, cap: int | None = None) -> 
 # Dense Fourier transforms over A
 
 
+def phase_index(a_group: AbelianGroup, x, y) -> int:
+    """t with chi_x(y) = exp(2 pi i t / char_denominator), for one pair of
+    elements: their dot product modulo the denominator, in pure Python
+    (eta.phase_indices computes the same t over arrays of A-indices)."""
+    if isinstance(a_group, CyclicGroup):
+        x, y = (x,), (y,)
+    return sum(u * v for u, v in zip(x, y)) % a_group.char_denominator
+
+
 def qft_matrix(a_group: AbelianGroup) -> np.ndarray:
     """F[x, a] = chi_x(a) / sqrt(|A|), element by element."""
     n = a_group.order
@@ -414,7 +423,7 @@ def qft_matrix(a_group: AbelianGroup) -> np.ndarray:
     elems = list(a_group.elements())
     for i, x in enumerate(elems):
         for j, a in enumerate(elems):
-            f[i, j] = roots[a_group.char_index(x, a)]
+            f[i, j] = roots[phase_index(a_group, x, a)]
     return f / np.sqrt(n)
 
 
@@ -590,7 +599,7 @@ def fourier_coset_state(x, d, g: SemidirectGroup) -> np.ndarray:
     vec = np.zeros(a.order * g.p, dtype=complex)
     base = a.index(x) * g.p
     for b in range(g.p):
-        vec[base + b] = roots[a.char_index(x, phi_sum(b, d, g))]
+        vec[base + b] = roots[phase_index(a, x, phi_sum(b, d, g))]
     return vec / np.sqrt(g.p)
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from pgmhsp.groups import (
     CyclicGroup,
     GroupElement,
-    character_eval,
     conj_apply,
     element_inv,
     element_mul,
@@ -29,7 +28,7 @@ from pgmhsp.groups import (
     semidirect_zn,
     semidirect_zpr,
 )
-from pgmhsp.eta import eta_statistics
+from pgmhsp.eta import eta_statistics, phase_indices
 from pgmhsp.msum import (
     MSumInstance,
     solve_bruteforce,
@@ -336,28 +335,30 @@ def test_criterion_10_property_suites():
                 ij = mtab[i][j]
                 for k_ in range(len(elems)):
                     assert mtab[ij][k_] == mtab[i][mtab[j][k_]]
-    # character bilinearity and symmetry, |A| <= 121
+    # character bilinearity and symmetry, |A| <= 121, as exact congruences
+    # between phase indices modulo char_denominator over all A-index pairs
+    def phase_table(a_group):
+        assert [a_group.index(e) for e in a_group.elements()] == list(range(a_group.order))
+        idx = np.arange(a_group.order, dtype=np.int64)
+        return phase_indices(a_group, idx[:, None], idx[None, :])
+
     for a_group in (CyclicGroup(100), semidirect_zpr(11, mat_identity(2)).a_group):
         elems = list(a_group.elements())
         assert len(elems) <= 121
-        for x in elems:
-            for y in elems:
-                assert character_eval(x, y, a_group) == character_eval(y, x, a_group)
-                z = elems[7]
-                lhs = character_eval(x, a_group.add(y, z), a_group)
-                assert lhs == character_eval(x, y, a_group) * character_eval(
-                    x, z, a_group
-                )
+        t = phase_table(a_group)
+        assert np.array_equal(t, t.T)
+        shifted = [a_group.index(a_group.add(y, elems[7])) for y in elems]
+        assert np.array_equal(t[:, shifted], (t + t[:, [7]]) % a_group.char_denominator)
     # conjugation identity, |A| <= 121
     for g in (Z7, semidirect_zn(100, 5, 21), HEIS3, heisenberg_group(5)):
         a_group = g.a_group
         assert a_group.order <= 121
+        elems = list(a_group.elements())
+        t = phase_table(a_group)
         for b in range(g.p):
-            for x in a_group.elements():
-                for d in a_group.elements():
-                    assert character_eval(
-                        x, phi_sum(b, d, g), a_group
-                    ) == character_eval(conj_apply(b, x, g), d, a_group)
+            phi = [a_group.index(phi_sum(b, d, g)) for d in elems]
+            conj = [a_group.index(conj_apply(b, x, g)) for x in elems]
+            assert np.array_equal(t[:, phi], t[conj, :])
     # partition: sum_w eta^x_w = p^k
     for g, k in [(Z7, 1), (Z7, 2), (HEIS3, 2)]:
         for xi in itertools.product(list(g.a_group.elements()), repeat=k):

@@ -436,13 +436,15 @@ def test_zn_spec_with_unknown_keys_exits_2(capsys):
         ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "2"],
         ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--trials", "20",
          "--seed", "3"],
+        ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--exact"],
         ["run-hsp", "--algo", "pgm", "--fixture", "{fixture}", "--seed", "1"],
     ],
-    ids=["solve-msum", "pgm-report", "eta-stats", "run-hsp-stripped", "run-hsp-pgm"],
+    ids=["solve-msum", "pgm-report", "eta-stats", "run-hsp-stripped", "run-hsp-exact",
+         "run-hsp-pgm"],
 )
 def test_out_dash_writes_to_stdout(tmp_path, monkeypatch, capsys, argv):
-    # --out - prints what --out FILE writes, then what the command prints
-    # anyway, and creates no file named "-"
+    # --out - prints, byte for byte, what --out FILE writes, then what the
+    # command prints anyway, and creates no file named "-"
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     (inputs / "instance.json").write_text('{"group": "zn N=7 p=3 mu=2", "x": [1, 2], "w": 3}')
@@ -453,10 +455,10 @@ def test_out_dash_writes_to_stdout(tmp_path, monkeypatch, capsys, argv):
     work.mkdir()
     monkeypatch.chdir(work)
     assert main([*argv, "--out", str(inputs / "out")]) == 0
-    written, printed = (inputs / "out").read_text(), capsys.readouterr().out
-    assert written
+    written, printed = (inputs / "out").read_bytes().decode(), capsys.readouterr().out
+    assert written.endswith("\n")
     assert main([*argv, "--out", "-"]) == 0
-    assert capsys.readouterr().out.rstrip("\n") == (written + printed).rstrip("\n")
+    assert capsys.readouterr().out == written + printed
     assert list(work.iterdir()) == []
 
 

@@ -3,20 +3,19 @@ import math
 import pkgutil
 import random
 import re
-from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import pgmhsp
+from pgmhsp.eta import phase_indices
 from pgmhsp.groups import (
     CyclicGroup,
     GroupElement,
-    PhaseValue,
     SemidirectGroup,
     VectorGroup,
     _phi_power,
     _running_sums,
-    character_eval,
     element_inv,
     element_mul,
     format_group_spec,
@@ -55,6 +54,14 @@ SMALL_GROUPS = [
     semidirect_zn(13, 3, 3),
     semidirect_jordan(3, (2, 1)),
 ]
+
+
+def phase_table(a_group):
+    """t[x, y] = phase index of chi_x(y) for every pair of A-indices, exact
+    modulo char_denominator; A.elements() runs in A-index order."""
+    assert [a_group.index(e) for e in a_group.elements()] == list(range(a_group.order))
+    idx = np.arange(a_group.order, dtype=np.int64)
+    return phase_indices(a_group, idx[:, None], idx[None, :])
 
 
 def test_construction_validation():
@@ -314,20 +321,22 @@ def test_conjugation_identity_exhaustive(g):
     assert a_group.order <= 121
     from pgmhsp.groups import conj_apply
 
+    elems = list(a_group.elements())
+    t = phase_table(a_group)
     for b in range(g.p):
-        for x in a_group.elements():
-            for d in a_group.elements():
-                lhs = character_eval(x, phi_sum(b, d, g), a_group)
-                rhs = character_eval(conj_apply(b, x, g), d, a_group)
-                assert lhs == rhs
+        phi = [a_group.index(phi_sum(b, d, g)) for d in elems]
+        conj = [a_group.index(conj_apply(b, x, g)) for x in elems]
+        # t(x, Phi^(b)(d)) = t(conj_apply(b, x), d) for every x and d
+        assert np.array_equal(t[:, phi], t[conj, :])
 
 
 def test_character_examples():
     a7 = CyclicGroup(7)
-    assert character_eval(0, 5, a7).exponent == 0
-    assert character_eval(3, 2, a7).exponent == Fraction(6, 7)
+    assert phase_indices(a7, np.int64(0), np.int64(5)) == 0
+    assert phase_indices(a7, np.int64(3), np.int64(2)) == 6
     a52 = VectorGroup(5, 2)
-    assert character_eval((1, 2), (3, 4), a52).exponent == Fraction(1, 5)
+    x, y = (np.int64(a52.index(v)) for v in ((1, 2), (3, 4)))
+    assert phase_indices(a52, x, y) == 1
 
 
 @pytest.mark.parametrize(
@@ -337,28 +346,17 @@ def test_character_examples():
 def test_character_bilinearity_symmetry_exhaustive(a_group):
     assert a_group.order <= 121
     elems = list(a_group.elements())
-    for x in elems:
-        for y in elems:
-            assert character_eval(x, y, a_group) == character_eval(y, x, a_group)
-            for y2 in elems[:7]:
-                lhs = character_eval(x, a_group.add(y, y2), a_group)
-                rhs = character_eval(x, y, a_group) * character_eval(x, y2, a_group)
-                assert lhs == rhs
+    m = a_group.char_denominator
+    t = phase_table(a_group)
+    assert np.array_equal(t, t.T)
+    # t(x, y + y2) = t(x, y) + t(x, y2) mod m for every x and y
+    for j2, y2 in enumerate(elems[:7]):
+        shifted = [a_group.index(a_group.add(y, y2)) for y in elems]
+        assert np.array_equal(t[:, shifted], (t + t[:, [j2]]) % m)
     # chi_x * chi_x' = chi_{x+x'} pointwise on a slice
-    for x in elems[:11]:
-        for x2 in elems[:11]:
-            for y in elems:
-                lhs = character_eval(x, y, a_group) * character_eval(x2, y, a_group)
-                assert lhs == character_eval(a_group.add(x, x2), y, a_group)
-
-
-def test_phase_value_arithmetic():
-    a = PhaseValue.of(3, 4)
-    b = PhaseValue.of(3, 8)
-    assert (a * b).exponent == Fraction(1, 8)
-    assert a.conjugate().exponent == Fraction(1, 4)
-    assert abs(PhaseValue.of(1, 4).value - 1j) < 1e-15
-    assert PhaseValue.of(5, 10) == PhaseValue.of(1, 2)
+    for i, x in enumerate(elems[:11]):
+        for i2, x2 in enumerate(elems[:11]):
+            assert np.array_equal(t[a_group.index(a_group.add(x, x2))], (t[i] + t[i2]) % m)
 
 
 def test_subgroup_order():

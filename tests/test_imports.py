@@ -3,7 +3,8 @@
 ``import pgmhsp`` loads caps, groups and eta; msum, pgm, pipeline and
 metacyclic are lazy modules that execute on first attribute access.
 Each case runs in a fresh interpreter, since any earlier import in this
-process would already have loaded the layers.
+process would already have loaded the layers.  The last test imports the
+benchmark's workload module, whose op lists read package names.
 """
 
 import json
@@ -185,3 +186,16 @@ def test_every_module_is_eager_or_a_layer():
 
     modules = {path.stem for path in pathlib.Path(pgmhsp.__file__).parent.glob("*.py")}
     assert sorted(modules) == sorted((*EAGER, *LAYERS))
+
+
+@pytest.mark.parametrize("workload", ["report", "solve", "census", "stripped"])
+def test_benchmark_workloads_build(tmp_path, monkeypatch, workload):
+    # bench/workloads.py builds its ops from package names (parse_group_spec,
+    # subgroup_order, phi_apply, conj_apply, subgroup_closure, MSumInstance,
+    # solve_bruteforce); a name it reads that the package drops fails here.
+    # No bytecode is written under bench/.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    assert workloads.build(workload, 1, str(tmp_path))

@@ -24,6 +24,7 @@ from oracles import (
     ensemble_sigma,
     fourier_coset_state,
     hidden_subgroup_state,
+    phase_index,
     qft_matrix,
     quantum_sample_vector,
     support_projector,
@@ -226,7 +227,7 @@ def test_characters_match_per_element_loop(spec):
     a = parse_group_spec(spec).a_group
     roots = _phase_roots(a.char_denominator)
     for d in a.elements():
-        loop = roots[[a.char_index(w, d) for w in a.elements()]]
+        loop = roots[[phase_index(a, w, d) for w in a.elements()]]
         assert np.array_equal(characters(a, d), loop)
 
 

@@ -1,9 +1,9 @@
 """The value classes' contract: what a caller can observe of each one.
 
-The seven immutable classes (groups' CyclicGroup, VectorGroup,
-GroupElement, SemidirectGroup and PhaseValue, msum's MSumInstance and
-SolutionSet) compare and hash by their fields, refuse assignment and
-deletion, keep no ``__dict__``, and survive pickle and deepcopy.  The two
+The six immutable classes (groups' CyclicGroup, VectorGroup,
+GroupElement and SemidirectGroup, msum's MSumInstance and SolutionSet)
+compare and hash by their fields, refuse assignment and deletion, keep no
+``__dict__``, and survive pickle and deepcopy.  The two
 run records (pipeline's PGMRunResult, and SimTranscript, the stripped
 run's record in the test oracles, built on groups' _Record) compare by
 their fields, are mutable and unhashable.  Every repr is the text the
@@ -13,14 +13,12 @@ prints an instance's repr in its brute-force error.
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
 from pgmhsp.groups import (
     CyclicGroup,
     GroupElement,
-    PhaseValue,
     SemidirectGroup,
     VectorGroup,
     heisenberg_group,
@@ -47,9 +45,6 @@ FROZEN = {
         lambda: heisenberg_group(3),
         "SemidirectGroup(a_group=VectorGroup(p=3, r=2), p=3, mu=((1, 1), (0, 1)))",
         ("a_group", "p", "mu"),
-    ),
-    PhaseValue: (
-        lambda: PhaseValue(Fraction(1, 3)), "PhaseValue(exponent=Fraction(1, 3))", ("exponent",)
     ),
     MSumInstance: (
         lambda: MSumInstance(z7(), (8, 2), 10),
