@@ -193,10 +193,12 @@ def cmd_eta_stats(args) -> int:
 
     if args.mode == "exhaustive":
         _reject_unapplied(args, ("--samples", "--seed"), "exhaustive mode")
-    elif args.seed is None:
-        raise UsageError("sampled mode requires --seed")
-    elif args.samples is None:
-        raise UsageError("sampled mode requires --samples")
+    else:
+        _reject_unapplied(args, ("--pop-cap",), "sampled mode")
+        if args.seed is None:
+            raise UsageError("sampled mode requires --seed")
+        if args.samples is None:
+            raise UsageError("sampled mode requires --samples")
     g = _group_from_args(args)
     stats = eta.eta_statistics(
         g,

@@ -6,7 +6,7 @@ sum_j M^(b_j) x_j over b in Z_p^k; eta^x_w, the number of solutions of the
 instance (x, w), is the number of entries equal to w in row x.  The eta
 histogram here, and the success formula and the outcome laws in pgm, are
 read off this table; the per-instance solvers in msum share its integer
-codes.
+codes, and the residual lookup reads its cached table of A (_codes_of_a).
 
 Every exhaustive sum over A^k walks one x per symmetry orbit (eta_orbits),
 with the orbit size as its weight.  A scalar unit c commutes with every
@@ -233,26 +233,37 @@ def _element_codes(g: SemidirectGroup, indices: np.ndarray, k: int) -> np.ndarra
     return _codes(g, indices if isinstance(a, CyclicGroup) else index_digits(indices, g.p, a.r), k)
 
 
+# Rows of A per block of _codes_of_a: the Z_2^15 table at k = 2 peaked at
+# 19 MiB (tracemalloc) built in one go, at 2.8 MiB in blocks of 4096 rows.
+_TABLE_BLOCK = 4096
+
+
+@lru_cache(maxsize=8)
 def _codes_of_a(g: SemidirectGroup, k: int) -> np.ndarray | None:
-    """Codes of every element of A, rows in A-index order, for a walk that
-    meets every x component; None when they would not fit in one chunk."""
-    if g.a_group.order * g.p > _CHUNK:
+    """Codes of every element of A, rows in A-index order, read-only: the
+    one table the orbit walk, the sampled histogram and msum's residual
+    lookup read.  None when it would not fit in one chunk, |A| p > _CHUNK."""
+    n = g.a_group.order
+    if n * g.p > _CHUNK:
         return None
-    return _element_codes(g, np.arange(g.a_group.order, dtype=np.int64), k)
+    table = np.concatenate([
+        _element_codes(g, np.arange(lo, min(lo + _TABLE_BLOCK, n), dtype=np.int64), k)
+        for lo in range(0, n, _TABLE_BLOCK)
+    ])
+    table.flags.writeable = False
+    return table
 
 
 def image_table(
-    g: SemidirectGroup,
-    xs: np.ndarray,
-    enumeration_cap: int | None = None,
-    codes: np.ndarray | None = None,
+    g: SemidirectGroup, xs: np.ndarray, enumeration_cap: int | None = None
 ) -> np.ndarray:
     """A-index of sum_j conj_apply(b_j, x_j) for each row x of ``xs`` (per-copy
-    A-indices, copy 1 first) and each b, in column idx_b(b).  ``codes``, from
-    _codes_of_a, holds the codes of all of A; without it the codes of the
-    x components present are built for this batch alone."""
+    A-indices, copy 1 first) and each b, in column idx_b(b).  The codes come
+    from the cached table of all of A (_codes_of_a); when A is too large for
+    it, the codes of the x components present are built for this batch alone."""
     rows, k = xs.shape
     check_enumeration(g.p, k, enumeration_cap)
+    codes = _codes_of_a(g, k)
     if codes is None:
         used, inverse = np.unique(xs, return_inverse=True)
         codes = _element_codes(g, used, k)
@@ -414,7 +425,6 @@ def _orbit_chunks(g: SemidirectGroup, k: int, enumeration_cap, multisets: int, r
     a = g.a_group
     dtype = np.int64 if a.order ** (k + 1) < 2**63 else object
     tables = _colex_tables(a.order, k - 1)
-    codes = _codes_of_a(g, k)
     step = max(1, _CHUNK // max(g.p**k, a.order))
     total = 0
     for start in range(0, rows, step):
@@ -424,7 +434,7 @@ def _orbit_chunks(g: SemidirectGroup, k: int, enumeration_cap, multisets: int, r
         weights = sizes.astype(dtype) * orderings
         total += int(weights.sum())
         xs = np.column_stack([first, rest])
-        yield weights, image_table(g, xs, enumeration_cap, codes)
+        yield weights, image_table(g, xs, enumeration_cap)
     if total != a.order**k:
         raise AssertionError(f"orbit weights sum to {total}, not |A|^k = {a.order**k}")
 
@@ -465,26 +475,18 @@ def _uniform_floats(rng: random.Random, count: int) -> np.ndarray:
     return (high * 2.0**26 + (words[1::2] >> 6)) / 2.0**53
 
 
-def check_population(g: SemidirectGroup, k: int, cap: int | None = None) -> None:
-    """Raise CapExceeded when a walk over the symmetry orbits of A^k would
-    evaluate more (x, w) pairs, |A| per orbit row, than the population cap.
-    Testing |A| first keeps a large N from being factored."""
-    a = g.a_group
-    limit = pop_cap(cap)
-    if a.order > limit or orbit_rows(a, k) * a.order > limit:
-        raise CapExceeded(
-            f"(x, w) pairs over the symmetry orbits of population {a.order ** (k + 1)} "
-            f"exceed cap {limit}"
-        )
-
-
 class EtaHistogram:
     """The exhaustive eta histogram, summed chunk by chunk over the eta_orbits
-    walk.  The population cap (check_population) is checked on construction."""
+    walk.  Construction raises CapExceeded when the walk would evaluate more
+    (x, w) pairs, |A| per orbit row, than the population cap; testing |A|
+    first keeps a large N from being factored."""
 
     def __init__(self, g: SemidirectGroup, k: int, cap: int | None = None):
-        check_population(g, k, cap)
-        self.population = g.a_group.order ** (k + 1)
+        a, limit = g.a_group, pop_cap(cap)
+        self.population = a.order ** (k + 1)
+        if a.order > limit or orbit_rows(a, k) * a.order > limit:
+            raise CapExceeded(f"(x, w) pairs over the symmetry orbits of population "
+                              f"{self.population} exceed cap {limit}")
         self.size = g.p**k + 1
         self.counts = 0
 

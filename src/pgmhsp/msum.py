@@ -8,9 +8,9 @@ within the enumeration cap is solved by residual lookup: for each prefix
 (b_1..b_(k-1)) the residual w - sum_(j<k) M^(b_j) x_j, in Python ints, is
 looked up among the p images of the last copy.  Both routes keep what
 does not depend on the instance in one context per (group, k) (_Context:
-the decode, the prefixes, the baby steps, and one int64 table of the codes
-the lookup reads: 16 |A| p bytes, at most 1 MiB, besides the decode list),
-so a call costs about its own arithmetic.
+the decode, the prefixes, the baby steps, and a view of eta's cached
+read-only table of the codes of A, 8 |A| p bytes, at most 512 KiB, shared
+with the eta walk), so a call costs about its own arithmetic.
 Beyond that, Z_N goes to brute force and Z_p^r to the polynomial route,
 where M^(b) = sum_l C(b, l+1) (mu - I)^l makes the system triangular in
 b: it eliminates the linear layer over F_p, then checks the points of the
@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from array import array
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -41,6 +40,7 @@ from .eta import (  # noqa: F401  (eta_statistics: see the module docstring)
     _CHUNK,
     _code_sums,
     _codes,
+    _codes_of_a,
     _decode,
     _int_decoder,
     check_enumeration,
@@ -58,7 +58,6 @@ from .groups import (
     mat_transpose,
     mat_vec,
     matrix_sum,
-    msum_table,
     row_reduce,
 )
 
@@ -217,7 +216,7 @@ def solve_metacyclic_dlog(inst: MSumInstance, cap: int | None = None) -> Solutio
     b = log((1 + (g.mu - 1) * w * pow(x, -1, n)) % n)
     if b is None:
         return SolutionSet(())
-    if msum_table(g)[b] * x % n != w:
+    if matrix_sum(b, g) * x % n != w:  # O(log b) products, apart from the baby steps
         raise AssertionError("discrete-log route produced an unsound solution")
     return SolutionSet(((b,),))
 
@@ -457,11 +456,9 @@ class _Context:
       checks against _CHUNK, _PY_GRID and the cap on every call;
     - prefixes: the (b_1..b_(k-1)) in itertools.product order;
     - decode: the A-index of a Python-int sum of k codes (eta);
-    - codes: one int64 table of 2 p codes per element e of A, in A-index
-      order: those of M^(b) e, then those of M^(b) (-e), for b < p.  It is
-      filled as instances first use each element, and -1 marks an element
-      not yet filled, so it holds 16 |A| p bytes and no Python object per
-      element;
+    - codes: a flat read-only view of eta's cached table of the codes of
+      M^(b) e for every element e of A (eta._codes_of_a), the row of e at
+      p times its A-index; the context keeps no table of its own;
     - log (Z_N at k = 1): the discrete log to base mu with its baby steps,
       or None when mu - 1 is not a unit.
     """
@@ -479,8 +476,8 @@ class _Context:
         return _int_decoder(self.g, self.k)
 
     @cached_property
-    def codes(self) -> array:
-        return array("q", [-1]) * (2 * self.size)
+    def codes(self) -> memoryview:
+        return memoryview(_codes_of_a(self.g, self.k).ravel())
 
     @cached_property
     def log(self):
@@ -491,29 +488,23 @@ class _Context:
         """The residual w - sum_(j<k) M^(b_j) x_j of each prefix, in
         itertools.product order, is w's code plus the codes of -x_j, decoded
         and looked up among the images M^(b) x_k, so the b come out sorted."""
-        p, codes, decode = self.g.p, self.codes, self.decode
-        step, elements = 2 * p, (w, *x)
-        # the A-indices of the elements, already reduced: Z_N's are their
-        # own, Z_p^r's by Horner's rule over the digits
-        indices = elements
-        if isinstance(self.g.a_group, VectorGroup):
-            indices = []
-            for e in elements:
+        g, p, codes, decode = self.g, self.g.p, self.codes, self.decode
+        # the rows of w, -x_j (j < k) and x_k start at p times their A-indices:
+        # -x mod N for Z_N, Horner's rule over the digits (-c mod p) for Z_p^r
+        signs = (1, *[-1] * (self.k - 1), 1)
+        if isinstance(g.a_group, VectorGroup):
+            starts = []
+            for sign, e in zip(signs, (w, *x)):
                 i = 0
                 for c in e:
-                    i = i * p + c
-                indices.append(i)
-        first, *middle, last = starts = [step * i for i in indices]
-        if min(map(codes.__getitem__, starts)) < 0:
-            xs = np.array(elements)  # A-indices for Z_N, coordinates for Z_p^r
-            rows = _codes(self.g, np.stack([xs, -xs], axis=1), self.k)
-            # within the lookup's limits a code has at most 45 bits
-            assert rows.dtype == np.int64, "codes exceed int64"
-            for s, row in zip(starts, rows):
-                codes[s : s + step] = array("q", row.tobytes())
+                    i = i * p + sign * c % p
+                starts.append(i * p)
+        else:
+            starts = [sign * e % g.a_group.n * p for sign, e in zip(signs, (w, *x))]
+        first, *middle, last = starts
         sums = [codes[first + 1]]  # M^(1) = I
         for s in middle:
-            row = codes[s + p : s + 2 * p]
+            row = codes[s : s + p]
             sums = [u + c for u in sums for c in row]
         inverse: dict[int, list] = {}
         for b, image in enumerate(map(decode, codes[last : last + p])):
@@ -523,11 +514,11 @@ class _Context:
             itertools.compress(self.prefixes, found), filter(None, found)) for b in bs]))
 
 
-# A context holds 16 |A| p bytes of codes, at most 1 MiB at |A| p = 2^16,
-# the most the lookup takes, plus its decode list (k N entries for Z_N) or
-# lut: with every element used, 2.6 MiB for zn N=32768 p=2 at k = 2 and
-# 3.9 MiB at k = 7 (tracemalloc), so the eight kept contexts hold at most
-# about 32 MiB.
+# A context holds a view of eta's table of codes (8 |A| p bytes, at most
+# 512 KiB at |A| p = 2^16, the most the lookup takes) and its decode list
+# (k N entries for Z_N) or lut: 2.0 MiB with the table for zn N=32768 p=2
+# at k = 2 and 3.3 MiB at k = 7 (tracemalloc), so the eight kept contexts
+# hold at most about 27 MiB.
 @lru_cache(maxsize=8)
 def _context(g: SemidirectGroup, k: int) -> _Context:
     return _Context(g, k)

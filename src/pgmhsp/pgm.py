@@ -107,44 +107,46 @@ def success_probability_formula(
 def outcome_distribution(
     k: int,
     g: SemidirectGroup,
-    d,
+    d=None,
     enumeration_cap: int | None = None,
-) -> np.ndarray:
-    """Exact outcome probabilities tr(E_j rho_d^(x)k) over j in A-index order.
+    population_cap: int | None = None,
+) -> tuple[np.ndarray, float, EtaStats]:
+    """(probs, fail_mass, stats) from one walk over the symmetry orbits of
+    A^k (eta.eta_orbits), after the enumeration and population caps: the
+    exact outcome probabilities tr(E_j rho^(x)k) over j in A-index order,
+    the mass outside the ensemble support, and the exact eta histogram.
 
-    Blockwise: Pr(j) = S[d - j] / (|G|^k |A|), with S = sum_x P_x and
-    P_x = |FFT_A(sqrt(eta^x_.))|^2 (a length-N FFT for Z_N, a (p,)*r FFT
-    for Z_p^r).  A unit c gives P_(cx)[j] = P_x[c j], so S is constant on
-    each unit class of j, and the sum of P_x over a class depends on x only
-    through its eta multiset: it is summed over the symmetry orbits of A^k
-    (eta.eta_orbits) and spread evenly over the class.
+    For rho_d: Pr(j) = S[d - j] / (|G|^k |A|), with S = sum_x P_x and
+    P_x = |FFT_A(sqrt(eta^x_.))|^2 (a length-N FFT for Z_N, a (p,)*r FFT for
+    Z_p^r).  A unit c gives P_(cx)[j] = P_x[c j], so S is constant on each
+    unit class of j, and the sum of P_x over a class depends on x only
+    through its eta multiset: it is summed over the orbits and spread evenly
+    over the class.  For d = None, the maximally mixed (trivial-subgroup)
+    state, each j has support / (|G|^k |A|) and 1 - support / |G|^k fails;
+    the support, the (x, w) with eta^x_w > 0, is read off the histogram.
     """
     a = g.a_group
-    d = a.reduce(d)
-    amps = ((w, fft_over_a(a, np.sqrt(eta))) for w, eta in eta_orbits(g, k, enumeration_cap))
-    power = class_means(a, (w.astype(float) @ (f.real**2 + f.imag**2) for w, f in amps))
-    shifts = [a.index(a.add(d, a.neg(j))) for j in a.elements()]
-    return power[shifts] / (g.order**k * a.order)
-
-
-def trivial_state_outcome_distribution(
-    k: int,
-    g: SemidirectGroup,
-    enumeration_cap: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Outcome probabilities for the maximally mixed (trivial-subgroup)
-    input, plus the leftover mass outside the ensemble support.  The support
-    dimension, the number of (x, w) with eta^x_w > 0, is an exact integer
-    summed over the symmetry orbits of x (eta.eta_orbits)."""
-    a = g.a_group
-    support = sum(
-        int(weights @ np.count_nonzero(eta, axis=1))
-        for weights, eta in eta_orbits(g, k, enumeration_cap)
-    )
+    d = None if d is None else a.reduce(d)
+    check_enumeration(g.p, k, enumeration_cap)
+    hist = EtaHistogram(g, k, population_cap)
+    walk = eta_orbits(g, k, enumeration_cap)
     dim = g.order**k
-    per_outcome = support / (dim * a.order)
-    probs = np.full(a.order, per_outcome)
-    return probs, 1.0 - support / dim
+    if d is None:
+        for weights, eta in walk:
+            hist.add(weights, eta)
+        stats = hist.stats()
+        support = stats.population - stats.counts.get(0, 0)
+        return np.full(a.order, support / (dim * a.order)), 1.0 - support / dim, stats
+
+    def laws():
+        for weights, eta in walk:
+            hist.add(weights, eta)
+            f = fft_over_a(a, np.sqrt(eta))
+            yield weights.astype(float) @ (f.real**2 + f.imag**2)
+
+    power = class_means(a, laws())
+    shifts = [a.index(a.add(d, a.neg(j))) for j in a.elements()]
+    return power[shifts] / (dim * a.order), 0.0, hist.stats()
 
 
 # ---------------------------------------------------------------------------

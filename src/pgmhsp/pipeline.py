@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eta import check_population, eta_statistics
 from .groups import (
     CyclicGroup,
     GroupElement,
@@ -41,7 +40,7 @@ from .groups import (
     semidirect_zpr,
     subgroup_order,
 )
-from .pgm import best_certified_lower_bound, outcome_distribution, trivial_state_outcome_distribution
+from .pgm import EtaStats, best_certified_lower_bound, outcome_distribution
 
 
 class HidingFunction:
@@ -304,14 +303,9 @@ class PGMRunResult(_Record):
         self.oracle_queries = oracle_queries
 
 
-def default_trial_budget(
-    k: int,
-    g: SemidirectGroup,
-    enumeration_cap: int | None = None,
-    population_cap: int | None = None,
-) -> int:
-    """ceil(40 / certified-lower-bound) trials."""
-    stats = eta_statistics(g, k, cap=population_cap, enumeration_cap=enumeration_cap)
+def default_trial_budget(k: int, g: SemidirectGroup, stats: EtaStats) -> int:
+    """ceil(40 / certified-lower-bound) trials, from the exhaustive eta
+    histogram ``stats`` of (g, k)."""
     bracket = best_certified_lower_bound(k, g, stats)
     return math.ceil(40 / bracket.lower)
 
@@ -328,27 +322,22 @@ def run_pgm_hsp(
     """Measurement-driven search for the order-p hidden subgroup.
 
     The oracle fixture must hide either the trivial subgroup or some
-    <(d, 1)> of order p (the promise after reduction).  Outcomes are
-    sampled from the exact distribution by inverse CDF, one
-    ``random.Random(seed).random()`` draw per trial (the generator
-    eta-stats --mode sampled also uses); every candidate is verified with
-    two real queries.
+    <(d, 1)> of order p (the promise after reduction), checked after the
+    one orbit walk (pgm.outcome_distribution) that gives the exact outcome
+    law and the eta histogram of the default budget.  Outcomes are sampled
+    by inverse CDF, one ``random.Random(seed).random()`` draw per trial
+    (the generator eta-stats --mode sampled also uses); every candidate is
+    verified with two real queries.
     """
     if seed is not None and seed < 0:  # random.Random(-s) would draw what s draws
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if trials is None:
-        trials = default_trial_budget(k, g, enumeration_cap, population_cap)
     a = g.a_group
     hidden_d = f.hidden_d
+    probs, fail_mass, stats = outcome_distribution(k, g, hidden_d, enumeration_cap, population_cap)
+    if trials is None:
+        trials = default_trial_budget(k, g, stats)
     if hidden_d is not None and subgroup_order(hidden_d, g) != g.p:
         raise ValueError("fixture's planted subgroup does not have order p")
-    # the outcome laws walk the symmetry orbits as the eta histogram does
-    check_population(g, k, population_cap)
-    if hidden_d is not None:
-        probs = outcome_distribution(k, g, hidden_d, enumeration_cap)
-        fail_mass = 0.0
-    else:
-        probs, fail_mass = trivial_state_outcome_distribution(k, g, enumeration_cap)
     cdf = np.cumsum(np.append(probs, fail_mass))
     rng = random.Random(seed)
     result = PGMRunResult(SubgroupDescription((), 1), group=g, seed=seed)

@@ -251,7 +251,7 @@ def test_criterion_07_neumark_consistency():
             direct = float(np.trace(dense_element(povm, j) @ rho).real)
             assert abs(sim[ji] - direct) < 1e-10
         # the library's outcome law and success probability
-        assert np.abs(outcome_distribution(2, HEIS3, d) - sim).max() < 1e-10
+        assert np.abs(outcome_distribution(2, HEIS3, d)[0] - sim).max() < 1e-10
         assert abs(sim[a.index(d)] - success) < 1e-10
     print(
         "\n[PASS] criterion 7: Neumark measurement simulation reproduces "
@@ -281,12 +281,12 @@ def test_criterion_08_stripped_metacyclic():
 
 def test_criterion_09_end_to_end_hsp():
     start = time.monotonic()
-    budget_z7 = default_trial_budget(1, Z7)
+    budget_z7 = default_trial_budget(1, Z7, eta_statistics(Z7, 1))
     for d in range(7):
         f = coset_hiding_function(Z7, hidden=d)
         result = run_pgm_hsp(f, Z7, 1, trials=budget_z7, seed=1000 + d)
         assert result.answer.cyclic_d == d, (d, result.answer)
-    budget_heis = default_trial_budget(2, HEIS3)
+    budget_heis = default_trial_budget(2, HEIS3, eta_statistics(HEIS3, 2))
     for d in HEIS3.a_group.elements():
         f = coset_hiding_function(HEIS3, hidden=d)
         result = run_pgm_hsp(f, HEIS3, 2, trials=budget_heis, seed=53)

@@ -713,6 +713,17 @@ def test_eta_stats_exhaustive_rejects_sampling_flags(capsys, extra):
     assert capsys.readouterr().err == f"error: {extra[0]} does not apply to exhaustive mode\n"
 
 
+def test_eta_stats_sampled_rejects_pop_cap(capsys):
+    # sampled mode draws a fixed number of samples and walks no orbits, so a
+    # population cap would be ignored
+    argv = ["eta-stats", "--group", "zpr p=5 jordan=3", "--k", "3", "--mode", "sampled",
+            "--samples", "100", "--seed", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--pop-cap", "1"]) == 2
+    assert capsys.readouterr().err == "error: --pop-cap does not apply to sampled mode\n"
+
+
 def test_run_hsp_stripped_exact():
     proc = run_cli(
         ["run-hsp", "--algo", "stripped", "--group", "zn N=7 p=3 mu=2", "--exact"]

@@ -342,8 +342,8 @@ def test_lookup_decodes_digits_in_groups(handed_over):
 
 
 def test_lookup_peak_on_a_large_group_is_under_a_mebibyte():
-    # |A| = 9901: the context's codes (16 |A| p bytes, 475 KB) and decode
-    # list fit in 1 MiB with the call; b = (1, 2) is planted, M^(1) = 1 and
+    # |A| = 9901: the table of A's codes (8 |A| p bytes, 238 KB) and the
+    # decode list fit in 1 MiB with the call; b = (1, 2) is planted, M^(1) = 1 and
     # M^(2) = 1 + mu = 100
     g = parse_group_spec("zn N=9901 p=3 mu=99")
     inst = MSumInstance(g, (5, 9900), (5 - 100) % 9901)
@@ -442,6 +442,21 @@ def test_discrete_log_context_is_built_once(monkeypatch):
     assert built == [(2, 5, 31)]
 
 
+def test_discrete_log_check_builds_no_table(monkeypatch):
+    # the route is O(sqrt p); its answer is checked by groups.matrix_sum in
+    # O(log b) products, not against the p running sums of msum_table
+    def refuse(g):
+        raise AssertionError("msum_table built")
+
+    monkeypatch.setattr(msum, "msum_table", refuse, raising=False)
+    g = parse_group_spec("zn N=100043 p=50021 mu=4")
+    inst = MSumInstance(g, (5,), 78386)
+    assert solve_auto(inst).solutions == ((12345,),)
+    for w in (0, 1, 78387):
+        inst = MSumInstance(g, (5,), w)
+        assert solve_metacyclic_dlog(inst) == solve_bruteforce(inst)
+
+
 def test_non_unit_discrete_log_instances_take_the_lookup(monkeypatch):
     # x = 0 and x sharing a factor with N, and a group whose mu - 1 is no
     # unit: the residual lookup answers, brute force is never reached
@@ -471,27 +486,53 @@ def test_non_unit_discrete_log_instances_take_the_lookup(monkeypatch):
 @pytest.mark.parametrize("spec", ["zn N=32768 p=2 mu=16385", "zpr p=2 jordan=2,2,2,2,2,2,2,1"])
 def test_context_keeps_no_object_per_element(spec):
     # |A| p = 2^16, the most the residual lookup takes, at k = 2: once
-    # instances have used every element of A, the context keeps its 1 MiB
-    # table of codes and its decode list or lut, and nothing per element
+    # instances have used every element of A, the context keeps a view of
+    # eta's 512 KiB table of codes and its decode list or lut, and nothing
+    # per element; filling the table, in blocks of rows, peaks under 4 MiB
     g = parse_group_spec(spec)
     a = g.a_group
     elements = list(a.elements())
     msum._context.cache_clear()
+    eta_module._codes_of_a.cache_clear()
     tracemalloc.start()
     try:
         context = msum._context(g, 2)
         for i in range(0, a.order, 3):
             context.solve(elements[i : i + 2], elements[(i + 2) % a.order])
-        size = tracemalloc.get_traced_memory()[0]
+        size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert min(context.codes) >= 0  # every element of A was filled
     assert size < 4 * 2**20, size
+    assert peak < 4 * 2**20, peak
     rng = random.Random(2)
     for _ in range(20):
         x = (a.element(rng.randrange(a.order)), a.element(rng.randrange(a.order)))
         inst = MSumInstance(g, x, a.element(rng.randrange(a.order)))
         assert solve_auto(inst).solutions == solve_bruteforce(inst).solutions
+    msum._context.cache_clear()
+
+
+@pytest.mark.parametrize("spec", ["zn N=31 p=5 mu=2", "zpr p=3 jordan=3"])
+def test_lookup_and_walk_share_one_code_table(spec):
+    # the orbit walk and the residual lookup of one (group, k) read one
+    # read-only table, built once; the context keeps only a view of it
+    g = parse_group_spec(spec)
+    a = g.a_group
+    msum._context.cache_clear()
+    eta_module._codes_of_a.cache_clear()
+    eta_statistics(g, 2)
+    rng = random.Random(4)
+    for _ in range(30):
+        x = (a.element(rng.randrange(a.order)), a.element(rng.randrange(a.order)))
+        inst = MSumInstance(g, x, a.element(rng.randrange(a.order)))
+        assert solve_auto(inst).solutions == solve_bruteforce(inst).solutions
+    assert eta_module._codes_of_a.cache_info().misses == 1
+    table = eta_module._codes_of_a(g, 2)
+    assert not table.flags.writeable
+    context = msum._context(g, 2)
+    assert context.codes.readonly
+    assert np.shares_memory(np.asarray(context.codes), table)
+    assert not any(isinstance(value, np.ndarray) for value in vars(context).values())
     msum._context.cache_clear()
 
 

@@ -19,7 +19,6 @@ from pgmhsp.pgm import (
     outcome_distribution,
     pgm_report,
     success_probability_formula,
-    trivial_state_outcome_distribution,
 )
 
 import oracles
@@ -157,7 +156,7 @@ def test_orbit_outcome_law_matches_all_x_oracle(spec, k):
     g = parse_group_spec(spec)
     a = g.a_group
     for d in (a.zero, a.element(a.order - 1)):
-        law = outcome_distribution(k, g, d)
+        law = outcome_distribution(k, g, d)[0]
         assert np.abs(law - outcome_distribution_all_x(k, g, d)).max() < 1e-12
 
 
@@ -229,7 +228,7 @@ def test_outcome_distribution_matches_dense_traces():
     for g, k, d in [(Z7, 1, 2), (HEIS3, 2, (1, 1))]:
         povm = build_pgm(k, g)
         rho, _ = hidden_subgroup_state(d, k, g)
-        dist = outcome_distribution(k, g, d)
+        dist = outcome_distribution(k, g, d)[0]
         for ji, j in enumerate(g.a_group.elements()):
             direct = float(np.trace(dense_element(povm, j) @ rho).real)
             assert abs(dist[ji] - direct) < 1e-10
@@ -248,7 +247,7 @@ def test_povm_completeness_on_states():
 
 
 def test_trivial_state_distribution():
-    probs, fail = trivial_state_outcome_distribution(2, HEIS3)
+    probs, fail, _ = outcome_distribution(2, HEIS3)
     assert np.allclose(probs, probs[0])
     assert 0 < fail < 1
     # against the dense maximally mixed state
@@ -550,7 +549,7 @@ def test_neumark_rectangular_case():
 @pytest.mark.parametrize("d", [(0, 0), (1, 1), (2, 1)])
 def test_neumark_measurement_simulation(d):
     sim = simulate_neumark_outcomes(2, HEIS3, d)
-    ref = outcome_distribution(2, HEIS3, d)
+    ref = outcome_distribution(2, HEIS3, d)[0]
     assert np.abs(sim - ref).max() < 1e-10
 
 

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from pgmhsp import eta
+from pgmhsp.eta import eta_statistics
 from pgmhsp.groups import (
     CyclicGroup,
     GroupElement,
@@ -11,6 +13,7 @@ from pgmhsp.groups import (
     semidirect_zn,
     semidirect_zpr,
 )
+from pgmhsp.pgm import outcome_distribution
 from pgmhsp.pipeline import (
     SubgroupDescription,
     abelian_hsp_solve,
@@ -284,8 +287,40 @@ def test_run_pgm_hsp_rejects_bad_promise():
 
 
 def test_default_trial_budget():
-    assert default_trial_budget(1, Z7) == 115  # ceil(40 / (361/1029))
-    assert default_trial_budget(2, HEIS3) == 82
+    assert default_trial_budget(1, Z7, eta_statistics(Z7, 1)) == 115  # ceil(40 / (361/1029))
+    assert default_trial_budget(2, HEIS3, eta_statistics(HEIS3, 2)) == 82
+    # the outcome law's walk yields the same histogram, planted or trivial
+    for g, k in ((Z7, 1), (HEIS3, 2)):
+        for d in (g.a_group.zero, None):
+            assert outcome_distribution(k, g, d)[2] == eta_statistics(g, k)
+
+
+@pytest.mark.parametrize("fixture", ["planted", "trivial", "quotient"])
+def test_run_pgm_hsp_walks_the_orbits_once(monkeypatch, fixture):
+    # the outcome law and the default trial budget's eta histogram come from
+    # one walk: one image-table row per symmetry orbit of A^k
+    rows = []
+    image_table = eta.image_table
+
+    def counting_image_table(g, xs, *args):
+        rows.append(len(xs))
+        return image_table(g, xs, *args)
+
+    monkeypatch.setattr(eta, "image_table", counting_image_table)
+    if fixture == "quotient":
+        g = semidirect_jordan(3, (3,))
+        gens = [GroupElement((0, 0, 1), 0), GroupElement((0, 0, 0), 1)]
+        result = solve_hsp(coset_hiding_function(g, generators=gens), g, 2, seed=1)
+        assert result.answer.order == 9 and not result.reduction_final
+        run = result.pgm_run
+    else:
+        f = coset_hiding_function(HEIS3, hidden=(1, 1) if fixture == "planted" else None)
+        run = run_pgm_hsp(f, HEIS3, 2, seed=1)
+        if fixture == "planted":
+            assert run.answer.cyclic_d == (1, 1)
+        else:
+            assert run.answer.is_trivial and run.trials_used == 82
+    assert sum(rows) == eta.orbit_rows(run.group.a_group, 2)
 
 
 def test_transcript_structure():
