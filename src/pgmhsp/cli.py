@@ -206,7 +206,7 @@ def cmd_eta_stats(args) -> int:
         mode=args.mode,
         samples=args.samples,
         seed=args.seed,
-        cap=pop_cap(args.pop_cap),
+        cap=pop_cap(args.pop_cap) if args.mode == "exhaustive" else None,
         enumeration_cap=enum_cap(args.enum_cap),
     )
     csv_lines = ["eta_value,count"]
@@ -285,6 +285,8 @@ def cmd_run_hsp(args) -> int:
             _reject_unapplied(args, ("--trials", "--seed"), "--exact")
         return _run_hsp_stripped(args)
     _reject_unapplied(args, ("--exact", "--group"), "--algo pgm")
+    if args.trials is not None:
+        _reject_unapplied(args, ("--pop-cap",), "--trials")
     return _run_hsp_pgm(args)
 
 
@@ -350,7 +352,7 @@ def _run_hsp_pgm(args) -> int:
         trials=args.trials,
         seed=args.seed,
         enumeration_cap=enum_cap(args.enum_cap),
-        population_cap=pop_cap(args.pop_cap),
+        population_cap=None if args.trials is not None else pop_cap(args.pop_cap),
     )
     doc = {
         "group": format_group_spec(g),

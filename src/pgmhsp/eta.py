@@ -4,8 +4,8 @@ characters of A that pgm and metacyclic read, as integer phase indices.
 Row x of the image table holds, in column idx_b(b), the A-index of
 sum_j M^(b_j) x_j over b in Z_p^k; eta^x_w, the number of solutions of the
 instance (x, w), is the number of entries equal to w in row x.  The eta
-histogram here, and the success formula and the outcome laws in pgm, are
-read off this table; the per-instance solvers in msum share its integer
+histogram here, and the success formula and the block outcome law in pgm,
+are read off this table; the per-instance solvers in msum share its integer
 codes, and the residual lookup reads its cached table of A (_codes_of_a).
 
 Every exhaustive sum over A^k walks one x per symmetry orbit (eta_orbits),
@@ -341,24 +341,6 @@ def _unit_classes(a, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.searchsorted(starts, ranks, side="right") - 1
     nonzero = ranks > 0
     return np.where(nonzero, powers[e] + ranks - starts[e], 0), np.where(nonzero, p - 1, 1)
-
-
-def class_means(a, laws) -> np.ndarray:
-    """Sum the per-element arrays ``laws`` over each unit class of A, and
-    spread every class total evenly over its members, in A-index order."""
-    j = np.arange(a.order, dtype=np.int64)
-    if isinstance(a, CyclicGroup):
-        reps = np.gcd(j, a.n) % a.n
-    else:
-        # scale each vector by the inverse of its leading nonzero coordinate
-        digits = index_digits(j, a.p, a.r)
-        lead = np.take_along_axis(digits, (digits != 0).argmax(axis=1)[:, None], axis=1)
-        inverses = np.array([0] + [pow(c, -1, a.p) for c in range(1, a.p)], dtype=np.int64)
-        reps = digits * inverses[lead] % a.p @ a.p ** np.arange(a.r - 1, -1, -1)
-    # class ranks: _unit_classes lists representatives in ascending A-index
-    ranks = np.searchsorted(_unit_classes(a, np.arange(_unit_class_count(a)))[0], reps)
-    totals = sum(np.bincount(ranks, weights=law) for law in laws)
-    return (totals / np.bincount(ranks))[ranks]
 
 
 def _colex_tables(n: int, m: int) -> list[np.ndarray]:

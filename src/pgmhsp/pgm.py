@@ -5,17 +5,18 @@ The PGM for the k-copy ensemble is block diagonal over x in A^k; each
 block element is the rank-one projector onto
 |e^x_j> = |A|^(-1/2) sum_w chi_w(j) |S^x_w>, with S^x_w the solutions of
 the matrix sum instance (x, w).  Every quantity here is read off the eta
-table (eta): the success formula and the outcome laws sum over the
-symmetry orbits of A^k, and pgm_report checks the optimality conditions on
-one x per orbit, building no array over all of A^k.  The block route over
-every x (the PGM's factors, the trace and optimality check of a given POVM,
-and the Neumark blocks) is the tests' reference, in tests/oracles.py.
+table (eta): the success formula sums over the symmetry orbits of A^k, a
+block's outcome law reads its own row, and pgm_report checks optimality
+on one x per orbit.  The block route over every x (the PGM's factors, the
+trace and optimality check of a given POVM, the Neumark blocks, the outcome
+law) is the tests' reference, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,11 +28,11 @@ from .eta import (
     EtaStats,
     _phase_roots,
     check_enumeration,
-    class_means,
     eta_orbits,
     eta_rows,
     eta_statistics,
     fft_over_a,
+    image_table,
     orbit_images,
     orbit_rows,
     phase_indices,
@@ -104,49 +105,28 @@ def success_probability_formula(
     return total.probability(g, k)
 
 
-def outcome_distribution(
-    k: int,
-    g: SemidirectGroup,
-    d=None,
-    enumeration_cap: int | None = None,
-    population_cap: int | None = None,
-) -> tuple[np.ndarray, float, EtaStats]:
-    """(probs, fail_mass, stats) from one walk over the symmetry orbits of
-    A^k (eta.eta_orbits), after the enumeration and population caps: the
-    exact outcome probabilities tr(E_j rho^(x)k) over j in A-index order,
-    the mass outside the ensemble support, and the exact eta histogram.
+@lru_cache(maxsize=16)
+def _minus(a, d) -> np.ndarray:
+    """A-indices of d - j over j in A-index order, read-only."""
+    shifts = np.array([a.index(a.add(d, a.neg(j))) for j in a.elements()], dtype=np.int64)
+    shifts.flags.writeable = False
+    return shifts
 
-    For rho_d: Pr(j) = S[d - j] / (|G|^k |A|), with S = sum_x P_x and
-    P_x = |FFT_A(sqrt(eta^x_.))|^2 (a length-N FFT for Z_N, a (p,)*r FFT for
-    Z_p^r).  A unit c gives P_(cx)[j] = P_x[c j], so S is constant on each
-    unit class of j, and the sum of P_x over a class depends on x only
-    through its eta multiset: it is summed over the orbits and spread evenly
-    over the class.  For d = None, the maximally mixed (trivial-subgroup)
-    state, each j has support / (|G|^k |A|) and 1 - support / |G|^k fails;
-    the support, the (x, w) with eta^x_w > 0, is read off the histogram.
-    """
-    a = g.a_group
-    d = None if d is None else a.reduce(d)
-    check_enumeration(g.p, k, enumeration_cap)
-    hist = EtaHistogram(g, k, population_cap)
-    walk = eta_orbits(g, k, enumeration_cap)
-    dim = g.order**k
+
+def block_outcome_law(
+    g: SemidirectGroup, xs, d=None, enumeration_cap: int | None = None
+) -> tuple[np.ndarray, float]:
+    """(probs, fail_mass) of the PGM outcome j, in A-index order, on the block
+    x with per-copy A-indices ``xs``, from x's image-table row: for rho_d,
+    Pr(j | x) = |FFT_A(sqrt(eta^x))[d - j]|^2 / (p^k |A|); for d = None (the
+    maximally mixed state) s / (p^k |A|), and 1 - s / p^k fails, s = #{w: eta^x_w > 0}."""
+    a, pk = g.a_group, g.p ** len(xs)
+    eta = eta_rows(image_table(g, np.array([xs], dtype=np.int64), enumeration_cap), a.order)[0]
     if d is None:
-        for weights, eta in walk:
-            hist.add(weights, eta)
-        stats = hist.stats()
-        support = stats.population - stats.counts.get(0, 0)
-        return np.full(a.order, support / (dim * a.order)), 1.0 - support / dim, stats
-
-    def laws():
-        for weights, eta in walk:
-            hist.add(weights, eta)
-            f = fft_over_a(a, np.sqrt(eta))
-            yield weights.astype(float) @ (f.real**2 + f.imag**2)
-
-    power = class_means(a, laws())
-    shifts = [a.index(a.add(d, a.neg(j))) for j in a.elements()]
-    return power[shifts] / (dim * a.order), 0.0, hist.stats()
+        support = int(np.count_nonzero(eta))
+        return np.full(a.order, support / (pk * a.order)), 1.0 - support / pk
+    f = fft_over_a(a, np.sqrt(eta))
+    return (f.real**2 + f.imag**2)[_minus(a, a.reduce(d))] / (pk * a.order), 0.0
 
 
 # ---------------------------------------------------------------------------

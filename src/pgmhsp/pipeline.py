@@ -12,10 +12,10 @@ lexicographically-least coset representatives.  The quotient of Z_N is
 cyclic and the quotient of Z_p^r is elementary abelian, so both stay
 inside the supported families.
 
-The PGM stage samples the exact measurement outcome distribution for the
-state labeled by the planted generator; each sampled candidate is
-verified against the oracle with two real queries.  State preparation is
-charged k queries per trial to keep the standard accounting.
+The PGM stage draws a uniform block x per trial, then an outcome from its
+exact law for the state labeled by the planted generator; each sampled
+candidate is verified against the oracle with two real queries.  State
+preparation is charged k queries per trial to keep the standard accounting.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .eta import EtaStats, check_enumeration, eta_statistics
 from .groups import (
     CyclicGroup,
     GroupElement,
@@ -40,7 +41,7 @@ from .groups import (
     semidirect_zpr,
     subgroup_order,
 )
-from .pgm import EtaStats, best_certified_lower_bound, outcome_distribution
+from .pgm import best_certified_lower_bound, block_outcome_law
 
 
 class HidingFunction:
@@ -319,30 +320,31 @@ def run_pgm_hsp(
     enumeration_cap: int | None = None,
     population_cap: int | None = None,
 ) -> PGMRunResult:
-    """Measurement-driven search for the order-p hidden subgroup.
-
-    The oracle fixture must hide either the trivial subgroup or some
-    <(d, 1)> of order p (the promise after reduction), checked after the
-    one orbit walk (pgm.outcome_distribution) that gives the exact outcome
-    law and the eta histogram of the default budget.  Outcomes are sampled
-    by inverse CDF, one ``random.Random(seed).random()`` draw per trial
-    (the generator eta-stats --mode sampled also uses); every candidate is
-    verified with two real queries.
-    """
+    """Measurement-driven search for the order-p hidden subgroup: after the
+    enumeration cap, and without ``trials`` the population cap and
+    default_trial_budget's eta histogram walk, the fixture must keep the
+    promise after reduction (the trivial subgroup or some <(d, 1)> of order
+    p).  Each trial draws from one ``random.Random(seed)``: x_1..x_k,
+    ``randrange(|A|)`` each (Fourier sampling), then one ``random()`` picks j
+    by inverse CDF from pgm.block_outcome_law(x), failing past the last j;
+    every candidate is verified with two real queries."""
     if seed is not None and seed < 0:  # random.Random(-s) would draw what s draws
         raise ValueError(f"seed must be non-negative, got {seed}")
     a = g.a_group
     hidden_d = f.hidden_d
-    probs, fail_mass, stats = outcome_distribution(k, g, hidden_d, enumeration_cap, population_cap)
+    check_enumeration(g.p, k, enumeration_cap)
     if trials is None:
+        stats = eta_statistics(g, k, cap=population_cap, enumeration_cap=enumeration_cap)
         trials = default_trial_budget(k, g, stats)
     if hidden_d is not None and subgroup_order(hidden_d, g) != g.p:
         raise ValueError("fixture's planted subgroup does not have order p")
-    cdf = np.cumsum(np.append(probs, fail_mass))
     rng = random.Random(seed)
     result = PGMRunResult(SubgroupDescription((), 1), group=g, seed=seed)
     for trial in range(trials):
         result.prep_queries += k
+        xs = [rng.randrange(a.order) for _ in range(k)]
+        probs, fail_mass = block_outcome_law(g, xs, hidden_d, enumeration_cap)
+        cdf = np.cumsum(np.append(probs, fail_mass))
         draw = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
         if draw >= a.order:
             result.transcript.append(TrialRecord(trial, None, False, k))

@@ -42,7 +42,7 @@ from pgmhsp.groups import (
 from pgmhsp.eta import _phase_roots, eta_rows, fft_over_a, image_table, phase_indices
 from pgmhsp.metacyclic import _cdf, _erasure_table, _validate
 from pgmhsp.msum import MSumInstance, SolutionSet, solve_bruteforce
-from pgmhsp.pgm import OptimalityReport
+from pgmhsp.pgm import OptimalityReport, block_outcome_law
 from pgmhsp.pipeline import HidingFunction, ReducedProblem, subgroup_closure
 
 # ---------------------------------------------------------------------------
@@ -183,12 +183,30 @@ def success_probability_decimal(k: int, g: SemidirectGroup, digits: int = 50) ->
 
 def outcome_distribution_all_x(k: int, g: SemidirectGroup, d) -> np.ndarray:
     """Pr(j) = (1/(|G|^k |A|)) sum_x |FFT_A(sqrt(eta^x))[d - j]|^2, one FFT
-    per row over all |A|^k x (the reference for the sum over orbits)."""
+    per row over all |A|^k x (the reference for the per-block laws averaged
+    over x).  For d = None, the maximally mixed state, each j has
+    support / (|G|^k |A|), the support being the (x, w) with eta^x_w > 0;
+    the rest of the mass lies outside the ensemble support."""
     a = g.a_group
-    amps = fft_over_a(a, np.sqrt(eta_rows_all_x(g, k)))
+    eta = eta_rows_all_x(g, k)
+    if d is None:
+        return np.full(a.order, np.count_nonzero(eta) / (g.order**k * a.order))
+    amps = fft_over_a(a, np.sqrt(eta))
     power = (amps.real**2 + amps.imag**2).sum(axis=0)
     shifts = [a.index(a.add(a.reduce(d), a.neg(j))) for j in a.elements()]
     return power[shifts] / (g.order**k * a.order)
+
+
+def mean_block_outcome_law(k: int, g: SemidirectGroup, d=None) -> tuple[np.ndarray, float]:
+    """(probs, fail_mass) of pgm.block_outcome_law averaged over all |A|^k
+    blocks x, one call per block: the outcome law of the k-copy state as
+    run-hsp --algo pgm samples it, x uniform."""
+    total, fail = np.zeros(g.a_group.order), 0.0
+    blocks = x_tuples(g.a_group.order, k)
+    for xs in blocks.tolist():
+        probs, mass = block_outcome_law(g, xs, d)
+        total, fail = total + probs, fail + mass
+    return total / len(blocks), fail / len(blocks)
 
 
 def heisenberg_eta_distribution(p: int) -> dict[int, Fraction]:

@@ -37,7 +37,6 @@ from pgmhsp.msum import (
 )
 from pgmhsp.pgm import (
     lemma2_bounds,
-    outcome_distribution,
     pgm_report,
     success_probability_formula,
 )
@@ -59,6 +58,7 @@ from oracles import (
     group_elements,
     heisenberg_eta_distribution,
     hidden_subgroup_state,
+    mean_block_outcome_law,
     perfect_state_overlap,
     perturb_with_uniform,
     quotient_well_defined,
@@ -250,8 +250,8 @@ def test_criterion_07_neumark_consistency():
         for ji, j in enumerate(a.elements()):
             direct = float(np.trace(dense_element(povm, j) @ rho).real)
             assert abs(sim[ji] - direct) < 1e-10
-        # the library's outcome law and success probability
-        assert np.abs(outcome_distribution(2, HEIS3, d)[0] - sim).max() < 1e-10
+        # the library's per-block outcome laws, averaged over x, and success probability
+        assert np.abs(mean_block_outcome_law(2, HEIS3, d)[0] - sim).max() < 1e-10
         assert abs(sim[a.index(d)] - success) < 1e-10
     print(
         "\n[PASS] criterion 7: Neumark measurement simulation reproduces "

@@ -497,32 +497,34 @@ def test_pgm_report_population_cap():
 
 
 @pytest.mark.parametrize(
-    "fixture_doc,extra",
+    "fixture_doc,extra,code,message",
     [
         # the default trial budget counts the eta histogram: |A|^2 = 49 > 10
-        ({"group": "zn N=7 p=3 mu=2", "hidden": "trivial"}, ["--k", "1", "--pop-cap", "10"]),
-        # the outcome distribution enumerates p^k = 9 > 1 values of b
+        ({"group": "zn N=7 p=3 mu=2", "hidden": "trivial"}, ["--k", "1", "--pop-cap", "10"],
+         3, "cap exceeded"),
+        # each trial's block law enumerates p^k = 9 > 1 values of b
         (
             {"group": "zpr p=3 jordan=2", "hidden": {"d": [1, 1]}},
             ["--k", "2", "--trials", "5", "--enum-cap", "1"],
+            3, "cap exceeded",
         ),
-        # the outcome law walks the symmetry orbits like the eta histogram:
-        # with a given budget, 175 orbit rows times |A| = 25 still exceed 1000
+        # a given budget walks no orbits, so no population cap applies to it
         (
             {"group": "zpr p=5 jordan=2", "hidden": {"d": [1, 1]}},
             ["--k", "2", "--trials", "5", "--pop-cap", "1000"],
+            2, "error: --pop-cap does not apply to --trials",
         ),
     ],
     ids=["pop-cap", "enum-cap", "pop-cap-trials"],
 )
-def test_run_hsp_pgm_caps(tmp_path, fixture_doc, extra):
+def test_run_hsp_pgm_caps(tmp_path, fixture_doc, extra, code, message):
     fixture = tmp_path / "fixture.json"
     fixture.write_text(json.dumps(fixture_doc))
     proc = run_cli(
         ["run-hsp", "--algo", "pgm", "--fixture", str(fixture), "--seed", "1", *extra]
     )
-    assert proc.returncode == 3
-    assert "cap exceeded" in proc.stderr
+    assert proc.returncode == code
+    assert message in proc.stderr
 
 
 def test_unapplied_cap_flags_are_not_accepted():
@@ -600,6 +602,22 @@ def test_cap_environment_variables(env, argv, code):
         assert "cap exceeded" in proc.stderr
     if code == 2:
         assert proc.stderr.startswith("error:") and next(iter(env)) in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["eta-stats", "run-hsp"])
+def test_pop_cap_environment_read_only_where_a_walk_applies_it(tmp_path, command):
+    # sampled eta-stats and run-hsp --algo pgm with --trials walk no orbits,
+    # so an invalid PGMHSP_POP_CAP is never read
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text('{"group": "zn N=7 p=3 mu=2", "hidden": {"d": 1}}')
+    argv = {
+        "eta-stats": ["eta-stats", "--group", "zn N=7 p=3 mu=2", "--k", "1", "--mode", "sampled",
+                      "--samples", "5", "--seed", "1"],
+        "run-hsp": ["run-hsp", "--algo", "pgm", "--fixture", str(fixture), "--trials", "5",
+                    "--seed", "1"],
+    }[command]
+    proc = run_cli(argv, env={"PGMHSP_POP_CAP": "0"})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cap_environment_read_once_per_process(monkeypatch):

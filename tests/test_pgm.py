@@ -16,7 +16,6 @@ from pgmhsp.groups import heisenberg_group, parse_group_spec, semidirect_jordan,
 from pgmhsp.pgm import (
     best_certified_lower_bound,
     lemma2_bounds,
-    outcome_distribution,
     pgm_report,
     success_probability_formula,
 )
@@ -35,6 +34,7 @@ from oracles import (
     dense_verify_optimality,
     eta_histogram_all_x,
     hidden_subgroup_state,
+    mean_block_outcome_law,
     outcome_distribution_all_x,
     perturb_with_uniform,
     pgm_from_inverse_sqrt,
@@ -156,7 +156,7 @@ def test_orbit_outcome_law_matches_all_x_oracle(spec, k):
     g = parse_group_spec(spec)
     a = g.a_group
     for d in (a.zero, a.element(a.order - 1)):
-        law = outcome_distribution(k, g, d)[0]
+        law = mean_block_outcome_law(k, g, d)[0]
         assert np.abs(law - outcome_distribution_all_x(k, g, d)).max() < 1e-12
 
 
@@ -172,9 +172,6 @@ def test_formula_and_outcome_law_walk_the_orbit_rows(monkeypatch, spec, k):
 
     monkeypatch.setattr(eta_module, "image_table", counting_image_table)
     success_probability_formula(k, g)
-    assert sum(rows) == eta_module.orbit_rows(g.a_group, k)
-    rows.clear()
-    outcome_distribution(k, g, g.a_group.zero)
     assert sum(rows) == eta_module.orbit_rows(g.a_group, k)
 
 
@@ -228,7 +225,7 @@ def test_outcome_distribution_matches_dense_traces():
     for g, k, d in [(Z7, 1, 2), (HEIS3, 2, (1, 1))]:
         povm = build_pgm(k, g)
         rho, _ = hidden_subgroup_state(d, k, g)
-        dist = outcome_distribution(k, g, d)[0]
+        dist = mean_block_outcome_law(k, g, d)[0]
         for ji, j in enumerate(g.a_group.elements()):
             direct = float(np.trace(dense_element(povm, j) @ rho).real)
             assert abs(dist[ji] - direct) < 1e-10
@@ -247,7 +244,7 @@ def test_povm_completeness_on_states():
 
 
 def test_trivial_state_distribution():
-    probs, fail, _ = outcome_distribution(2, HEIS3)
+    probs, fail = mean_block_outcome_law(2, HEIS3)
     assert np.allclose(probs, probs[0])
     assert 0 < fail < 1
     # against the dense maximally mixed state
@@ -549,7 +546,7 @@ def test_neumark_rectangular_case():
 @pytest.mark.parametrize("d", [(0, 0), (1, 1), (2, 1)])
 def test_neumark_measurement_simulation(d):
     sim = simulate_neumark_outcomes(2, HEIS3, d)
-    ref = outcome_distribution(2, HEIS3, d)[0]
+    ref = mean_block_outcome_law(2, HEIS3, d)[0]
     assert np.abs(sim - ref).max() < 1e-10
 
 

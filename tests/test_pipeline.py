@@ -1,20 +1,23 @@
 import random
 
+import numpy as np
 import pytest
 
-from pgmhsp import eta
+from pgmhsp import eta, pgm
+from pgmhsp.caps import CapExceeded
 from pgmhsp.eta import eta_statistics
 from pgmhsp.groups import (
     CyclicGroup,
     GroupElement,
+    element_index,
     heisenberg_group,
     parse_group_spec,
     semidirect_jordan,
     semidirect_zn,
     semidirect_zpr,
 )
-from pgmhsp.pgm import outcome_distribution
 from pgmhsp.pipeline import (
+    HidingFunction,
     SubgroupDescription,
     abelian_hsp_solve,
     check_h1_normal,
@@ -31,6 +34,7 @@ from oracles import (
     eager_coset_labels,
     group_elements,
     h1_normal_by_saturation,
+    outcome_distribution_all_x,
     quotient_well_defined,
     subgroups_of_a,
 )
@@ -289,16 +293,13 @@ def test_run_pgm_hsp_rejects_bad_promise():
 def test_default_trial_budget():
     assert default_trial_budget(1, Z7, eta_statistics(Z7, 1)) == 115  # ceil(40 / (361/1029))
     assert default_trial_budget(2, HEIS3, eta_statistics(HEIS3, 2)) == 82
-    # the outcome law's walk yields the same histogram, planted or trivial
-    for g, k in ((Z7, 1), (HEIS3, 2)):
-        for d in (g.a_group.zero, None):
-            assert outcome_distribution(k, g, d)[2] == eta_statistics(g, k)
 
 
+@pytest.mark.parametrize("trials", [None, 60], ids=["default", "given"])
 @pytest.mark.parametrize("fixture", ["planted", "trivial", "quotient"])
-def test_run_pgm_hsp_walks_the_orbits_once(monkeypatch, fixture):
-    # the outcome law and the default trial budget's eta histogram come from
-    # one walk: one image-table row per symmetry orbit of A^k
+def test_run_pgm_hsp_reads_one_row_per_trial(monkeypatch, fixture, trials):
+    # each trial evaluates its own block's image-table row; only the default
+    # budget's eta histogram walks the symmetry orbits, one row per orbit
     rows = []
     image_table = eta.image_table
 
@@ -307,20 +308,58 @@ def test_run_pgm_hsp_walks_the_orbits_once(monkeypatch, fixture):
         return image_table(g, xs, *args)
 
     monkeypatch.setattr(eta, "image_table", counting_image_table)
+    monkeypatch.setattr(pgm, "image_table", counting_image_table)
     if fixture == "quotient":
         g = semidirect_jordan(3, (3,))
         gens = [GroupElement((0, 0, 1), 0), GroupElement((0, 0, 0), 1)]
-        result = solve_hsp(coset_hiding_function(g, generators=gens), g, 2, seed=1)
+        result = solve_hsp(coset_hiding_function(g, generators=gens), g, 2, trials, seed=1)
         assert result.answer.order == 9 and not result.reduction_final
         run = result.pgm_run
     else:
         f = coset_hiding_function(HEIS3, hidden=(1, 1) if fixture == "planted" else None)
-        run = run_pgm_hsp(f, HEIS3, 2, seed=1)
+        run = run_pgm_hsp(f, HEIS3, 2, trials, seed=1)
         if fixture == "planted":
             assert run.answer.cyclic_d == (1, 1)
         else:
-            assert run.answer.is_trivial and run.trials_used == 82
-    assert sum(rows) == eta.orbit_rows(run.group.a_group, 2)
+            assert run.answer.is_trivial and run.trials_used == (trials or 82)
+    walked = eta.orbit_rows(run.group.a_group, 2) if trials is None else 0
+    assert sum(rows) == walked + run.trials_used
+
+
+@pytest.mark.parametrize("d", [(1, 1), None], ids=["planted", "trivial"])
+def test_trial_outcomes_follow_the_exact_law(d):
+    # 20 000 seeded trials (a uniform block x, then j from that block's law)
+    # against an oracle that hides the trivial subgroup, so no trial verifies
+    # and each is recorded; every outcome's count, failure included, lies
+    # within 5 sigma of its exact probability over all x
+    n, a = 20_000, HEIS3.a_group
+    planted = coset_hiding_function(HEIS3, hidden=d).hidden_subgroup
+    f = HidingFunction(HEIS3, lambda elem: element_index(elem, HEIS3), planted)
+    run = run_pgm_hsp(f, HEIS3, 2, trials=n, seed=7)
+    assert run.answer.is_trivial and len(run.transcript) == n
+    draws = [a.order if rec.sampled is None else a.index(rec.sampled) for rec in run.transcript]
+    law = outcome_distribution_all_x(2, HEIS3, d)
+    law = np.append(law, max(0.0, 1.0 - law.sum()))
+    counts = np.bincount(draws, minlength=law.size)
+    assert (np.abs(counts - n * law) <= 5 * np.sqrt(n * law * (1 - law)) + 1e-9).all()
+    assert (counts[-1] > 0) == (d is None)
+    # the first trials replay the documented draws: x_1, x_2, then one random()
+    rng = random.Random(7)
+    for draw in draws[:200]:
+        xs = [rng.randrange(a.order) for _ in range(2)]
+        cdf = np.cumsum(np.append(*pgm.block_outcome_law(HEIS3, xs, d)))
+        assert draw == min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), a.order)
+
+
+def test_run_pgm_hsp_with_trials_beyond_the_population_cap():
+    # Heisenberg p = 53 at k = 2: the orbit walk's 4.3e8 (x, w) pairs exceed
+    # the default population cap, which a given budget does not need
+    g = heisenberg_group(53)
+    f = coset_hiding_function(g, hidden=(1, 1))
+    run = run_pgm_hsp(f, g, 2, trials=40, seed=1)
+    assert run.answer.cyclic_d == (1, 1) and run.answer.order == 53
+    with pytest.raises(CapExceeded):
+        run_pgm_hsp(f, g, 2, seed=1)
 
 
 def test_transcript_structure():
