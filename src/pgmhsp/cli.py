@@ -175,9 +175,8 @@ def cmd_pgm_report(args) -> int:
             "upper": float(report.bracket.upper),
         },
         "optimality": {
-            "commutator_residual": report.optimality.commutator_residual,
-            "min_eig_margin": report.optimality.min_eig_margin,
-            "pass": report.optimality.passed,
+            "character_residual": report.character_residual,
+            "pass": report.passed,
         },
     }
     _write_output(jsonio.dumps(doc, indent=2), args.out)

@@ -84,10 +84,12 @@ def _phase_roots(m: int) -> np.ndarray:
 
 
 def phase_indices(a_group: AbelianGroup, w: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The package's only character representation: the phase index t, exact
-    modulo a_group.char_denominator, with chi_w(j) = exp(2 pi i t /
-    char_denominator) = _phase_roots(char_denominator)[t], for int64 arrays
-    of A-indices w and j broadcast against each other."""
+    """The phase index t, exact modulo a_group.char_denominator, with
+    chi_w(j) = exp(2 pi i t / char_denominator) =
+    _phase_roots(char_denominator)[t], for int64 arrays of A-indices w and j
+    broadcast against each other.  fft_over_a is the production route to the
+    characters; pgm_report's check compares it with the direct sum over
+    these indices."""
     if isinstance(a_group, CyclicGroup):
         return w * j % a_group.n
     p, r = a_group.p, a_group.r
@@ -467,8 +469,8 @@ class EtaHistogram:
         a, limit = g.a_group, pop_cap(cap)
         self.population = a.order ** (k + 1)
         if a.order > limit or orbit_rows(a, k) * a.order > limit:
-            raise CapExceeded(f"(x, w) pairs over the symmetry orbits of population "
-                              f"{self.population} exceed cap {limit}")
+            raise CapExceeded(f"orbit rows times |A|, the (x, w) pairs over the symmetry orbits "
+                              f"of population {self.population}, exceeds population cap {limit}")
         self.size = g.p**k + 1
         self.counts = 0
 

@@ -12,8 +12,9 @@ on *character labels*, i.e. the conjugate sum satisfies
 elements goes through the transpose (for Z_N the two coincide).  All the
 Fourier-side machinery (matrix sum problem, PGM blocks) consumes the
 stored matrix directly.  Characters chi_x(y) are not evaluated here:
-``char_denominator`` is their modulus, and ``eta.phase_indices`` their
-exact integer phase index.
+``char_denominator`` is their modulus, ``eta.fft_over_a`` sums against
+them, and ``eta.phase_indices`` gives their exact integer phase index for
+the direct sum that checks it.
 
 Everything here is a pure function of immutable values; instances are
 frozen ``__slots__`` classes (``_Frozen``) and safe to share across threads.

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +40,18 @@ from pgmhsp.groups import (
     phi_sum,
     subgroup_order,
 )
-from pgmhsp.eta import _phase_roots, eta_rows, fft_over_a, image_table, phase_indices
+from pgmhsp.eta import (
+    _CHUNK,
+    _phase_roots,
+    eta_rows,
+    fft_over_a,
+    image_table,
+    orbit_images,
+    phase_indices,
+)
 from pgmhsp.metacyclic import _cdf, _erasure_table, _validate
 from pgmhsp.msum import MSumInstance, SolutionSet, solve_bruteforce
-from pgmhsp.pgm import OptimalityReport, block_outcome_law
+from pgmhsp.pgm import OPTIMALITY_TOL, block_outcome_law
 from pgmhsp.pipeline import HidingFunction, ReducedProblem, subgroup_closure
 
 # ---------------------------------------------------------------------------
@@ -193,8 +202,13 @@ def outcome_distribution_all_x(k: int, g: SemidirectGroup, d) -> np.ndarray:
         return np.full(a.order, np.count_nonzero(eta) / (g.order**k * a.order))
     amps = fft_over_a(a, np.sqrt(eta))
     power = (amps.real**2 + amps.imag**2).sum(axis=0)
-    shifts = [a.index(a.add(a.reduce(d), a.neg(j))) for j in a.elements()]
-    return power[shifts] / (g.order**k * a.order)
+    return power[minus_loop(a, a.reduce(d))] / (g.order**k * a.order)
+
+
+def minus_loop(a: AbelianGroup, d) -> list[int]:
+    """A-indices of d - j over j in A-index order, element by element (the
+    reference for pgm._minus)."""
+    return [a.index(a.add(d, a.neg(j))) for j in a.elements()]
 
 
 def mean_block_outcome_law(k: int, g: SemidirectGroup, d=None) -> tuple[np.ndarray, float]:
@@ -804,6 +818,23 @@ def success_probability_trace(
     return float((amps.real**2 + amps.imag**2).sum())
 
 
+class OptimalityReport(NamedTuple):
+    """The two optimality conditions for the state ensemble: T = sum_j
+    sigma_j E_j is Hermitian (its largest entry of |T - T^dagger|) and
+    dominates every sigma_j (the least eigenvalue of T_h - sigma_j over j,
+    T_h = (T + T^dagger) / 2)."""
+
+    commutator_residual: float
+    min_eig_margin: float
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.commutator_residual <= OPTIMALITY_TOL
+            and self.min_eig_margin >= -OPTIMALITY_TOL
+        )
+
+
 def verify_optimality(
     k: int,
     g: SemidirectGroup,
@@ -837,6 +868,107 @@ def verify_optimality(
         np.einsum("xa,xb->xab", v_j, v_j.conj(), out=t)
         margin = min(margin, float(np.linalg.eigvalsh(np.subtract(t_h, t, out=t)).min()))
     return OptimalityReport(commutator_residual, margin)
+
+
+# ---------------------------------------------------------------------------
+# The per-orbit-row dense optimality check
+#
+# pgm.pgm_report derives the PGM's optimality from the characters'
+# orthogonality.  These check it on one x per symmetry orbit of A^k from the
+# vectors themselves: T^x, its commutator residual, one eigh of T_h^x, the
+# least eigenvalue of every rank-one downdate T_h^x - |v_j><v_j|, and T^x
+# against the closed form sum_w lambda_w |u_w><u_w| the derivation gives.
+
+
+def row_vectors(g: SemidirectGroup, k: int, images: np.ndarray, eta: np.ndarray):
+    """(e, v) of shape (rows, |A|, p^k) for image-table rows and their eta
+    rows: the PGM vectors e^x_j[b] = chi_w(j) / sqrt(|A| eta^x_w) and the
+    state vectors v^x_j[b] = chi_w(j) / sqrt(|G|^k), w the image of b, from
+    one phase-index table over (row, j, b)."""
+    a = g.a_group
+    t = phase_indices(a, images[:, None, :], np.arange(a.order, dtype=np.int64)[:, None])
+    chi = _phase_roots(a.char_denominator)[t]
+    norms = np.sqrt(a.order * np.take_along_axis(eta, images, axis=1))
+    return chi / norms[:, None, :], chi / math.sqrt(g.order**k)
+
+
+def least_eigenvalues(lam: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of diag(lam) - z z^dagger for each row of c = |z|^2,
+    shape (rows, m, n), with lam of shape (rows, n) ascending.
+
+    Below lam_0 the eigenvalues of the downdate are the roots of
+    psi(mu) = sum_i c_i / (lam_i - mu) = 1 (Bunch, Nielsen and Sorensen,
+    Numer. Math. 1978); its least one is the root there, or lam_0 itself
+    when the c_i at lam_0 vanish and no root lies below.  1/psi - 1 is
+    concave and decreasing there, so Newton steps on it from a point right
+    of the root descend to the root without passing it; the start lam_0 - tol
+    is such a point unless the root lies within tol of lam_0.  Every
+    lam_i - mu stays positive, so a vanishing c_i adds an exact 0.
+    """
+    lam = lam[:, None, :]
+    top = lam[..., 0]
+    tol = 4 * np.finfo(float).eps * np.maximum(np.abs(lam).max(axis=-1), c.sum(axis=-1))
+    mu = top - tol
+    for i in range(64):
+        gap = lam - mu[..., None]
+        psi = (c / gap).sum(axis=-1)
+        right = psi > 1
+        if i == 0:
+            at_top = ~right
+        dpsi = (c / gap**2).sum(axis=-1)
+        shift = np.divide(psi * (psi - 1), dpsi, out=np.zeros_like(psi), where=right)
+        mu -= shift
+        if not (shift > tol).any():
+            break
+    return np.where(at_top, top, mu)
+
+
+class RowCheck(NamedTuple):
+    """The per-orbit-row dense check: the d = 0 trace success probability,
+    the optimality conditions over the rows, the largest |margin| over every
+    (row, j), and the largest entry of |T^x - sum_w lambda_w |u_w><u_w||."""
+
+    trace: float
+    optimality: OptimalityReport
+    largest_margin: float
+    closed_form_residual: float
+
+
+def dense_row_check(k: int, g: SemidirectGroup) -> RowCheck:
+    """The optimality check on one x per symmetry orbit of A^k, from each
+    row's vectors (row_vectors): T^x = sum_j |v_j><v_j|e_j><e_j|, its
+    commutator residual, one eigh of T_h^x, and the least eigenvalue of
+    T_h^x - |v_j><v_j| for every j by the secular equation of that rank-one
+    downdate (least_eigenvalues).  A unit c sends block x to cx with outcome
+    j to cj, and permuting copies 2..k permutes b, so the blocks of one orbit
+    have the same residual and the same set of margins.  The closed form is
+    lambda_w = S sqrt(eta^x_w) / |G|^k, S = sum_w sqrt(eta^x_w), on the unit
+    solution vectors u_w."""
+    a, pk = g.a_group, g.p**k
+    step = max(1, _CHUNK // (max(a.order, pk) * pk))
+    trace, residual, margin, largest, closed = 0.0, 0.0, math.inf, 0.0, 0.0
+    for weights, images in orbit_images(g, k):
+        eta = eta_rows(images, a.order)
+        for lo in range(0, len(images), step):
+            rows, etas = images[lo : lo + step], eta[lo : lo + step]
+            e, v = row_vectors(g, k, rows, etas)
+            overlaps = np.einsum("xjb,xjb->xj", v.conj(), e)
+            amps = overlaps[:, 0].real ** 2 + overlaps[:, 0].imag ** 2  # d = 0 is A-index 0
+            trace += float(weights[lo : lo + step].astype(float) @ amps)
+            t = (v * overlaps[..., None]).transpose(0, 2, 1) @ e.conj()
+            t_dag = t.conj().transpose(0, 2, 1)
+            residual = max(residual, float(np.abs(t - t_dag).max()))
+            lam, q = np.linalg.eigh((t + t_dag) / 2)
+            z = v @ q.conj()
+            margins = least_eigenvalues(lam, z.real**2 + z.imag**2)
+            margin = min(margin, float(margins.min()))
+            largest = max(largest, float(np.abs(margins).max()))
+            s = np.sqrt(etas).sum(axis=1)
+            at_b = np.take_along_axis(etas, rows, axis=1)
+            same = rows[:, :, None] == rows[:, None, :]
+            form = np.where(same, (s[:, None] / np.sqrt(at_b))[:, :, None] / g.order**k, 0.0)
+            closed = max(closed, float(np.abs(t - form).max()))
+    return RowCheck(trace, OptimalityReport(residual, margin), largest, closed)
 
 
 @dataclass(frozen=True)

@@ -228,15 +228,18 @@ def test_criterion_05_lemma2_bracketing():
 
 def test_criterion_06_optimality():
     for g, k in CRITERION_4_INSTANCES:
-        for report in (verify_optimality(k, g), pgm_report(k, g).optimality):
-            assert report.commutator_residual < 1e-8
-            assert report.min_eig_margin >= -1e-8
-            assert report.passed
+        report = verify_optimality(k, g)
+        assert report.commutator_residual < 1e-8
+        assert report.min_eig_margin >= -1e-8
+        assert report.passed
+        report = pgm_report(k, g)
+        assert report.character_residual <= 1e-8
+        assert report.passed
     control = verify_optimality(1, Z7, perturb_with_uniform(build_pgm(1, Z7), 0.5))
     assert not control.passed
     print(
-        "\n[PASS] criterion 6: optimality conditions hold on all instances; "
-        "perturbed control fails"
+        "\n[PASS] criterion 6: optimality conditions hold on all instances and "
+        "pgm_report's character check passes; perturbed control fails"
     )
 
 

@@ -379,7 +379,7 @@ def test_pgm_report_z7():
 
 
 def test_pgm_report_heisenberg_k3_under_default_caps():
-    # |G|^3 = 19683: the orbit walk takes 225 rows of 27 x 27 entries
+    # |G|^3 = 19683: the orbit walk takes 225 rows of 27 entries
     proc = run_cli(["pgm-report", "--group", "zpr p=3 jordan=2", "--k", "3"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
@@ -471,8 +471,8 @@ def test_pgm_report_enumeration_cap_exits_3_before_tabulating():
 
 
 def test_pgm_report_dim_cap_exits_3_before_the_formula():
-    # |G|^k = 29791^3: the formula alone would walk 15 million orbit rows, and
-    # each row's T^x would hold 29791^2 entries, over the enumeration cap
+    # |G|^k = 29791^3: the walk would take 15 million orbit rows of 29791
+    # entries, and orbit rows times |A| exceed the population cap
     start = time.monotonic()
     proc = run_cli_in_1_gib(["pgm-report", "--group", "zpr p=31 jordan=2", "--k", "3"])
     assert proc.returncode == 3, proc.stderr
@@ -480,12 +480,14 @@ def test_pgm_report_dim_cap_exits_3_before_the_formula():
     assert time.monotonic() - start < 5
 
 
-def test_pgm_report_row_size_exits_3_in_1_gib():
-    # two orbit rows pass the population cap (9.7e7 entries in all), but each
-    # row's vectors and T^x hold 9839 x 4919 entries: several GB for one row
+def test_pgm_report_at_n_9839_runs_in_1_gib():
+    # two orbit rows of 4919 entries: a dense check of each row's 9839 x 4919
+    # vectors would take several GB, the character check 64 x 9839 phases
     proc = run_cli_in_1_gib(["pgm-report", "--group", "zn N=9839 p=4919 mu=4", "--k", "1"])
-    assert proc.returncode == 3, proc.stderr
-    assert "exceeds enumeration cap" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert abs(doc["pr_formula"] - doc["pr_trace"]) < 1e-10
+    assert doc["optimality"]["pass"] is True
 
 
 def test_pgm_report_population_cap():

@@ -11,7 +11,7 @@ import pytest
 from pgmhsp import eta as eta_module
 from pgmhsp import pgm
 from pgmhsp.caps import CapExceeded
-from pgmhsp.eta import EtaStats, eta_rows, eta_statistics
+from pgmhsp.eta import EtaStats, eta_rows, eta_statistics, fft_over_a, index_digits, phase_indices
 from pgmhsp.groups import heisenberg_group, parse_group_spec, semidirect_jordan, semidirect_zn
 from pgmhsp.pgm import (
     best_certified_lower_bound,
@@ -31,10 +31,13 @@ from oracles import (
     build_neumark,
     build_pgm,
     dense_element,
+    dense_row_check,
     dense_verify_optimality,
     eta_histogram_all_x,
     hidden_subgroup_state,
+    least_eigenvalues,
     mean_block_outcome_law,
+    minus_loop,
     outcome_distribution_all_x,
     perturb_with_uniform,
     pgm_from_inverse_sqrt,
@@ -201,9 +204,9 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 )
 def test_readme_headline_rows_match_all_x_oracle(label, g):
     # each cell is "Pr_success (certified lower bound)" to four places, bold at
-    # k = r and marked ✓ where pgm-report verifies optimality
+    # k = r
     row = next(line for line in README.read_text().splitlines() if line.startswith(f"| {label} |"))
-    cells = [cell.strip("*✓ ") for cell in row.split("|")[3:-1]]
+    cells = [cell.strip("* ") for cell in row.split("|")[3:-1]]
     for k, cell in enumerate(cells, start=1):
         value = float(success_probability_formula_all_x(k, g))
         stats = EtaStats(eta_histogram_all_x(g, k), g.a_group.order ** (k + 1), "exhaustive")
@@ -346,7 +349,7 @@ def test_pgm_report_heisenberg_k2_peak_memory(g, bound_mib):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.optimality.passed
+    assert report.passed
     assert peak < bound_mib * 2**20
 
 
@@ -371,7 +374,7 @@ def test_pgm_report_calls_no_block_route(monkeypatch):
     monkeypatch.setattr(eta_module, "image_table", counting_image_table)
     report = pgm.pgm_report(2, HEIS3)
     assert sum(rows) == eta_module.orbit_rows(HEIS3.a_group, 2)
-    assert report.consistent and report.optimality.passed
+    assert abs(report.pr_formula - report.pr_trace) < 1e-10 and report.passed
     assert abs(trace - report.pr_trace) < 1e-12
 
 
@@ -398,30 +401,91 @@ def test_pgm_report_matches_block_route(spec, k):
     report = pgm_report(k, g)
     povm = build_pgm(k, g, 20_000)
     block = verify_optimality(k, g, povm, 20_000)
+    rows = dense_row_check(k, g).optimality
     assert abs(report.pr_trace - success_probability_trace(k, g, g.a_group.zero, povm=povm)) < 1e-12
-    assert abs(report.optimality.commutator_residual - block.commutator_residual) < 1e-10
-    assert abs(report.optimality.min_eig_margin - block.min_eig_margin) < 1e-10
-    assert report.optimality.passed == block.passed
+    assert abs(rows.commutator_residual - block.commutator_residual) < 1e-10
+    assert abs(rows.min_eig_margin - block.min_eig_margin) < 1e-10
+    assert report.passed and rows.passed and block.passed
     formula = success_probability_formula(k, g)
     assert report.pr_formula == float(formula)
     assert report.pr_formula_exact == (formula if isinstance(formula, Fraction) else None)
     assert report.bracket == best_certified_lower_bound(k, g, eta_statistics(g, k))
 
 
+@pytest.mark.parametrize(
+    "spec,k",
+    TABLE_CASES + [("zpr p=7 jordan=2", 2), ("zn N=1019 p=509 mu=4", 1)],
+)
+def test_dense_rows_pin_the_derivation(spec, k):
+    # on every orbit row T^x = sum_w lambda_w |u_w><u_w| with lambda_w =
+    # S sqrt(eta_w) / |G|^k, Hermitian, with every margin 0: the optimality
+    # pgm_report derives instead of computing per row
+    g = parse_group_spec(spec)
+    rows = dense_row_check(k, g)
+    assert rows.optimality.commutator_residual <= 1e-12
+    assert rows.largest_margin <= 1e-12
+    assert rows.closed_form_residual <= 1e-12
+    assert abs(pgm_report(k, g).pr_trace - rows.trace) <= 1e-12
+
+
 @pytest.mark.parametrize("g,k", [(HEIS3, 2), (semidirect_zn(9, 3, 4), 2)], ids=["heis3", "zn9"])
 def test_pgm_report_fails_a_scaled_pgm_vector(monkeypatch, g, k):
-    # the check reads the vectors it is given: scaling one outcome's e^x_j
-    # by 1.1 must fail it, so it is not true by construction
-    assert pgm_report(k, g).optimality.passed
-    row_vectors = pgm._row_vectors
+    # the dense per-row check reads the vectors it is given: scaling one
+    # outcome's e^x_j by 1.1 must fail it, so it is not true by construction
+    assert dense_row_check(k, g).optimality.passed
+    vectors = oracles.row_vectors
 
     def scaled(*args):
-        e, v = row_vectors(*args)
+        e, v = vectors(*args)
         e[:, 1] *= 1.1
         return e, v
 
-    monkeypatch.setattr(pgm, "_row_vectors", scaled)
-    assert not pgm_report(k, g).optimality.passed
+    monkeypatch.setattr(oracles, "row_vectors", scaled)
+    assert not dense_row_check(k, g).optimality.passed
+
+
+def _negated(a, w, j):
+    return -phase_indices(a, w, j) % a.char_denominator
+
+
+def _reversed_j(a, w, j):
+    digits = index_digits(j, a.p, a.r)[..., ::-1]
+    return phase_indices(a, w, digits @ a.p ** np.arange(a.r - 1, -1, -1))
+
+
+def _transposed(a, values, norm=None):
+    out = fft_over_a(a, values, norm)
+    return out.reshape(*out.shape[:-1], *(a.p,) * a.r).swapaxes(-1, -2).reshape(out.shape)
+
+
+@pytest.mark.parametrize(
+    "spec,name,mutant",
+    [
+        ("zpr p=3 jordan=2", "phase_indices", _negated),
+        ("zn N=9 p=3 mu=4", "phase_indices", _negated),
+        ("zpr p=3 jordan=2", "phase_indices", _reversed_j),
+        ("zpr p=3 jordan=2", "fft_over_a", _transposed),
+    ],
+    ids=["negated-heis3", "negated-zn9", "reversed-j-heis3", "transposed-fft-heis3"],
+)
+def test_pgm_report_fails_a_phase_fault(monkeypatch, spec, name, mutant):
+    # each fault in the characters the derivation rests on must fail the
+    # report's check; the per-row dense check passed the first two
+    g = parse_group_spec(spec)
+    assert pgm_report(2, g).passed
+    monkeypatch.setattr(pgm, name, mutant)
+    report = pgm_report(2, g)
+    assert not report.passed
+    assert report.character_residual > 0.01
+
+
+@pytest.mark.parametrize("spec", sorted({spec for spec, _ in TABLE_CASES}))
+def test_minus_matches_the_element_loop(spec):
+    a = parse_group_spec(spec).a_group
+    for i in sorted({0, 1, a.order // 2, a.order - 1}):
+        shifts = pgm._minus(a, a.element(i))
+        assert shifts.dtype == np.int64 and not shifts.flags.writeable
+        assert shifts.tolist() == minus_loop(a, a.element(i))
 
 
 def _downdate_case(rng, n, m, lam=None, zero=()):
@@ -450,20 +514,16 @@ def _downdate_case(rng, n, m, lam=None, zero=()):
     ids=["random", "repeated", "deflated-repeated", "zero-z", "tiny-gap"],
 )
 def test_least_eigenvalues_match_eigvalsh(lam, zero):
-    from pgmhsp.pgm import _least_eigenvalues
-
     rng = np.random.default_rng(7)
     for trial in range(20):
         lams, c, mats = _downdate_case(rng, 6, 5, lam, zero)
         with np.errstate(all="raise"):
-            got = _least_eigenvalues(lams[None], c[None])[0]
+            got = least_eigenvalues(lams[None], c[None])[0]
         want = [np.linalg.eigvalsh(mat).min() for mat in mats]
         assert np.abs(got - want).max() < 1e-13 * max(1.0, np.abs(lams).max() + c.sum(axis=1).max())
 
 
 def test_least_eigenvalue_of_an_exact_zero_margin():
-    from pgmhsp.pgm import _least_eigenvalues
-
     # sum_i c_i / lam_i = 1 puts a root at 0; the c = 0 at lam = 0 deflates
     lam = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
     c = np.array([0.0, 0.125, 0.25, 0.5, 1.0])
@@ -472,12 +532,12 @@ def test_least_eigenvalue_of_an_exact_zero_margin():
     v = q @ np.sqrt(c)
     want = np.linalg.eigvalsh(q @ np.diag(lam) @ q.conj().T - np.outer(v, v.conj())).min()
     with np.errstate(all="raise"):
-        got = _least_eigenvalues(lam[None], c[None, None])[0, 0]
+        got = least_eigenvalues(lam[None], c[None, None])[0, 0]
     assert got == 0.0
     assert abs(want) < 1e-14
     # the root alone, without the deflated pole at 0
     with np.errstate(all="raise"):
-        assert abs(_least_eigenvalues(lam[None, 1:], c[None, None, 1:])[0, 0]) < 1e-15
+        assert abs(least_eigenvalues(lam[None, 1:], c[None, None, 1:])[0, 0]) < 1e-15
 
 
 def test_perturbed_povm_fails_optimality():
@@ -578,8 +638,8 @@ def test_quantum_sample_vector():
 def test_pgm_report_smoke():
     report = pgm_report(1, Z7)
     assert report.pr_formula_exact == Fraction(19, 49)
-    assert report.consistent
-    assert report.optimality.passed
+    assert abs(report.pr_formula - report.pr_trace) < 1e-10
+    assert report.passed
     assert report.bracket.lower <= Fraction(19, 49) <= report.bracket.upper
 
 

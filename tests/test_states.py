@@ -194,11 +194,11 @@ def test_dimension_cap(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("pgm_report started the walk")
 
-    # Heisenberg p = 7 at k = 3: 11025 orbit rows of 343^2 entries each,
-    # 1.3e9 in all, over the population cap, refused before the walk starts
+    # Heisenberg p = 31 at k = 3: 1.5e7 orbit rows times |A| = 961, over the
+    # population cap, refused before the walk starts
     monkeypatch.setattr(pgm, "orbit_images", fail)
     with pytest.raises(CapExceeded, match="exceeds population cap"):
-        pgm.pgm_report(3, heisenberg_group(7))
+        pgm.pgm_report(3, heisenberg_group(31))
     # the dense block route keeps its own guard on |G|^k
     with pytest.raises(CapExceeded):
         build_pgm(3, HEIS5, cap=4096)
