@@ -22,13 +22,11 @@ from .groups import (
     GroupElement,
     SemidirectGroup,
     VectorGroup,
-    element_inv,
     element_mul,
     format_group_spec,
     heisenberg_group,
     matrix_sum,
     parse_group_spec,
-    phi_sum,
     semidirect_jordan,
     semidirect_zn,
     semidirect_zpr,
@@ -100,13 +98,11 @@ __all__ = [
     "GroupElement",
     "SemidirectGroup",
     "VectorGroup",
-    "element_inv",
     "element_mul",
     "format_group_spec",
     "heisenberg_group",
     "matrix_sum",
     "parse_group_spec",
-    "phi_sum",
     "semidirect_jordan",
     "semidirect_zn",
     "semidirect_zpr",

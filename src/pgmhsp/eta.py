@@ -221,9 +221,6 @@ class EtaStats(NamedTuple):
             sum(c for eta, c in self.counts.items() if eta >= alpha), self.population
         )
 
-    def probability_of(self, eta: int) -> Fraction:
-        return Fraction(self.counts.get(eta, 0), self.population)
-
 
 # ---------------------------------------------------------------------------
 # The eta table

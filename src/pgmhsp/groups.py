@@ -405,13 +405,6 @@ def element_mul(x: GroupElement, y: GroupElement, g: SemidirectGroup) -> GroupEl
     )
 
 
-def element_inv(x: GroupElement, g: SemidirectGroup) -> GroupElement:
-    """(a,b)^(-1) = (phi^(-b)(-a), -b)."""
-    return GroupElement(
-        phi_apply(g.a_group.neg(x.a), g, (-x.b) % g.p), (-x.b) % g.p
-    )
-
-
 def _running_sums(g: SemidirectGroup):
     """M^(0), M^(1), ... without end, by M^(b+1) = M^(b) + mu^b."""
     ag = g.a_group
@@ -456,15 +449,6 @@ def matrix_sum(b: int, g: SemidirectGroup):
 def msum_table(g: SemidirectGroup) -> tuple:
     """M^(b) for b = 0..p-1, cached per group: p running sums."""
     return tuple(itertools.islice(_running_sums(g), g.p))
-
-
-def phi_sum(b: int, a, g: SemidirectGroup):
-    """Phi^(b)(a) = sum_{i<b} phi^i(a), so that (a,1)^b = (Phi^(b)(a), b mod p)."""
-    m = matrix_sum(b, g)
-    ag = g.a_group
-    if isinstance(ag, CyclicGroup):
-        return (m * a) % ag.n
-    return mat_vec(mat_transpose(m), a, g.p)
 
 
 def conj_apply(b: int, x, g: SemidirectGroup):

@@ -49,7 +49,7 @@ WILSON_Z_99 = 2.5758293035489004
 # Trials the Monte Carlo estimate draws and decides at a time: each of its
 # per-block arrays holds at most 32 KiB.
 _BLOCK = 4096
-# Amplitudes psi[d, x, b] exact_success_rate holds at a time (4 MiB).
+# Amplitudes psi[u, b] exact_success_rate holds at a time (4 MiB).
 _EXACT_CHUNK = 1 << 18
 
 
@@ -79,17 +79,6 @@ def _mu_powers(mu: int, n: int, p: int) -> np.ndarray:
     return powers
 
 
-def _power_logs(mu: int, n: int, p: int, targets) -> np.ndarray:
-    """For each target t, the b < p with mu^b = t (mod n), or -1 where there
-    is none: a binary search in the sorted table of the p powers of mu."""
-    powers = _mu_powers(mu, n, p)
-    order = np.argsort(powers, kind="stable")
-    table = powers[order]
-    targets = np.asarray(targets)
-    at = np.searchsorted(table, targets).clip(max=p - 1)
-    return np.where(table[at] == targets, order[at], -1)
-
-
 def _erasure_sums(n: int, p: int, mu: int) -> list[int]:
     """M^(b) for b < p by M^(b+1) = 1 + mu M^(b) mod N, a recurrence apart
     from msum_table's M^(b+1) = M^(b) + mu^b."""
@@ -102,11 +91,12 @@ def _erasure_sums(n: int, p: int, mu: int) -> list[int]:
 def _erasure_table(g: SemidirectGroup) -> np.ndarray:
     """M^(b) for b < p from _erasure_sums, not the msum_table the coset
     states use, checked once for every x: the round trip through
-    mu^b = 1 + (mu - 1) x^(-1) x*M^(b) must recover b, and x^(-1) cancels x."""
+    mu^b = 1 + (mu - 1) x^(-1) x*M^(b) must recover b, and x^(-1) cancels x.
+    mu != 1 (gcd(mu - 1, N) = 1) has order p, so its p powers are distinct
+    and comparing with mu^b entry by entry recovers b."""
     n, p, mu = g.a_group.n, g.p, g.mu
     sums = np.array(_erasure_sums(n, p, mu), dtype=_residue_dtype(n))
-    logs = _power_logs(mu, n, p, (1 + (mu - 1) * sums) % n)
-    wrong = np.flatnonzero(logs != np.arange(p))
+    wrong = np.flatnonzero((1 + (mu - 1) * sums) % n != _mu_powers(mu, n, p))
     if wrong.size:
         raise AssertionError(f"erasure round trip failed at b={wrong[0]}")
     return sums
@@ -137,43 +127,46 @@ def _base_laws(n: int, p: int, table) -> tuple[np.ndarray, np.ndarray]:
 def exact_success_rate(n: int, p: int, mu: int) -> Fraction:
     """Full-branch aggregation over the measured x and the outcome.
 
-    For every hidden d, sums Pr(x) |final[d]|^2 over unit x, with final the
-    amplitudes after erasure and the inverse Fourier transform; rejected x
-    contribute zero.  The coset offset ell only multiplies the state by the
-    global phase omega^(x ell), so Pr(x | ell) and |final[d]|^2 do not depend
-    on it and ell = 0 stands for the uniform average.  Each sum must equal
-    the closed form phi(N) * p / N^2 to 1e-12, which is returned exactly.
+    For every hidden d, sums Pr(x) |final[d]|^2 over unit x (_exact_rates);
+    rejected x contribute zero.  The coset offset ell only multiplies the
+    state by the global phase omega^(x ell), so Pr(x | ell) and |final[d]|^2
+    do not depend on it and ell = 0 stands for the uniform average.  Each
+    sum must equal the closed form phi(N) * p / N^2 to 1e-12, which is
+    returned exactly.
     """
     g = _validate(n, p, mu)
     unit = _unit_mask(n)
     bound = success_bound(n, p, unit)
+    for d, rate in enumerate(_exact_rates(g, np.flatnonzero(unit)).tolist()):
+        if abs(rate - float(bound)) > 1e-12:
+            raise AssertionError(f"aggregated success rate {rate!r} at d={d} differs from {bound}")
+    return bound
+
+
+def _exact_rates(g: SemidirectGroup, units: np.ndarray) -> np.ndarray:
+    """rates[d] = sum over x in ``units`` of Pr(x) |final[d]|^2 for the coset
+    state (0, d).  Both factors depend on (d, x) only through u = x d mod N:
+    the phase index (x a mod N) d with a = M^(b) is u a mod N.  So the
+    branch Pr(x) |final[d]|^2 is computed once per u, in chunks of at most
+    _EXACT_CHUNK amplitudes, and each d sums it at u = x d."""
+    n, p = g.a_group.n, g.p
     table = np.array(msum_table(g))
     erasure = _erasure_table(g)
     roots = _phase_roots(n)
     amplitudes, inverse = roots / math.sqrt(n * p), roots.conj()
-    units = np.flatnonzero(unit)
-    # chunks of at most _EXACT_CHUNK amplitudes psi[d, x, b], or one (d, x) row
-    x_step = max(1, min(len(units), _EXACT_CHUNK // p))
-    d_step = max(1, _EXACT_CHUNK // (x_step * p))
-    rates = np.zeros(n)
-    for x_lo in range(0, len(units), x_step):
-        x = units[x_lo : x_lo + x_step, None]
-        # x a for the coset state (0, 1) with a = M^(b), and the ancilla values
-        phases, values = x * table % n, x * erasure % n
-        for lo in range(0, n, d_step):
-            d = np.arange(lo, min(lo + d_step, n))[:, None, None]
-            # psi[d, x, b]: the Fourier-transformed coset state (0, d) at
-            # (x, b), omega^(x a) / sqrt(N p) with a = M^(b) d.
-            psi = amplitudes[phases * d % n]
-            pr_x = (np.abs(psi) ** 2).sum(axis=2)
-            # The collapsed b register, erased onto the ancilla values x M^(b)
-            # and inverse Fourier transformed, read at the outcome d.
-            final_d = (inverse[values * d % n] * psi).sum(axis=2) / np.sqrt(n * pr_x)
-            rates[lo : lo + d_step] += (pr_x * np.abs(final_d) ** 2).sum(axis=1)
-    for d, rate in enumerate(rates.tolist()):
-        if abs(rate - float(bound)) > 1e-12:
-            raise AssertionError(f"aggregated success rate {rate!r} at d={d} differs from {bound}")
-    return bound
+    branch = np.empty(n)
+    step = max(1, _EXACT_CHUNK // p)
+    for lo in range(0, n, step):
+        u = np.arange(lo, min(lo + step, n))[:, None]
+        # psi[u, b]: the Fourier-transformed coset state (0, d) at (x, b)
+        # for every x d = u, omega^(u a) / sqrt(N p) with a = M^(b).
+        psi = amplitudes[u * table % n]
+        pr_x = (np.abs(psi) ** 2).sum(axis=1)
+        # The collapsed b register, erased onto the ancilla values x M^(b)
+        # and inverse Fourier transformed, read at the outcome d.
+        final_d = (inverse[u * erasure % n] * psi).sum(axis=1) / np.sqrt(n * pr_x)
+        branch[lo : lo + step] = pr_x * np.abs(final_d) ** 2
+    return np.array([branch[units * d % n].sum() for d in range(n)])
 
 
 def _unit_mask(n: int) -> np.ndarray:

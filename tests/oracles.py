@@ -34,14 +34,17 @@ from pgmhsp.groups import (
     element_index,
     element_mul,
     heisenberg_group,
+    mat_transpose,
+    mat_vec,
+    matrix_sum,
     msum_table,
     parse_group_spec,
     phi_apply,
-    phi_sum,
     subgroup_order,
 )
 from pgmhsp.eta import (
     _CHUNK,
+    EtaStats,
     _phase_roots,
     eta_rows,
     fft_over_a,
@@ -63,6 +66,22 @@ def group_elements(g: SemidirectGroup):
     for a in g.a_group.elements():
         for b in range(g.p):
             yield GroupElement(a, b)
+
+
+def element_inv(x: GroupElement, g: SemidirectGroup) -> GroupElement:
+    """(a,b)^(-1) = (phi^(-b)(-a), -b)."""
+    return GroupElement(
+        phi_apply(g.a_group.neg(x.a), g, (-x.b) % g.p), (-x.b) % g.p
+    )
+
+
+def phi_sum(b: int, a, g: SemidirectGroup):
+    """Phi^(b)(a) = sum_{i<b} phi^i(a), so that (a,1)^b = (Phi^(b)(a), b mod p)."""
+    m = matrix_sum(b, g)
+    ag = g.a_group
+    if isinstance(ag, CyclicGroup):
+        return (m * a) % ag.n
+    return mat_vec(mat_transpose(m), a, g.p)
 
 
 def element_pow(x, e: int, g: SemidirectGroup):
@@ -221,6 +240,11 @@ def mean_block_outcome_law(k: int, g: SemidirectGroup, d=None) -> tuple[np.ndarr
         probs, mass = block_outcome_law(g, xs, d)
         total, fail = total + probs, fail + mass
     return total / len(blocks), fail / len(blocks)
+
+
+def probability_of(stats: EtaStats, eta: int) -> Fraction:
+    """The share of the population whose instances have exactly eta solutions."""
+    return Fraction(stats.counts.get(eta, 0), stats.population)
 
 
 def heisenberg_eta_distribution(p: int) -> dict[int, Fraction]:
@@ -579,6 +603,28 @@ def run_stripped_algorithm(
     t.measured_outcome = outcome
     t.success = outcome == d
     return t
+
+
+def exact_rates_by_branch(n: int, p: int, mu: int) -> np.ndarray:
+    """rates[d] = sum over unit x of Pr(x) |final[d]|^2, walking every
+    (d, unit x, b) as one psi[d, x, b] array: the reference for
+    metacyclic._exact_rates, which computes each branch once per x d mod N."""
+    g = _validate(n, p, mu)
+    table = np.array(msum_table(g))
+    roots = _phase_roots(n)
+    amplitudes, inverse = roots / math.sqrt(n * p), roots.conj()
+    x = np.flatnonzero(np.gcd(np.arange(n), n) == 1)[:, None]
+    # x a for the coset state (0, 1) with a = M^(b), and the ancilla values
+    phases, values = x * table % n, x * _erasure_table(g) % n
+    d = np.arange(n)[:, None, None]
+    # psi[d, x, b]: the Fourier-transformed coset state (0, d) at (x, b),
+    # omega^(x a) / sqrt(N p) with a = M^(b) d.
+    psi = amplitudes[phases * d % n]
+    pr_x = (np.abs(psi) ** 2).sum(axis=2)
+    # The collapsed b register, erased onto the ancilla values x M^(b) and
+    # inverse Fourier transformed, read at the outcome d.
+    final_d = (inverse[values * d % n] * psi).sum(axis=2) / np.sqrt(n * pr_x)
+    return (pr_x * np.abs(final_d) ** 2).sum(axis=1)
 
 
 def perfect_state_overlap(n: int, p: int, mu: int, d: int, x: int) -> float:

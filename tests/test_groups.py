@@ -16,7 +16,6 @@ from pgmhsp.groups import (
     VectorGroup,
     _phi_power,
     _running_sums,
-    element_inv,
     element_mul,
     format_group_spec,
     heisenberg_group,
@@ -31,7 +30,6 @@ from pgmhsp.groups import (
     msum_table,
     parse_group_spec,
     phi_apply,
-    phi_sum,
     row_reduce,
     semidirect_jordan,
     semidirect_zn,
@@ -39,7 +37,14 @@ from pgmhsp.groups import (
     subgroup_order,
 )
 
-from oracles import element_from_index, element_pow, group_elements, is_heisenberg
+from oracles import (
+    element_from_index,
+    element_inv,
+    element_pow,
+    group_elements,
+    is_heisenberg,
+    phi_sum,
+)
 
 Z7 = semidirect_zn(7, 3, 2)
 HEIS3 = heisenberg_group(3)

@@ -113,8 +113,9 @@ def test_erasure_round_trip_exhaustive():
 
 
 def test_power_logs_match_bsgs():
-    # the sorted-powers inversion against baby-step/giant-step on every
-    # admissible group with N <= 50 and every residue as target
+    # on every admissible group with N <= 50: the powers of mu the erasure
+    # check compares with have baby-step/giant-step logs 0, ..., p - 1, so
+    # they are distinct, and the erasure table equals msum_table
     from pgmhsp.msum import _baby_steps
 
     groups = 0
@@ -124,11 +125,9 @@ def test_power_logs_match_bsgs():
                 if pow(mu, p, n) != 1 or math.gcd(mu - 1, n) != 1:
                     continue
                 groups += 1
-                logs = metacyclic._power_logs(mu, n, p, np.arange(n)).tolist()
                 log = _baby_steps(mu, p, n)
-                for t in range(n):
-                    b = log(t)
-                    assert logs[t] == (-1 if b is None else b), (n, p, mu, t)
+                powers = metacyclic._mu_powers(mu, n, p).tolist()
+                assert [log(t) for t in powers] == list(range(p)), (n, p, mu)
                 g = semidirect_zn(n, p, mu)
                 assert metacyclic._erasure_table(g).tolist() == list(msum_table(g))
     assert groups > 50
@@ -143,9 +142,6 @@ def test_power_logs_at_large_moduli(n, p, root):
     assert len(set(expected)) == p
     for count in (1, 2, 3, p - 1, p):
         assert metacyclic._mu_powers(mu, n, count).tolist() == expected[:count]
-    targets = [*expected[::-1], 0, n - 1]  # neither 0 nor -1 is a power of mu
-    logs = metacyclic._power_logs(mu, n, p, targets).tolist()
-    assert logs == [*range(p - 1, -1, -1), -1, -1]
     g = semidirect_zn(n, p, mu)
     assert metacyclic._erasure_table(g).tolist() == list(msum_table(g))
 
@@ -216,11 +212,10 @@ def test_exact_success_rate_detects_wrong_msum_table(monkeypatch):
         exact_success_rate(7, 3, 2)
 
 
-def test_exact_success_rate_chunks_over_d_and_x(monkeypatch):
-    # with the chunk bound at 10 amplitudes, one d and 2 of the 30 units of
-    # N = 31 fill a chunk; the aggregate is the same, and the peak stays
-    # under 11 KiB (about 7 KiB; 14 KiB when a chunk holds all 30 units,
-    # 232 KiB in one chunk)
+def test_exact_success_rate_chunks_over_u(monkeypatch):
+    # with the chunk bound at 10 amplitudes, 2 of the 31 values of u = x d
+    # fill a chunk; the aggregate is the same, and the peak stays under
+    # 11 KiB (about 6 KiB; 11.1 KiB when one chunk holds all 31 values)
     import tracemalloc
 
     full = exact_success_rate(31, 5, 2)
@@ -233,6 +228,26 @@ def test_exact_success_rate_chunks_over_d_and_x(monkeypatch):
         tracemalloc.stop()
     assert chunked == full == success_bound(31, 5)
     assert peak < 11 * 1024
+
+
+@pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (13, 3, 3), (31, 5, 2), (101, 5, 36)])
+def test_exact_rates_match_the_walk_over_every_branch(monkeypatch, n, p, mu):
+    # the branch computed once per u = x d mod N, summed per d, against the
+    # walk over every (d, unit x, b).  With the true tables every branch is
+    # p / N^2 whatever u, so the two are compared again with a wrong
+    # coset-state table, under which the branches depend on u and the
+    # rates on d
+    g = semidirect_zn(n, p, mu)
+    units = np.flatnonzero(metacyclic._unit_mask(n))
+    table = msum_table(g)
+    for coset_table in (table, (*table[:-1], (table[-1] + 1) % n)):
+        monkeypatch.setattr(metacyclic, "msum_table", lambda g: coset_table)
+        monkeypatch.setattr(oracles, "msum_table", lambda g: coset_table)
+        rates = metacyclic._exact_rates(g, units)
+        reference = oracles.exact_rates_by_branch(n, p, mu)
+        assert rates.shape == reference.shape == (n,)
+        assert np.abs(rates - reference).max() < 1e-13
+    assert rates.max() - rates.min() > 1e-4
 
 
 def test_exact_rate_cross_checked_by_float_aggregation():

@@ -39,6 +39,7 @@ from oracles import (
     heisenberg_eta_distribution,
     instance_residual,
     legendre_symbol,
+    probability_of,
     solve_all_w,
     solve_heisenberg_closed_form,
     sqrt_mod_p,
@@ -595,7 +596,7 @@ def test_uniform_floats_match_random(count):
 def test_eta_stats_probability_helpers():
     stats = EtaStats({0: 3, 1: 4, 2: 3}, 10, "exhaustive")
     assert stats.probability_at_least(1) == Fraction(7, 10)
-    assert stats.probability_of(2) == Fraction(3, 10)
+    assert probability_of(stats, 2) == Fraction(3, 10)
     assert stats.mean == Fraction(4 + 6, 10)
 
 
@@ -618,7 +619,7 @@ def test_eta_statistics_large_jordan_exhaustive():
     stats = eta_statistics(semidirect_jordan(5, (3,)), 3, cap=3 * 10**8)
     assert stats.mean == 1
     assert stats.variance == 1 - Fraction(1, 125)
-    assert stats.probability_of(1) + stats.probability_of(2) >= Fraction(1, 4)
+    assert probability_of(stats, 1) + probability_of(stats, 2) >= Fraction(1, 4)
 
 
 def check_table_against_enumeration(g, k):
