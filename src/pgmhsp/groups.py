@@ -474,14 +474,6 @@ def subgroup_order(d, g: SemidirectGroup) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Group enumeration and index conventions
-
-
-def element_index(x: GroupElement, g: SemidirectGroup) -> int:
-    return g.a_group.index(x.a) * g.p + x.b
-
-
-# ---------------------------------------------------------------------------
 # One-line group-spec grammar
 
 

@@ -125,30 +125,28 @@ def _base_laws(n: int, p: int, table) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_success_rate(n: int, p: int, mu: int) -> Fraction:
-    """Full-branch aggregation over the measured x and the outcome.
+    """Full-branch check over the hidden d, the measured x and the outcome.
 
-    For every hidden d, sums Pr(x) |final[d]|^2 over unit x (_exact_rates);
-    rejected x contribute zero.  The coset offset ell only multiplies the
-    state by the global phase omega^(x ell), so Pr(x | ell) and |final[d]|^2
-    do not depend on it and ell = 0 stands for the uniform average.  Each
-    sum must equal the closed form phi(N) * p / N^2 to 1e-12, which is
-    returned exactly.
+    The branch Pr(x) |final[d]|^2 of the coset state (0, d) at x depends
+    on (d, x) only through u = x d mod N (_exact_branches), and every u is
+    some x d, so each of the N branches must equal p / N^2 to 1e-12 / N;
+    summed over the phi(N) unit x, rejected x contributing zero, each d
+    then succeeds with the closed form phi(N) * p / N^2, which is returned
+    exactly.  The coset offset ell only multiplies the state by the global
+    phase omega^(x ell), so Pr(x | ell) and |final[d]|^2 do not depend on
+    it and ell = 0 stands for the uniform average.
     """
     g = _validate(n, p, mu)
-    unit = _unit_mask(n)
-    bound = success_bound(n, p, unit)
-    for d, rate in enumerate(_exact_rates(g, np.flatnonzero(unit)).tolist()):
-        if abs(rate - float(bound)) > 1e-12:
-            raise AssertionError(f"aggregated success rate {rate!r} at d={d} differs from {bound}")
-    return bound
+    for u, branch in enumerate(_exact_branches(g).tolist()):
+        if abs(branch - p / (n * n)) > 1e-12 / n:
+            raise AssertionError(f"branch {branch!r} at u={u} differs from p/N^2 = {p}/{n * n}")
+    return success_bound(n, p)
 
 
-def _exact_rates(g: SemidirectGroup, units: np.ndarray) -> np.ndarray:
-    """rates[d] = sum over x in ``units`` of Pr(x) |final[d]|^2 for the coset
-    state (0, d).  Both factors depend on (d, x) only through u = x d mod N:
-    the phase index (x a mod N) d with a = M^(b) is u a mod N.  So the
-    branch Pr(x) |final[d]|^2 is computed once per u, in chunks of at most
-    _EXACT_CHUNK amplitudes, and each d sums it at u = x d."""
+def _exact_branches(g: SemidirectGroup) -> np.ndarray:
+    """branch[u] = Pr(x) |final[d]|^2 for the coset state (0, d) at any x
+    with x d = u mod N: the phase index (x a mod N) d with a = M^(b) is
+    u a mod N.  Computed in chunks of at most _EXACT_CHUNK amplitudes."""
     n, p = g.a_group.n, g.p
     table = np.array(msum_table(g))
     erasure = _erasure_table(g)
@@ -166,7 +164,7 @@ def _exact_rates(g: SemidirectGroup, units: np.ndarray) -> np.ndarray:
         # and inverse Fourier transformed, read at the outcome d.
         final_d = (inverse[u * erasure % n] * psi).sum(axis=1) / np.sqrt(n * pr_x)
         branch[lo : lo + step] = pr_x * np.abs(final_d) ** 2
-    return np.array([branch[units * d % n].sum() for d in range(n)])
+    return branch
 
 
 def _unit_mask(n: int) -> np.ndarray:

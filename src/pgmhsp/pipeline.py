@@ -2,15 +2,17 @@
 
 The reduction factors out H1 = H intersect (A x {0}) by linear algebra
 over F_p on one basis.  The abelian problem on A x {0} is solved by
-enumeration, and groups.row_reduce turns the A1 it finds into its reduced
+enumeration, and _span puts the A1 it finds in normal form: its reduced
 row echelon basis (for Z_N, the generator gcd(N, A1)).  H1 is normal iff
 the automorphism maps A1 into itself, a rank test: adding the images of
 the basis leaves the rank unchanged (for Z_N, d divides mu d).  If not,
 H = H1 and we are done; else the quotient A/A1 x| Z_p keeps the
 non-pivot coordinates, and the projection clears the pivots, which gives
-lexicographically-least coset representatives.  The quotient of Z_N is
-cyclic and the quotient of Z_p^r is elementary abelian, so both stay
-inside the supported families.
+lexicographically-least coset representatives (_representative).  The
+quotient of Z_N is cyclic and the quotient of Z_p^r is elementary
+abelian, so both stay inside the supported families.  The fixture oracle
+holds its planted subgroup in the same normal form, A1 and d, and labels
+a coset from it with about one product and one reduction.
 
 The PGM stage draws a uniform block x per trial, then an outcome from its
 exact law for the state labeled by the planted generator; each sampled
@@ -32,7 +34,6 @@ from .groups import (
     GroupElement,
     SemidirectGroup,
     _Record,
-    element_index,
     element_mul,
     mat_identity,
     phi_apply,
@@ -48,35 +49,21 @@ class HidingFunction:
     """Oracle g -> label, constant and distinct on left cosets of the
     hidden subgroup.  Counts every evaluation.
 
-    ``hidden_subgroup`` is a fixture side channel (the planted subgroup
-    as a set of elements); the solver reads it only to build the exact
-    simulated states, never through counted queries.
+    ``hidden_d`` is a fixture side channel: the least-index d with (d, 1)
+    in the planted subgroup, or None when the subgroup lies in A; the
+    solver reads it only to build the exact simulated states, never
+    through counted queries.
     """
 
-    def __init__(
-        self,
-        group: SemidirectGroup,
-        fn,
-        hidden_subgroup: frozenset | None = None,
-    ):
+    def __init__(self, group: SemidirectGroup, fn, hidden_d=None):
         self.group = group
         self._fn = fn
         self.queries = 0
-        self.hidden_subgroup = hidden_subgroup
+        self.hidden_d = hidden_d
 
     def __call__(self, a, b: int):
         self.queries += 1
         return self._fn(self.group.element(a, b))
-
-    @property
-    def hidden_d(self):
-        """The d with (d, 1) in the planted subgroup, if there is one."""
-        if self.hidden_subgroup is None:
-            return None
-        hits = [elem for elem in self.hidden_subgroup if elem.b == 1]
-        if not hits:
-            return None
-        return min(hits, key=lambda e: element_index(e, self.group)).a
 
 
 def subgroup_closure(generators, g: SemidirectGroup) -> set[GroupElement]:
@@ -100,10 +87,13 @@ def coset_hiding_function(
     """Canonical-coset oracle fixture.
 
     ``hidden=d`` plants H = <(d, 1)>; ``generators`` plants an arbitrary
-    subgroup; passing neither plants the trivial subgroup.  Labels are
-    the least element index of each left coset, computed on the first
-    query into the coset and kept for all of its elements, so G is never
-    labelled up front.
+    subgroup; passing neither plants the trivial subgroup.  H is read once
+    into its normal form, A1 = H intersect A (_span) and the least-index
+    d with (d, 1) in H if there is one, and a query labels the coset of
+    (a, b) from that form without building it.  With (d, 1) in H, the
+    label is the A-part of (a, b)(d, 1)^(-b), the coset's element with
+    second coordinate 0, reduced modulo A1.  Otherwise H = A1, and the
+    coset (a + phi^b(A1), b) is labelled (phi^(-b)(a) reduced modulo A1, b).
     """
     if hidden is not None and generators is not None:
         raise ValueError("pass either hidden=d or generators, not both")
@@ -114,15 +104,15 @@ def coset_hiding_function(
     else:
         gens = []
     subgroup = subgroup_closure(gens, g)
-    labels: dict[GroupElement, int] = {}
-
-    def label(elem: GroupElement) -> int:
-        if elem not in labels:
-            coset = [element_mul(elem, h, g) for h in subgroup]
-            labels.update(dict.fromkeys(coset, min(element_index(c, g) for c in coset)))
-        return labels[elem]
-
-    return HidingFunction(g, label, frozenset(subgroup))
+    rep = _representative(_span([elem.a for elem in subgroup if elem.b == 0], g), g)
+    d = next((rep(elem.a) for elem in subgroup if elem.b == 1), None)
+    if d is None:
+        return HidingFunction(g, lambda elem: (rep(phi_apply(elem.a, g, -elem.b)), elem.b))
+    # (d, 1)^c for c < p; (d, 1)^(p - b) is (d, 1)^(-b) up to A1
+    step, powers = g.element(d, 1), [g.identity]
+    for _ in range(g.p - 1):
+        powers.append(element_mul(powers[-1], step, g))
+    return HidingFunction(g, lambda elem: rep(element_mul(elem, powers[-elem.b], g).a), d)
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +132,44 @@ class SubgroupDescription(NamedTuple):
 
 
 def abelian_hsp_solve(f: HidingFunction, g: SemidirectGroup) -> SubgroupDescription:
-    """H1 = {a : f(a, 0) = f(0, 0)}, found with exactly |A| queries."""
+    """H1 = {a : f(a, 0) = f(0, 0)}, found with exactly |A| queries, in
+    the order of A's elements (zero first); no label is kept."""
+    zero = g.a_group.zero
+    base = f(zero, 0)
+    return _span([a for a in g.a_group.elements() if a != zero and f(a, 0) == base], g)
+
+
+def _span(elements, g: SemidirectGroup) -> SubgroupDescription:
+    """The subgroup of A x {0} that the A-elements generate, in normal
+    form: the generator gcd(N, elements) for Z_N, the reduced row echelon
+    basis for Z_p^r."""
     a_group = g.a_group
-    base = None
-    members = []
-    for a in a_group.elements():
-        label = f(a, 0)
-        if a == a_group.zero:
-            base = label
-        members.append((a, label))
-    a1 = [a for a, label in members if label == base]
     if isinstance(a_group, CyclicGroup):
-        gen = math.gcd(a_group.n, *a1)
+        gen = math.gcd(a_group.n, *elements)
         gens = () if gen == a_group.n else (g.element(gen, 0),)
         return SubgroupDescription(gens, a_group.n // gen)
-    basis = row_reduce(a1, g.p)
+    basis = row_reduce(elements, g.p)
     return SubgroupDescription(tuple(g.element(v, 0) for v in basis), g.p ** len(basis))
+
+
+def _representative(h1: SubgroupDescription, g: SemidirectGroup):
+    """a -> the least-index element of a + A1, for A1 in _span's normal
+    form: a modulo the generator for Z_N; for Z_p^r, a with the pivots
+    cleared, which is lexicographically least."""
+    if isinstance(g.a_group, CyclicGroup):
+        modulus = g.a_group.n // h1.order
+        return lambda a: a % modulus
+    p = g.p
+    basis = [(next(i for i, c in enumerate(gen.a) if c), gen.a) for gen in h1.generators]
+
+    def rep(a) -> tuple[int, ...]:
+        for piv, row in basis:
+            factor = a[piv]
+            if factor:
+                a = tuple([(u - factor * v) % p for u, v in zip(a, row)])
+        return a
+
+    return rep
 
 
 def check_h1_normal(h1: SubgroupDescription, g: SemidirectGroup) -> bool:
@@ -202,33 +214,22 @@ class ReductionResult(NamedTuple):
     reduced: ReducedProblem | None = None
 
 
-def _quotient_zn(g: SemidirectGroup, h1: SubgroupDescription):
-    n = g.a_group.n
-    gen = h1.generators[0].a if h1.generators else 0
-    modulus = gen if gen else n
-    if modulus == 1:
-        return None, (lambda a2: 0), (lambda a: 0)
-    g2 = semidirect_zn(modulus, g.p, g.mu % modulus)
-    return g2, (lambda a2: a2 % modulus), (lambda a: a % modulus)
-
-
-def _quotient_zpr(g: SemidirectGroup, h1: SubgroupDescription):
-    """Quotient by A1, whose generators in h1 are its reduced row echelon
-    basis (abelian_hsp_solve): the non-pivot coordinates of A coordinatise
-    A/A1, and clearing the pivots of a is its projection."""
+def _quotient(g: SemidirectGroup, h1: SubgroupDescription):
+    """(G2, lift, project) for A2 = A/A1, with G2 None when A1 = A.  For
+    Z_N, A2 = Z_(N/|A1|), and reducing modulo N/|A1| both lifts and
+    projects.  For Z_p^r, h1 holds A1's reduced row echelon basis (_span):
+    the non-pivot coordinates of A coordinatise A2, and clearing the
+    pivots of a projects it."""
+    rep = _representative(h1, g)
+    if isinstance(g.a_group, CyclicGroup):
+        modulus = g.a_group.n // h1.order
+        return (semidirect_zn(modulus, g.p, g.mu) if modulus > 1 else None), rep, rep
     p, r = g.p, g.a_group.r
-    basis = [gen.a for gen in h1.generators]
-    pivots = [next(i for i, c in enumerate(row) if c) for row in basis]
+    pivots = {next(i for i, c in enumerate(gen.a) if c) for gen in h1.generators}
     free = [i for i in range(r) if i not in pivots]
-    if not free:
-        return None, (lambda a2: g.a_group.zero), (lambda a: ())
 
     def project(a) -> tuple[int, ...]:
-        vec = g.a_group.reduce(a)
-        for row, piv in zip(basis, pivots):
-            factor = vec[piv]
-            if factor:
-                vec = [(u - factor * v) % p for u, v in zip(vec, row)]
+        vec = rep(a)
         return tuple(vec[i] for i in free)
 
     def lift(a2) -> tuple[int, ...]:
@@ -237,6 +238,8 @@ def _quotient_zpr(g: SemidirectGroup, h1: SubgroupDescription):
             vec[i] = coord % p
         return tuple(vec)
 
+    if not free:
+        return None, lift, project
     # Inherited automorphism: the group-side action is project . phi . lift,
     # and the stored (character-side) matrix is its transpose, whose rows
     # are exactly the images of the unit vectors.
@@ -251,23 +254,12 @@ def reduce_to_cyclic(f: HidingFunction, g: SemidirectGroup) -> ReductionResult:
     h1 = abelian_hsp_solve(f, g)
     if not check_h1_normal(h1, g):
         return ReductionResult(final=h1)
-    if isinstance(g.a_group, CyclicGroup):
-        g2, lift, project = _quotient_zn(g, h1)
-    else:
-        g2, lift, project = _quotient_zpr(g, h1)
+    g2, lift, project = _quotient(g, h1)
     if g2 is None:
         reduced = ReducedProblem(g, h1, None, None, lift, project)
         return ReductionResult(reduced=reduced)
-    hidden2 = None
-    if f.hidden_subgroup is not None:
-        hidden2 = frozenset(
-            g2.element(project(elem.a), elem.b) for elem in f.hidden_subgroup
-        )
-    f2 = HidingFunction(
-        g2,
-        lambda elem: f(lift(elem.a), elem.b),
-        hidden_subgroup=hidden2,
-    )
+    hidden2 = None if f.hidden_d is None else project(f.hidden_d)
+    f2 = HidingFunction(g2, lambda elem: f(lift(elem.a), elem.b), hidden2)
     return ReductionResult(reduced=ReducedProblem(g, h1, g2, f2, lift, project))
 
 

@@ -31,7 +31,6 @@ from pgmhsp.groups import (
     VectorGroup,
     _Record,
     conj_apply,
-    element_index,
     element_mul,
     heisenberg_group,
     mat_transpose,
@@ -66,6 +65,11 @@ def group_elements(g: SemidirectGroup):
     for a in g.a_group.elements():
         for b in range(g.p):
             yield GroupElement(a, b)
+
+
+def element_index(x: GroupElement, g: SemidirectGroup) -> int:
+    """The position of x in group_elements' order."""
+    return g.a_group.index(x.a) * g.p + x.b
 
 
 def element_inv(x: GroupElement, g: SemidirectGroup) -> GroupElement:
@@ -304,7 +308,8 @@ def b_tuple_index(p: int, b: tuple[int, ...]) -> int:
 
 def eager_coset_labels(g: SemidirectGroup, subgroup) -> dict[GroupElement, int]:
     """Every element of G mapped to the least element index of its left
-    coset, labelling all of G up front (the reference for the lazy oracle)."""
+    coset, labelling all of G coset by coset (the reference partition for
+    pipeline.coset_hiding_function, whose labels come from the normal form)."""
     labels: dict[GroupElement, int] = {}
     for elem in group_elements(g):
         if elem in labels:
@@ -607,8 +612,9 @@ def run_stripped_algorithm(
 
 def exact_rates_by_branch(n: int, p: int, mu: int) -> np.ndarray:
     """rates[d] = sum over unit x of Pr(x) |final[d]|^2, walking every
-    (d, unit x, b) as one psi[d, x, b] array: the reference for
-    metacyclic._exact_rates, which computes each branch once per x d mod N."""
+    (d, unit x, b) as one psi[d, x, b] array: the reference for the per-d
+    sums of metacyclic._exact_branches, which computes each branch once per
+    x d mod N."""
     g = _validate(n, p, mu)
     table = np.array(msum_table(g))
     roots = _phase_roots(n)

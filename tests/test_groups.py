@@ -39,6 +39,7 @@ from pgmhsp.groups import (
 
 from oracles import (
     element_from_index,
+    element_index,
     element_inv,
     element_pow,
     group_elements,
@@ -458,8 +459,6 @@ def test_row_reduce_against_span_enumeration(p, r):
 
 
 def test_element_index_roundtrip():
-    from pgmhsp.groups import element_index
-
     for g in (Z7, HEIS3):
         for i in range(g.order):
             assert element_index(element_from_index(i, g), g) == i

@@ -213,26 +213,29 @@ def test_exact_success_rate_detects_wrong_msum_table(monkeypatch):
 
 
 def test_exact_success_rate_chunks_over_u(monkeypatch):
-    # with the chunk bound at 10 amplitudes, 2 of the 31 values of u = x d
-    # fill a chunk; the aggregate is the same, and the peak stays under
-    # 11 KiB (about 6 KiB; 11.1 KiB when one chunk holds all 31 values)
+    # at N = 1019, p = 509 one chunk of all N p amplitudes takes about
+    # 8 MiB per array, and the check peaks near 20 MiB; in chunks of 2^14
+    # amplitudes (32 values of u = x d) it peaks under 1 MiB, against a
+    # 2 MiB bound at least 8 times below the one-chunk peak
     import tracemalloc
 
-    full = exact_success_rate(31, 5, 2)
-    monkeypatch.setattr(metacyclic, "_EXACT_CHUNK", 10)
-    tracemalloc.start()
-    try:
-        chunked = exact_success_rate(31, 5, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert chunked == full == success_bound(31, 5)
-    assert peak < 11 * 1024
+    def traced(chunk):
+        monkeypatch.setattr(metacyclic, "_EXACT_CHUNK", chunk)
+        tracemalloc.start()
+        try:
+            return exact_success_rate(1019, 509, 4), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    full, full_peak = traced(1019 * 509)
+    chunked, peak = traced(1 << 14)
+    assert chunked == full == success_bound(1019, 509)
+    assert peak < 2 * 1024 * 1024 < full_peak / 8
 
 
 @pytest.mark.parametrize("n,p,mu", [(7, 3, 2), (15, 2, 14), (13, 3, 3), (31, 5, 2), (101, 5, 36)])
 def test_exact_rates_match_the_walk_over_every_branch(monkeypatch, n, p, mu):
-    # the branch computed once per u = x d mod N, summed per d, against the
+    # the branches computed once per u = x d mod N, summed per d, against the
     # walk over every (d, unit x, b).  With the true tables every branch is
     # p / N^2 whatever u, so the two are compared again with a wrong
     # coset-state table, under which the branches depend on u and the
@@ -243,7 +246,8 @@ def test_exact_rates_match_the_walk_over_every_branch(monkeypatch, n, p, mu):
     for coset_table in (table, (*table[:-1], (table[-1] + 1) % n)):
         monkeypatch.setattr(metacyclic, "msum_table", lambda g: coset_table)
         monkeypatch.setattr(oracles, "msum_table", lambda g: coset_table)
-        rates = metacyclic._exact_rates(g, units)
+        branches = metacyclic._exact_branches(g)
+        rates = np.array([branches[units * d % n].sum() for d in range(n)])
         reference = oracles.exact_rates_by_branch(n, p, mu)
         assert rates.shape == reference.shape == (n,)
         assert np.abs(rates - reference).max() < 1e-13

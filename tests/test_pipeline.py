@@ -3,13 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from pgmhsp import eta, pgm
+from pgmhsp import eta, pgm, pipeline
 from pgmhsp.caps import CapExceeded
 from pgmhsp.eta import eta_statistics
 from pgmhsp.groups import (
     CyclicGroup,
     GroupElement,
-    element_index,
     heisenberg_group,
     parse_group_spec,
     semidirect_jordan,
@@ -32,6 +31,7 @@ from pgmhsp.pipeline import (
 
 from oracles import (
     eager_coset_labels,
+    element_index,
     group_elements,
     h1_normal_by_saturation,
     outcome_distribution_all_x,
@@ -76,12 +76,62 @@ def test_hiding_function_labels_cosets():
 )
 def test_lazy_labels_match_eager_labelling(g, kwargs):
     f = coset_hiding_function(g, **kwargs)
-    eager = eager_coset_labels(g, f.hidden_subgroup)
-    # every element twice, in a shuffled order: labels are fixed at first query
+    gens = [GroupElement(kwargs["hidden"], 1)] if "hidden" in kwargs else kwargs.get("generators", [])
+    eager = eager_coset_labels(g, subgroup_closure(gens, g))
+    # every element twice, in a shuffled order: the same partition of G
     elements = list(group_elements(g))
     order = elements + random.Random(5).sample(elements, len(elements))
-    assert [f(e.a, e.b) for e in order] == [eager[e] for e in order]
+    assert_same_partition([f(e.a, e.b) for e in order], [eager[e] for e in order])
     assert f.queries == len(order)
+
+
+def assert_same_partition(labels, reference):
+    """Two labellings of the same elements agree as equality relations."""
+    pairs = set(zip(labels, reference))
+    assert len(pairs) == len(set(labels)) == len(set(reference))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["zn N=7 p=3 mu=2", "zn N=4 p=2 mu=1", "zn N=8 p=2 mu=3", "zn N=12 p=2 mu=5",
+     "zn N=9 p=3 mu=4", "zpr p=3 jordan=2", "zpr p=3 jordan=3", "zpr p=3 jordan=2,1",
+     "zpr p=2 jordan=2,1", "zpr p=2 r=2 mu=0,1;1,0"],
+)
+def test_coset_labels_and_hidden_d_on_random_generator_sets(spec):
+    # seeded random generator sets, from none to three: the oracle's labels
+    # partition G into the left cosets of their closure, and hidden_d is the
+    # least-index (d, 1) in it (None when the closure lies in A)
+    g = parse_group_spec(spec)
+    rng = random.Random(spec)
+    elements = list(group_elements(g))
+    for _ in range(12):
+        gens = rng.sample(elements, rng.randrange(4))
+        f = coset_hiding_function(g, generators=gens)
+        closure = subgroup_closure(gens, g)
+        eager = eager_coset_labels(g, closure)
+        assert_same_partition([f(e.a, e.b) for e in elements], [eager[e] for e in elements])
+        hits = [elem for elem in closure if elem.b == 1]
+        expected = min(hits, key=lambda e: element_index(e, g)).a if hits else None
+        assert f.hidden_d == expected, gens
+
+
+def test_planted_fixture_and_abelian_stage_cost_about_one_product_per_query(monkeypatch):
+    # the closure of <(d, 1)> (p products), the table of its p powers and
+    # one product per query: at most |A| + 2p element products, where
+    # building each queried coset took about |A| p
+    g = parse_group_spec("zn N=1019 p=509 mu=4")
+    calls = []
+    element_mul = pipeline.element_mul
+
+    def counting_element_mul(*args):
+        calls.append(None)
+        return element_mul(*args)
+
+    monkeypatch.setattr(pipeline, "element_mul", counting_element_mul)
+    f = coset_hiding_function(g, hidden=7)
+    h1 = abelian_hsp_solve(f, g)
+    assert h1.is_trivial and f.hidden_d == 7 and f.queries == 1019
+    assert len(calls) <= 1019 + 2 * 509
 
 
 def test_hiding_function_query_counter():
@@ -333,8 +383,7 @@ def test_trial_outcomes_follow_the_exact_law(d):
     # and each is recorded; every outcome's count, failure included, lies
     # within 5 sigma of its exact probability over all x
     n, a = 20_000, HEIS3.a_group
-    planted = coset_hiding_function(HEIS3, hidden=d).hidden_subgroup
-    f = HidingFunction(HEIS3, lambda elem: element_index(elem, HEIS3), planted)
+    f = HidingFunction(HEIS3, lambda elem: element_index(elem, HEIS3), d)
     run = run_pgm_hsp(f, HEIS3, 2, trials=n, seed=7)
     assert run.answer.is_trivial and len(run.transcript) == n
     draws = [a.order if rec.sampled is None else a.index(rec.sampled) for rec in run.transcript]
