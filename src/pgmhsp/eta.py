@@ -25,8 +25,10 @@ is C^(|A|^k) (x) C^(p^k) with full index
     idx_b(b)    = sum_j b_j * p^(j-1),
 
 and A.index is the value itself for Z_N, lexicographic (first coordinate
-most significant) for Z_p^r.  The Fourier kernel is
-F[x, a] = chi_x(a) / sqrt(|A|); phase_indices and fft_over_a evaluate it.
+most significant) for Z_p^r: A.rank digits base A.char_denominator
+(index_digits), Z_N the rank-1 case.  The Fourier kernel is
+F[x, a] = chi_x(a) / sqrt(|A|); phase_indices and fft_over_a evaluate it
+from those digits and A's shape, one formula for both families.
 """
 
 from __future__ import annotations
@@ -71,11 +73,13 @@ _CHUNK = 1 << 16
 _LUT_BITS = 16
 
 
-def index_digits(indices: np.ndarray, p: int, r: int) -> np.ndarray:
-    """Coordinates of the Z_p^r elements with the given A-indices, shape
-    (*indices.shape, r), first coordinate most significant."""
-    places = np.arange(r - 1, -1, -1, dtype=np.int64)
-    return np.asarray(indices, dtype=np.int64)[..., None] // p**places % p
+def index_digits(indices: np.ndarray, radix: int, rank: int) -> np.ndarray:
+    """The ``rank`` digits base ``radix`` of the given A-indices, shape
+    (*indices.shape, rank), most significant first.  With (radix, rank) =
+    (A.char_denominator, A.rank) they are the coordinates of Z_p^r, and for
+    Z_N, the rank-1 case, the index itself."""
+    places = np.arange(rank - 1, -1, -1, dtype=np.int64)
+    return np.asarray(indices, dtype=np.int64)[..., None] // radix**places % radix
 
 
 @lru_cache(maxsize=16)
@@ -89,18 +93,16 @@ def phase_indices(a_group: AbelianGroup, w: np.ndarray, j: np.ndarray) -> np.nda
     _phase_roots(char_denominator)[t], for int64 arrays of A-indices w and j
     broadcast against each other.  fft_over_a is the production route to the
     characters; pgm_report's check compares it with the direct sum over
-    these indices."""
-    if isinstance(a_group, CyclicGroup):
-        return w * j % a_group.n
-    p, r = a_group.p, a_group.r
-    return (index_digits(w, p, r) * index_digits(j, p, r)).sum(axis=-1) % p
+    these indices: the dot product of their digits (index_digits)."""
+    radix, rank = a_group.char_denominator, a_group.rank
+    return (index_digits(w, radix, rank) * index_digits(j, radix, rank)).sum(axis=-1) % radix
 
 
 def fft_over_a(a_group: AbelianGroup, values: np.ndarray, norm: str | None = None) -> np.ndarray:
     """sum_w conj(chi_j(w)) values[..., w] for every j, over the last axis in
-    A-index order: an FFT over A's shape, (N,) for Z_N and (p,)*r for Z_p^r,
-    whose C order is A-index order."""
-    shape = (a_group.n,) if isinstance(a_group, CyclicGroup) else (a_group.p,) * a_group.r
+    A-index order: an FFT over A's shape, (char_denominator,) * rank ((N,) for
+    Z_N, (p,)*r for Z_p^r), whose C order is A-index order."""
+    shape = (a_group.char_denominator,) * a_group.rank
     lead = values.shape[:-1]
     axes = tuple(range(-len(shape), 0))
     amps = np.fft.fftn(values.reshape(*lead, *shape), axes=axes, norm=norm)

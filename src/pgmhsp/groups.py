@@ -14,7 +14,8 @@ Fourier-side machinery (matrix sum problem, PGM blocks) consumes the
 stored matrix directly.  Characters chi_x(y) are not evaluated here:
 ``char_denominator`` is their modulus, ``eta.fft_over_a`` sums against
 them, and ``eta.phase_indices`` gives their exact integer phase index for
-the direct sum that checks it.
+the direct sum that checks it.  An A-index has ``rank`` digits base
+``char_denominator``: one for Z_N, r for Z_p^r (``eta.index_digits``).
 
 Everything here is a pure function of immutable values; instances are
 frozen ``__slots__`` classes (``_Frozen``) and safe to share across threads.
@@ -150,6 +151,10 @@ class CyclicGroup(_Frozen):
     def char_denominator(self) -> int:
         return self.n
 
+    @property
+    def rank(self) -> int:
+        return 1
+
 
 class VectorGroup(_Frozen):
     """Additive group Z_p^r with p prime.  Index order is lexicographic."""
@@ -204,6 +209,10 @@ class VectorGroup(_Frozen):
     @property
     def char_denominator(self) -> int:
         return self.p
+
+    @property
+    def rank(self) -> int:
+        return self.r
 
 
 AbelianGroup = CyclicGroup | VectorGroup

@@ -13,12 +13,13 @@ read-only table of the codes of A, 8 |A| p bytes, at most 512 KiB, shared
 with the eta walk), so a call costs about its own arithmetic.
 Beyond that, Z_N goes to brute force and Z_p^r to the polynomial route,
 where M^(b) = sum_l C(b, l+1) (mu - I)^l makes the system triangular in
-b: it eliminates the linear layer over F_p, then checks the points of the
-affine family left against the same integer image codes the eta table is
-built from (eta), or, for p beyond a few thousand, root-finds along its
-lines without tabulating Z_p.  Every specialized solver returns exactly
-the brute-force solution set; the tests check both against an independent
-pure-Python enumeration.
+b: it eliminates the linear layer over F_p, then scans the points of the
+affine family left or, for p beyond a few thousand, root-finds along its
+lines without tabulating Z_p.  The grid scan (_grid_scan) checks points
+against the integer image codes the eta table is built from (eta); brute
+force is that scan over all of Z_p^k.  Every specialized solver returns
+exactly the brute-force solution set; the tests check both against an
+independent pure-Python enumeration.
 
 ``import pgmhsp`` binds this module lazily: only solve-msum and direct
 callers of the solvers execute it.  The eta statistics live in eta;
@@ -116,7 +117,7 @@ def check_solutions(inst: MSumInstance, solutions) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Brute force over the integer image codes (eta)
+# The grid scan over the integer image codes (eta), and brute force
 
 
 def _column_blocks(codes: np.ndarray):
@@ -139,27 +140,40 @@ def _column_blocks(codes: np.ndarray):
         yield h * low_sums.size, low_sums + high
 
 
-def _solution_set(cols: list[np.ndarray], p: int, k: int) -> SolutionSet:
-    """The b-tuples, as Python ints, of the idx_b columns in ``cols``."""
-    if not cols:
-        return SolutionSet(())
-    hits = np.concatenate(cols)
-    digits = hits[:, None] // p ** np.arange(k, dtype=np.int64) % p
-    return SolutionSet(tuple(map(tuple, digits.tolist())))
-
-
-def solve_bruteforce(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
-    """Complete solution set: the image of every b in Z_p^k, a block of
-    columns at a time, compared with w."""
-    g, k = inst.group, inst.k
-    check_enumeration(g.p, k, cap)
-    target = g.a_group.index(inst.w)
+def _grid_scan(g: SemidirectGroup, codes: np.ndarray, target: int, base: tuple,
+               directions: tuple, free: tuple) -> SolutionSet:
+    """The points b = base + sum_i s_i directions[i] of the family whose
+    image is target, by one numpy scan over blocks of the free copies'
+    columns (_column_blocks); each other copy adds codes[j, b_j] with b_j
+    summed over the same blocks from s_i directions[i][j].  Brute force is
+    the scan over the whole grid; the polynomial route scans the affine
+    family its elimination leaves."""
+    p, (k, _), f = g.p, codes.shape, len(free)
+    others = [j for j in range(k) if j not in free]
+    moves = np.asarray(directions, dtype=np.int64).reshape(f, k)
+    steps = [np.arange(p) * moves[:, j, None] for j in others]  # s * directions[i][j]
     hits = []
-    for first, sums in _column_blocks(_codes(g, np.array(inst.x), k)):
+    blocks = zip(_column_blocks(codes[list(free)]), *map(_column_blocks, steps))
+    for (first, sums), *shifts in blocks:
+        for j, (_, shift) in zip(others, shifts):
+            sums = sums + codes[j][(base[j] + shift) % p]
         found = (_decode(g, sums, k) == target).nonzero()[0]
         if found.size:
             hits.append(first + found)
-    return _solution_set(hits, g.p, k)
+    if not hits:
+        return SolutionSet(())
+    s = np.concatenate(hits)[:, None] // p ** np.arange(f, dtype=np.int64) % p
+    b = (s @ moves + base) % p
+    return SolutionSet(tuple(map(tuple, b.tolist())))
+
+
+def solve_bruteforce(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
+    """Complete solution set: the grid scan over all of Z_p^k, base 0, every
+    copy free along its own unit direction."""
+    g, k = inst.group, inst.k
+    check_enumeration(g.p, k, cap)
+    codes, target = _codes(g, np.array(inst.x), k), g.a_group.index(inst.w)
+    return _grid_scan(g, codes, target, (0,) * k, np.eye(k, dtype=np.int64), tuple(range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,29 +432,6 @@ def solve_polynomial(inst: MSumInstance, cap: int | None = None) -> SolutionSet:
     return SolutionSet(tuple(hits))
 
 
-def _grid_scan(g: SemidirectGroup, codes: np.ndarray, target: int, base: tuple,
-               directions: tuple, free: tuple) -> SolutionSet:
-    """The points b = base + sum_i s_i directions[i] of the family whose
-    image is target, by one numpy scan over blocks of the free copies'
-    columns (_column_blocks); each other copy adds codes[j, b_j] with b_j
-    summed over the same blocks from s_i directions[i][j]."""
-    p, (k, _), f = g.p, codes.shape, len(free)
-    others = [j for j in range(k) if j not in free]
-    moves = np.array(directions, dtype=np.int64).reshape(f, k)
-    steps = [np.arange(p) * moves[:, j, None] for j in others]  # s * directions[i][j]
-    hits = [np.zeros(0, dtype=np.int64)]
-    blocks = zip(_column_blocks(codes[list(free)]), *map(_column_blocks, steps))
-    for (first, sums), *shifts in blocks:
-        for j, (_, shift) in zip(others, shifts):
-            sums = sums + codes[j][(base[j] + shift) % p]
-        found = (_decode(g, sums, k) == target).nonzero()[0]
-        if found.size:
-            hits.append(first + found)
-    s = np.concatenate(hits)[:, None] // p ** np.arange(f, dtype=np.int64) % p
-    b = (np.array(base, dtype=np.int64) + s @ moves) % p
-    return SolutionSet(tuple(map(tuple, b.tolist())))
-
-
 # ---------------------------------------------------------------------------
 # Residual lookup (small instances of either family)
 
@@ -488,20 +479,9 @@ class _Context:
         """The residual w - sum_(j<k) M^(b_j) x_j of each prefix, in
         itertools.product order, is w's code plus the codes of -x_j, decoded
         and looked up among the images M^(b) x_k, so the b come out sorted."""
-        g, p, codes, decode = self.g, self.g.p, self.codes, self.decode
-        # the rows of w, -x_j (j < k) and x_k start at p times their A-indices:
-        # -x mod N for Z_N, Horner's rule over the digits (-c mod p) for Z_p^r
-        signs = (1, *[-1] * (self.k - 1), 1)
-        if isinstance(g.a_group, VectorGroup):
-            starts = []
-            for sign, e in zip(signs, (w, *x)):
-                i = 0
-                for c in e:
-                    i = i * p + sign * c % p
-                starts.append(i * p)
-        else:
-            starts = [sign * e % g.a_group.n * p for sign, e in zip(signs, (w, *x))]
-        first, *middle, last = starts
+        a, p, codes, decode = self.g.a_group, self.g.p, self.codes, self.decode
+        # the rows of w, -x_j (j < k) and x_k start at p times their A-indices
+        first, *middle, last = [a.index(e) * p for e in (w, *map(a.neg, x[:-1]), x[-1])]
         sums = [codes[first + 1]]  # M^(1) = I
         for s in middle:
             row = codes[s : s + p]

@@ -41,7 +41,7 @@ from .eta import (
     orbit_images,
     phase_indices,
 )
-from .groups import CyclicGroup, SemidirectGroup, format_group_spec
+from .groups import SemidirectGroup, format_group_spec
 
 OPTIMALITY_TOL = 1e-8
 
@@ -111,13 +111,12 @@ def success_probability_formula(
 
 @lru_cache(maxsize=16)
 def _minus(a, d) -> np.ndarray:
-    """A-indices of d - j over j in A-index order, read-only."""
+    """A-indices of d - j over j in A-index order, read-only: digit by digit
+    (index_digits), modulo A.char_denominator."""
+    radix, rank = a.char_denominator, a.rank
     j = np.arange(a.order, dtype=np.int64)
-    if isinstance(a, CyclicGroup):
-        shifts = (a.index(d) - j) % a.n
-    else:
-        places = a.p ** np.arange(a.r - 1, -1, -1, dtype=np.int64)
-        shifts = (index_digits(a.index(d), a.p, a.r) - index_digits(j, a.p, a.r)) % a.p @ places
+    places = radix ** np.arange(rank - 1, -1, -1, dtype=np.int64)
+    shifts = (index_digits(a.index(d), radix, rank) - index_digits(j, radix, rank)) % radix @ places
     shifts.flags.writeable = False
     return shifts
 

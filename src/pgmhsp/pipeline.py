@@ -12,7 +12,7 @@ lexicographically-least coset representatives (_representative).  The
 quotient of Z_N is cyclic and the quotient of Z_p^r is elementary
 abelian, so both stay inside the supported families.  The fixture oracle
 holds its planted subgroup in the same normal form, A1 and d, and labels
-a coset from it with about one product and one reduction.
+a coset from it with one table lookup (or product) and one reduction.
 
 The PGM stage draws a uniform block x per trial, then an outcome from its
 exact law for the state labeled by the planted generator; each sampled
@@ -92,8 +92,9 @@ def coset_hiding_function(
     d with (d, 1) in H if there is one, and a query labels the coset of
     (a, b) from that form without building it.  With (d, 1) in H, the
     label is the A-part of (a, b)(d, 1)^(-b), the coset's element with
-    second coordinate 0, reduced modulo A1.  Otherwise H = A1, and the
-    coset (a + phi^b(A1), b) is labelled (phi^(-b)(a) reduced modulo A1, b).
+    second coordinate 0, reduced modulo A1: a plus the shift of b, from a
+    table of p shifts built once (_shifts).  Otherwise H = A1, and the coset
+    (a + phi^b(A1), b) is labelled (phi^(-b)(a) reduced modulo A1, b).
     """
     if hidden is not None and generators is not None:
         raise ValueError("pass either hidden=d or generators, not both")
@@ -108,11 +109,18 @@ def coset_hiding_function(
     d = next((rep(elem.a) for elem in subgroup if elem.b == 1), None)
     if d is None:
         return HidingFunction(g, lambda elem: (rep(phi_apply(elem.a, g, -elem.b)), elem.b))
-    # (d, 1)^c for c < p; (d, 1)^(p - b) is (d, 1)^(-b) up to A1
-    step, powers = g.element(d, 1), [g.identity]
+    shifts, add = _shifts(g, d), g.a_group.add
+    return HidingFunction(g, lambda elem: rep(add(elem.a, shifts[elem.b])), d)
+
+
+def _shifts(g: SemidirectGroup, d) -> list:
+    """shifts[b] for b < p, the A-part of (0, b)(d, 1)^(-b), so that
+    (a, b)(d, 1)^(-b) = (a + shifts[b], 0): from shifts[0] = 0, shifts[b + 1]
+    = phi(shifts[b]) - d is the A-part of (-d, 1)(shifts[b], 0)."""
+    step, shifts = g.element(g.a_group.neg(d), 1), [g.a_group.zero]
     for _ in range(g.p - 1):
-        powers.append(element_mul(powers[-1], step, g))
-    return HidingFunction(g, lambda elem: rep(element_mul(elem, powers[-elem.b], g).a), d)
+        shifts.append(element_mul(step, GroupElement(shifts[-1], 0), g).a)
+    return shifts
 
 
 # ---------------------------------------------------------------------------

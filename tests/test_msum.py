@@ -329,6 +329,55 @@ def test_lookup_matches_enumeration_exhaustive(handed_over, spec, k):
             check_lookup(MSumInstance(g, x, w), tuple(buckets.get(w, ())), handed_over)
 
 
+class RowReads:
+    """A stand-in for a context's table of codes: it records the key of
+    every read, and reads 1 for w's code and zeros in every row, so that
+    no residual matches and each solve is short."""
+
+    def __init__(self):
+        self.keys = []
+
+    def __getitem__(self, key):
+        self.keys.append(key)
+        return [0] * (key.stop - key.start) if isinstance(key, slice) else 1
+
+
+def inline_row_starts(g, x, w):
+    """The lookup's row starts of w, -x_j (j < k) and x_k, times p, by
+    separate formulas: sign e mod N for Z_N, Horner's rule over the digits
+    (sign c mod p) for Z_p^r."""
+    p, signs = g.p, (1, *[-1] * (len(x) - 1), 1)
+    if isinstance(g.a_group, VectorGroup):
+        starts = []
+        for sign, e in zip(signs, (w, *x)):
+            i = 0
+            for c in e:
+                i = i * p + sign * c % p
+            starts.append(i * p)
+        return starts
+    return [sign * e % g.a_group.n * p for sign, e in zip(signs, (w, *x))]
+
+
+@pytest.mark.parametrize("spec", ["zn N=7 p=3 mu=2", "zn N=9901 p=3 mu=99", "zn N=1019 p=509 mu=4",
+                                  "zpr p=5 jordan=3", "zpr p=3 jordan=2,1"])
+def test_lookup_rows_start_at_the_a_indices(spec):
+    # _Context.solve reads row w at M^(1) = I, then the p codes of each -x_j
+    # and of x_k, at starts from A.index and A.neg for both families
+    g = parse_group_spec(spec)
+    a, p, rng = g.a_group, g.p, random.Random(spec)
+    for k in (1, 2, 3) if p < 10 else (1, 2):  # p^(k-1) prefixes a solve
+        context = msum._Context(g, k)
+        for _ in range(20):
+            x = tuple(a.element(rng.randrange(a.order)) for _ in range(k))
+            for inst in (MSumInstance(g, x, a.element(rng.randrange(a.order))),
+                         MSumInstance(g, (a.zero,) * k, a.zero)):
+                context.__dict__["codes"] = reads = RowReads()
+                context.solve(inst.x, inst.w)
+                first, *middle, last = inline_row_starts(g, inst.x, inst.w)
+                rows = [slice(s, s + p) for s in (*middle, last)]
+                assert reads.keys == [first + 1, *rows]
+
+
 def test_lookup_decodes_digits_in_groups(handed_over):
     # r = 5 digits of 4 bits each at k = 3: the decode takes two lut lookups
     g = parse_group_spec("zpr p=5 jordan=5")

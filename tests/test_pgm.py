@@ -1,5 +1,6 @@
 import math
 import pathlib
+import random
 import re
 import tracemalloc
 from decimal import Decimal
@@ -482,6 +483,25 @@ def test_minus_matches_the_element_loop(spec):
         shifts = pgm._minus(a, a.element(i))
         assert shifts.dtype == np.int64 and not shifts.flags.writeable
         assert shifts.tolist() == minus_loop(a, a.element(i))
+
+
+@pytest.mark.parametrize("spec", ["zn N=7 p=3 mu=2", "zn N=9901 p=3 mu=99", "zn N=1019 p=509 mu=4"])
+def test_z_n_is_the_rank_one_digit_arithmetic(spec):
+    # one digit base N, the index itself: the characters and the shifts read
+    # off the digits are plain arithmetic mod N
+    a = parse_group_spec(spec).a_group
+    n = a.n
+    assert (a.char_denominator, a.rank) == (n, 1)
+    i = np.arange(n, dtype=np.int64)
+    digits = index_digits(i, n, 1)
+    assert digits.shape == (n, 1) and digits[:, 0].tolist() == i.tolist()
+    rng = random.Random(n)
+    w = [0, 1, n - 1, n - 1] + [rng.randrange(n) for _ in range(2000)]
+    j = [n - 1, 0, 1, n - 1] + [rng.randrange(n) for _ in range(2000)]
+    t = phase_indices(a, np.array(w, dtype=np.int64), np.array(j, dtype=np.int64))
+    assert t.tolist() == [u * v % n for u, v in zip(w, j)]
+    for d in (0, 1, n // 2, n - 1):
+        assert pgm._minus(a, d).tolist() == [(d - c) % n for c in range(n)]
 
 
 def _downdate_case(rng, n, m, lam=None, zero=()):

@@ -116,9 +116,10 @@ def test_coset_labels_and_hidden_d_on_random_generator_sets(spec):
 
 
 def test_planted_fixture_and_abelian_stage_cost_about_one_product_per_query(monkeypatch):
-    # the closure of <(d, 1)> (p products), the table of its p powers and
-    # one product per query: at most |A| + 2p element products, where
-    # building each queried coset took about |A| p
+    # the closure of <(d, 1)> (p products) and the table of p shifts (p - 1),
+    # and no product per query: at most 3p element products whatever |A|,
+    # where one product per query took |A| + 2p and building each queried
+    # coset about |A| p
     g = parse_group_spec("zn N=1019 p=509 mu=4")
     calls = []
     element_mul = pipeline.element_mul
@@ -131,7 +132,7 @@ def test_planted_fixture_and_abelian_stage_cost_about_one_product_per_query(monk
     f = coset_hiding_function(g, hidden=7)
     h1 = abelian_hsp_solve(f, g)
     assert h1.is_trivial and f.hidden_d == 7 and f.queries == 1019
-    assert len(calls) <= 1019 + 2 * 509
+    assert len(calls) <= 3 * 509
 
 
 def test_hiding_function_query_counter():
